@@ -31,7 +31,7 @@ from .linalg import HermitianMatrix, exact_projector, kron
 from .separability import (
     NPT_TOL,
     BipartiteLabeling,
-    _min_eig_for_assignment,
+    min_pt_eigenvalues,
     pe_matching_separability,
     ppt_test,
 )
@@ -426,9 +426,8 @@ def locc_principle_examples() -> LoccReport:
     diamond_verdict = ppt_test(density_of_graph(diamond), lab)
     cycle = delete_edge(diamond, 1, 2)
     sigma_c = density_of_graph(cycle).mat.to_complex().real
-    cycle_sep = all(
-        _min_eig_for_assignment(sigma_c, a, 2, 2) >= -NPT_TOL
-        for a in itertools.permutations(range(4)))
+    cycle_sep = bool((min_pt_eigenvalues(
+        sigma_c, list(itertools.permutations(range(4))), 2, 2) >= -NPT_TOL).all())
 
     narrative = (
         "Deleting one edge of the separable two-edge crossing state leaves a "

@@ -18,7 +18,7 @@ import numpy as np
 from .density import DensityMatrix, density_of_graph
 from .graphs import automorphisms, nonisomorphic_graphs
 from .linalg import HermitianMatrix, psd_sqrt
-from .separability import NPT_TOL, _min_eig_for_assignment
+from .separability import NPT_TOL, min_pt_eigenvalues
 
 
 class ConcurrenceError(ValueError):
@@ -129,6 +129,8 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
     the distinct concurrence values over its entangled labelings recorded.
     """
     reps = nonisomorphic_graphs(4)
+    assigns = np.array(list(itertools.permutations(range(4))))
+    total = len(assigns)
     rows = []
     class_id = 0
     for g in reps:
@@ -137,20 +139,14 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
         class_id += 1
         sigma = density_of_graph(g).mat.to_complex().real
         aut_order = len(automorphisms(g))
+        npt = min_pt_eigenvalues(sigma, assigns, 2, 2) < -tol
+        entangled = int(npt.sum())
         values = []
-        entangled = 0
-        total = 0
-        for assign in itertools.permutations(range(4)):
-            total += 1
-            low = _min_eig_for_assignment(sigma, assign, 2, 2)
-            if low < -tol:
-                entangled += 1
-                pos = [0] * 4
-                for v, c in enumerate(assign):
-                    pos[c] = v
-                cell_state = DensityMatrix(
-                    HermitianMatrix(sigma[np.ix_(pos, pos)], exact=False))
-                values.append(concurrence(cell_state).value)
+        for assign in assigns[npt]:
+            pos = np.argsort(assign)  # vertex sitting at each cell
+            cell_state = DensityMatrix(
+                HermitianMatrix(sigma[np.ix_(pos, pos)], exact=False))
+            values.append(concurrence(cell_state).value)
         rows.append(CensusRow(
             class_id=class_id,
             edges=tuple((u + 1, v + 1) for (u, v) in g.edges),

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, GraphError, degree_matrix, laplacian, tensor_product
-from .linalg import HermitianMatrix, LinalgError, exact_projector, is_psd, kron
+from .linalg import PSD_TOL, HermitianMatrix, LinalgError, exact_projector, is_psd, kron
 
 TRACE_TOL = 1e-12
 
@@ -61,6 +61,32 @@ def density_of_graph(g: Graph) -> DensityMatrix:
     denom = Fraction(2 * g.m)
     mat = HermitianMatrix(laplacian(g)).scale(1 / denom)
     return DensityMatrix(mat, origin=g, normalization=denom)
+
+
+def laplacian_states(n: int, edge_lists) -> np.ndarray:
+    """Float states L(G)/2m, stacked, for loop-free edge lists on n vertices.
+
+    Each entry is the correctly rounded value of the exact state's entry,
+    so a layer equals density_of_graph(g).to_complex().real bit for bit.
+    The stack gets the checks DensityMatrix makes: unit trace, and no
+    eigenvalue below -PSD_TOL.
+    """
+    lap = np.zeros((len(edge_lists), n, n))
+    i, u, v = np.array([(i, u, v) for i, edges in enumerate(edge_lists) for u, v in edges],
+                       dtype=np.intp).reshape(-1, 3).T
+    lap[i, u, v] = lap[i, v, u] = -1.0
+    degrees = np.count_nonzero(lap, axis=2)
+    if (degrees.sum(axis=1) == 0).any():
+        raise DensityError("graph has no non-loop edge")
+    diag = np.arange(n)
+    lap[:, diag, diag] = degrees
+    states = lap / degrees.sum(axis=1)[:, None, None]
+    if np.abs(np.trace(states, axis1=1, axis2=2) - 1).max() > TRACE_TOL:
+        raise DensityError("a stacked state does not have unit trace")
+    low = np.linalg.eigvalsh(states)[:, 0].min()
+    if low < -PSD_TOL:
+        raise DensityError(f"a stacked state is not PSD (eigenvalue {low:g})")
+    return states
 
 
 def density_with_loops(g: Graph) -> DensityMatrix:

@@ -10,16 +10,16 @@ A labeling identifies the n = p*q vertices with the product basis
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .density import DensityMatrix, density_of_graph
-from .graphs import Graph, GraphError, VertexPermutation, automorphisms, build_graph, complete_graph
+from .graphs import Graph, GraphError, VertexPermutation, build_graph, complete_graph
 from .linalg import HermitianMatrix, eigensystem, exact_projector
 
 SEPARABLE = "SEPARABLE"
@@ -33,6 +33,9 @@ RECONSTRUCTION_TOL = 1e-10
 _PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 DEFAULT_SEARCH_SEED = 20060111
+
+# labelings per batched eigensolve: bounds the memory of one PT stack
+_EIG_BLOCK = 4096
 
 
 class SeparabilityError(ValueError):
@@ -115,14 +118,55 @@ class ProductState:
 # partial transpose and PPT testing
 
 
+def _pt_index(assigns: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Row indices of the vertex-basis partial transposes of a state.
+
+    assigns[k, v] is the flat cell s*q + t of vertex v under labeling k, and
+    at[s, t] is the vertex sitting in cell (s, t).  Entry (u, v) of the k-th
+    PT is sigma[rows[k, u, v], rows[k, v, u]] with rows[k, u, v] =
+    at[s_u, t_v]: transposing the column factor swaps t_u and t_v.
+    """
+    k = np.arange(len(assigns))[:, None]
+    at = np.empty_like(assigns)
+    at[k, assigns] = np.arange(p * q)
+    s, t = np.divmod(assigns, q)
+    return at.reshape(-1, p, q)[k[:, :, None], s[:, :, None], t[:, None, :]]
+
+
 def _pt_indexed(mat: np.ndarray, lab: BipartiteLabeling) -> np.ndarray:
     """Partial transpose in the vertex basis of the input matrix."""
-    n, p, q = lab.n, lab.p, lab.q
-    pos = lab.vertex_order()
-    cell_mat = mat[np.ix_(pos, pos)]
-    pt_cell = cell_mat.reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)
-    fl = [lab.flat(v) for v in range(n)]
-    return pt_cell[np.ix_(fl, fl)]
+    assign = np.array([[lab.flat(v) for v in range(lab.n)]])
+    rows = _pt_index(assign, lab.p, lab.q)[0]
+    return mat[rows, rows.T]
+
+
+def min_pt_eigenvalues(sigma: np.ndarray, assigns, p: int, q: int) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of a real state per labeling.
+
+    sigma is one n x n state shared by every labeling, or a stack of K
+    states paired with the K rows of assigns (flat cells, assigns[k, v] =
+    s*q + t).  The partial transposes are gathered in the vertex basis,
+    the matrices `ppt_test` sees, and each block of labelings goes through
+    one batched eigvalsh call.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    assigns = np.asarray(assigns, dtype=np.intp).reshape(-1, p * q)
+    out = np.empty(len(assigns))
+    for lo in range(0, len(assigns), _EIG_BLOCK):
+        rows = _pt_index(assigns[lo:lo + _EIG_BLOCK], p, q)
+        cols = rows.transpose(0, 2, 1)
+        if sigma.ndim == 2:
+            pt = sigma[rows, cols]
+        else:
+            k = np.arange(lo, lo + len(rows))[:, None, None]
+            pt = sigma[k, rows, cols]
+        out[lo:lo + len(rows)] = np.linalg.eigvalsh(pt)[:, 0]
+    return out
+
+
+def _min_eig_for_assignment(sigma: np.ndarray, assign, p: int, q: int) -> float:
+    """min_pt_eigenvalues for one labeling."""
+    return float(min_pt_eigenvalues(sigma, [assign], p, q)[0])
 
 
 def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMatrix:
@@ -140,8 +184,18 @@ def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMa
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, lab: BipartiteLabeling) -> float:
-    pt = _pt_indexed(rho.mat.to_complex().real, lab)
-    return float(np.linalg.eigvalsh(pt)[0])
+    return _min_eig_for_assignment(rho.mat.to_complex().real,
+                                   [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)
+
+
+def _ppt_status(p: int, q: int) -> str:
+    """Verdict of a positive partial transpose at dimensions p x q."""
+    return SEPARABLE if (p, q) in _PPT_EXACT_DIMS else PPT_INCONCLUSIVE
+
+
+def verdict_status(low: float, p: int, q: int, tol: float = NPT_TOL) -> str:
+    """Status of a labeling whose smallest PT eigenvalue is `low`."""
+    return ENTANGLED_NPT if low < -tol else _ppt_status(p, q)
 
 
 def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling, tol: float = NPT_TOL) -> SeparabilityVerdict:
@@ -149,13 +203,7 @@ def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling, tol: float = NPT_TOL) -
     while a positive partial transpose certifies separability only at
     2x2 and 2x3."""
     low = min_pt_eigenvalue(rho, lab)
-    if low < -tol:
-        status = ENTANGLED_NPT
-    elif (lab.p, lab.q) in _PPT_EXACT_DIMS:
-        status = SEPARABLE
-    else:
-        status = PPT_INCONCLUSIVE
-    return SeparabilityVerdict(status, low, (lab.p, lab.q))
+    return SeparabilityVerdict(verdict_status(low, lab.p, lab.q, tol), low, (lab.p, lab.q))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +375,6 @@ def verify_separable_decomposition(rho: DensityMatrix, states, tol: float = RECO
         vec = s.vector()
         mix += s.weight * np.outer(vec, vec.conj())
     if lab is not None and not lab.is_default():
-        pos = lab.vertex_order()
         # cell-basis mixture -> vertex basis
         fl = [lab.flat(v) for v in range(n)]
         mix = mix[np.ix_(fl, fl)]
@@ -492,37 +539,49 @@ class LabelingCensus:
     seed: int | None = None
 
 
-def _verdict_status(low: float, p: int, q: int, tol: float) -> str:
-    if low < -tol:
-        return ENTANGLED_NPT
-    if (p, q) in _PPT_EXACT_DIMS:
-        return SEPARABLE
-    return PPT_INCONCLUSIVE
+def coset_representatives(p: int, q: int):
+    """Yield one cell assignment per coset of S_p x S_q, in lexicographic order.
 
-
-def _min_eig_for_assignment(sigma: np.ndarray, assign, p: int, q: int) -> float:
+    Relabeling the rows or the columns is a local permutation unitary, so
+    it leaves the partial-transpose spectrum unchanged.  The group acts
+    freely on the cells, so each of the n!/(p!q!) cosets holds p!q!
+    assignments.  The one yielded is its lexicographically smallest member:
+    the assignment whose rows, and whose columns, first appear in
+    increasing order along the vertices.
+    """
     n = p * q
-    pos = [0] * n
-    for v, c in enumerate(assign):
-        pos[c] = v
-    cell = sigma[np.ix_(pos, pos)]
-    pt = cell.reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)
-    return float(np.linalg.eigvalsh(pt)[0])
+    assign = [0] * n
+    used = [False] * n
+
+    def extend(v: int, rows: int, cols: int):
+        if v == n:
+            yield tuple(assign)
+            return
+        for s in range(min(rows + 1, p)):
+            for t in range(min(cols + 1, q)):
+                cell = s * q + t
+                if used[cell]:
+                    continue
+                used[cell] = True
+                assign[v] = cell
+                yield from extend(v + 1, max(rows, s + 1), max(cols, t + 1))
+                used[cell] = False
+
+    yield from extend(0, 0, 0)
 
 
-def _search_chunk(args):
-    g, p, q, tol, seed, count = args
-    sigma = density_of_graph(g).mat.to_complex().real
-    rng = np.random.default_rng(seed)
+def _tally(lows: np.ndarray, assigns: np.ndarray, p: int, q: int, tol: float,
+           weight: int = 1):
+    """Status counts, each labeling standing for `weight` of them, and the
+    first labeling of each status as its witness."""
     counts = {SEPARABLE: 0, ENTANGLED_NPT: 0, PPT_INCONCLUSIVE: 0}
     witnesses = {}
-    for _ in range(count):
-        assign = tuple(int(x) for x in rng.permutation(g.n))
-        low = _min_eig_for_assignment(sigma, assign, p, q)
-        status = _verdict_status(low, p, q, tol)
-        counts[status] += 1
-        if status not in witnesses:
-            witnesses[status] = (assign, low)
+    npt = lows < -tol
+    for status, mask in ((ENTANGLED_NPT, npt), (_ppt_status(p, q), ~npt)):
+        hits = np.flatnonzero(mask)
+        counts[status] += weight * len(hits)
+        if len(hits):
+            witnesses[status] = tuple(int(a) for a in assigns[hits[0]])
     return counts, witnesses
 
 
@@ -531,57 +590,48 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
                     workers: int = 1) -> LabelingCensus:
     """Census of PPT verdicts over vertex labelings of g.
 
-    Exhaustive mode (n <= 8) walks all n! cell assignments, pruned to one
-    representative per orbit of Aut(g); counts still refer to all n!
-    labelings.  For larger graphs pass `sample` to draw that many uniform
-    labelings from a seeded generator.
+    Exhaustive mode (n <= 8) evaluates one representative per coset of the
+    row and column relabelings S_p x S_q, which leave the PT spectrum
+    unchanged, and weights it by p!q!; counts refer to all n! labelings,
+    and each witness is the lexicographically first labeling of its status.
+    For larger graphs pass `sample` to draw that many uniform labelings
+    from default_rng(seed).  The draws happen in this process; `workers`
+    (clamped to the CPU count) only splits the eigensolves into contiguous
+    blocks, so the result does not depend on it.
     """
     n = g.n
     if p * q != n:
         raise SeparabilityError("n must equal p*q")
     if n > 12:
         raise SeparabilityError("labeling search is limited to n <= 12")
-    counts = {SEPARABLE: 0, ENTANGLED_NPT: 0, PPT_INCONCLUSIVE: 0}
-    witnesses = {}
+    if workers < 1:
+        raise SeparabilityError(f"workers must be at least 1, got {workers}")
+    if sample is None and n > 8:
+        raise SeparabilityError("exhaustive search needs n <= 8; pass a sample budget")
+    if sample is not None and sample < 1:
+        raise SeparabilityError("sample budget must be positive")
+    sigma = density_of_graph(g).mat.to_complex().real
 
     if sample is None:
-        if n > 8:
-            raise SeparabilityError("exhaustive search needs n <= 8; pass a sample budget")
-        sigma = density_of_graph(g).mat.to_complex().real
-        auts = [a.image for a in automorphisms(g)]
-        seen = set()
-        for perm in itertools.permutations(range(n)):
-            if perm in seen:
-                continue
-            orbit = {tuple(perm[a[v]] for v in range(n)) for a in auts}
-            seen.update(orbit)
-            low = _min_eig_for_assignment(sigma, perm, p, q)
-            status = _verdict_status(low, p, q, tol)
-            counts[status] += len(orbit)
-            if status not in witnesses:
-                witnesses[status] = perm
-        total = math.factorial(n)
-        return LabelingCensus(p, q, "exhaustive", total, counts, witnesses)
+        reps = np.array(list(coset_representatives(p, q)))
+        lows = min_pt_eigenvalues(sigma, reps, p, q)
+        counts, witnesses = _tally(lows, reps, p, q, tol,
+                                   math.factorial(p) * math.factorial(q))
+        return LabelingCensus(p, q, "exhaustive", math.factorial(n), counts, witnesses)
 
-    if sample < 1:
-        raise SeparabilityError("sample budget must be positive")
     if seed is None:
         seed = DEFAULT_SEARCH_SEED
-    workers = max(1, int(workers))
-    if workers == 1:
-        chunk_counts, chunk_wits = _search_chunk((g, p, q, tol, seed, sample))
-        merged = [(chunk_counts, chunk_wits)]
+    rng = np.random.default_rng(seed)
+    assigns = np.empty((sample, n), dtype=np.int8)
+    for row in assigns:
+        row[:] = rng.permutation(n)
+    procs = min(workers, os.cpu_count() or 1)
+    if procs == 1:
+        lows = min_pt_eigenvalues(sigma, assigns, p, q)
     else:
-        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(workers)]
-        base, extra = divmod(sample, workers)
-        jobs = [(g, p, q, tol, seeds[i], base + (1 if i < extra else 0))
-                for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            merged = pool.map(_search_chunk, jobs)
-    for chunk_counts, chunk_wits in merged:
-        for k, v in chunk_counts.items():
-            counts[k] += v
-        for status, (assign, low) in chunk_wits.items():
-            if status not in witnesses:
-                witnesses[status] = assign
+        blocks = np.array_split(assigns, procs)
+        with multiprocessing.get_context("spawn").Pool(procs) as pool:
+            lows = np.concatenate(pool.starmap(
+                min_pt_eigenvalues, [(sigma, block, p, q) for block in blocks]))
+    counts, witnesses = _tally(lows, assigns, p, q, tol)
     return LabelingCensus(p, q, "sampled", sample, counts, witnesses, seed=seed)

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+import graphdm.cli as cli
 from graphdm.cli import main
+from graphdm.linalg import LinalgError
 
 P4_TEXT = "n 4\ne 1 2\ne 2 3\ne 3 4\n"
 K4_TEXT = "n 4\n" + "".join(
@@ -197,6 +199,32 @@ def test_search_sampled_output_is_reproducible(capsys, graph_file):
     blob = json.loads(first)
     assert blob["mode"] == "sampled" and blob["total"] == 200
     assert blob["seed"] == 99
+
+
+def test_search_rejects_nonpositive_workers(capsys, graph_file):
+    path = graph_file("petersen.graph", PETERSEN_TEXT)
+    assert main(["search", path, "--p", "2", "--q", "5", "--budget", "10",
+                 "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers" in err
+    assert err.count("\n") == 1
+
+
+def test_linalg_error_is_precondition_failure(capsys, graph_file, monkeypatch):
+    def broken(_):
+        raise LinalgError("matrix is not Hermitian")
+
+    monkeypatch.setattr(cli, "eigensystem", broken)
+    path = graph_file("p4.graph", P4_TEXT)
+    assert main(["analyze", path, "--p", "2", "--q", "2"]) == 2
+    assert capsys.readouterr().err == "error: matrix is not Hermitian\n"
+
+
+def test_complete_graph_decomposition_must_verify(capsys, graph_file, monkeypatch):
+    monkeypatch.setattr(cli, "verify_separable_decomposition", lambda *a, **k: False)
+    path = graph_file("k4.graph", K4_TEXT)
+    assert main(["analyze", path, "--p", "2", "--q", "2"]) == 2
+    assert "does not reconstruct" in capsys.readouterr().err
 
 
 def test_probe_small_dimensions_exhaustive(capsys):

@@ -1,28 +1,38 @@
 """Tests for partial transpose, separability verdicts and decompositions."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graphdm.separability as separability
 
 from graphdm import (
     ENTANGLED_NPT,
     PPT_INCONCLUSIVE,
     SEPARABLE,
     BipartiteLabeling,
+    DensityError,
     SeparabilityError,
     build_graph,
     canonicalize_pe_matching,
     classify_matching,
     complete_graph,
     complete_graph_decomposition,
+    coset_representatives,
     cycle_graph,
     density_of_graph,
     eigensystem,
     entangled_edges,
     labeling_search,
+    laplacian_states,
     min_pt_eigenvalue,
+    min_pt_eigenvalues,
+    nonisomorphic_graphs,
     partial_transpose,
     path_graph,
     pe_matching_separability,
@@ -248,11 +258,49 @@ def test_labeling_search_sampled_is_deterministic():
     assert a.mode == "sampled" and a.total == 300 and a.seed == 123
     c = labeling_search(g, 2, 5, sample=300, seed=124)
     assert c.total == 300  # different seed still yields a full tally
-    # parallel draws are split per worker but fixed by (seed, workers)
-    par1 = labeling_search(g, 2, 5, sample=300, seed=123, workers=3)
-    par2 = labeling_search(g, 2, 5, sample=300, seed=123, workers=3)
-    assert par1.counts == par2.counts and par1.witnesses == par2.witnesses
-    assert sum(par1.counts.values()) == 300
+    # the draws do not depend on the worker count; workers only split the
+    # eigensolves
+    par = labeling_search(g, 2, 5, sample=300, seed=123, workers=2)
+    assert par.counts == a.counts and par.witnesses == a.witnesses
+    assert sum(par.counts.values()) == 300
+
+
+class _SerialContext:
+    """Stands in for a multiprocessing context: records the pool size and
+    runs the work in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, procs):
+        self.sizes.append(procs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, jobs):
+        return [fn(*job) for job in jobs]
+
+
+def test_labeling_search_workers_clamped_to_cpu_count(monkeypatch):
+    g = petersen_graph()
+    ref = labeling_search(g, 2, 5, sample=50, seed=7)
+    fake = _SerialContext()
+    monkeypatch.setattr(separability.multiprocessing, "get_context", lambda method: fake)
+    monkeypatch.setattr(separability.os, "cpu_count", lambda: 3)
+    got = labeling_search(g, 2, 5, sample=50, seed=7, workers=64)
+    assert fake.sizes == [3]
+    assert got.counts == ref.counts and got.witnesses == ref.witnesses
+    monkeypatch.setattr(separability.os, "cpu_count", lambda: 1)
+    labeling_search(g, 2, 5, sample=50, seed=7, workers=64)
+    assert fake.sizes == [3]  # one CPU: no pool at all
+    for bad in (0, -1):
+        with pytest.raises(SeparabilityError):
+            labeling_search(g, 2, 5, sample=50, seed=7, workers=bad)
 
 
 def test_labeling_search_validates_dimensions():
@@ -260,3 +308,114 @@ def test_labeling_search_validates_dimensions():
         labeling_search(path_graph(4), 2, 3)
     with pytest.raises(SeparabilityError):
         labeling_search(complete_graph(16), 4, 4)  # n > 12 guard
+
+
+# ---------------------------------------------------------------------------
+# the coset census against the n! brute force
+
+
+def _brute_force_census(g, p, q, tol=1e-9):
+    """Counts and lex-first witnesses over all n! assignments, with the PT
+    taken in the cell basis by reshaping, independently of graphdm."""
+    n = p * q
+    perms = np.array(list(itertools.permutations(range(n))))
+    sigma = density_of_graph(g).to_complex().real
+    pos = np.argsort(perms, axis=1)  # vertex at each cell
+    cell = sigma[pos[:, :, None], pos[:, None, :]]
+    pt = cell.reshape(-1, p, q, p, q).transpose(0, 1, 4, 3, 2).reshape(-1, n, n)
+    npt = np.linalg.eigvalsh(pt)[:, 0] < -tol
+    ppt_status = SEPARABLE if (p, q) in {(2, 2), (2, 3), (3, 2)} else PPT_INCONCLUSIVE
+    counts = {SEPARABLE: 0, ENTANGLED_NPT: 0, PPT_INCONCLUSIVE: 0}
+    witnesses = {}
+    for status, mask in ((ENTANGLED_NPT, npt), (ppt_status, ~npt)):
+        hits = np.flatnonzero(mask)
+        counts[status] = len(hits)
+        if len(hits):
+            witnesses[status] = tuple(int(a) for a in perms[hits[0]])
+    return counts, witnesses
+
+
+def _random_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    pick = rng.choice(len(pairs), size=len(pairs) // 2, replace=False)
+    return build_graph(n, [pairs[i] for i in pick])
+
+
+def _differential_cases():
+    for g in nonisomorphic_graphs(4, min_edges=1):
+        yield g, 2, 2
+    for g in nonisomorphic_graphs(6, min_edges=1):
+        yield g, 2, 3
+        yield g, 3, 2
+    for g in (path_graph(8), complete_graph(8), _random_graph(8, 1), _random_graph(8, 2)):
+        yield g, 2, 4
+        yield g, 4, 2
+
+
+def test_coset_census_matches_brute_force():
+    cases = 0
+    for g, p, q in _differential_cases():
+        census = labeling_search(g, p, q)
+        counts, witnesses = _brute_force_census(g, p, q)
+        assert census.counts == counts, (g.edges, p, q)
+        assert census.witnesses == witnesses, (g.edges, p, q)
+        assert sum(census.counts.values()) == census.total == math.factorial(g.n)
+        cases += 1
+    assert cases == 10 + 2 * 155 + 8
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+def test_coset_representatives_are_sorted_distinct_minima(p, q):
+    n = p * q
+    reps = list(coset_representatives(p, q))
+    assert len(reps) == math.factorial(n) // (math.factorial(p) * math.factorial(q))
+    assert reps == sorted(set(reps))
+    assert all(sorted(r) == list(range(n)) for r in reps)
+    if n > 6:
+        return
+    # each is the smallest member of its coset under row and column relabelings
+    for r in reps:
+        for rows in itertools.permutations(range(p)):
+            for cols in itertools.permutations(range(q)):
+                moved = tuple(rows[a // q] * q + cols[a % q] for a in r)
+                assert moved >= r
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (3, 4)]),
+       data=st.data())
+def test_min_pt_eigenvalue_invariant_under_local_relabeling(dims, data):
+    p, q = dims
+    n = p * q
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    sigma = density_of_graph(build_graph(n, edges)).to_complex().real
+    assign = data.draw(st.permutations(range(n)))
+    rows = data.draw(st.permutations(range(p)))
+    cols = data.draw(st.permutations(range(q)))
+    moved = [rows[a // q] * q + cols[a % q] for a in assign]
+    low, low_moved = min_pt_eigenvalues(sigma, [assign, moved], p, q)
+    assert abs(low - low_moved) < 1e-12
+
+
+def test_kernel_matches_ppt_test_bit_for_bit():
+    g = _random_graph(8, 3)
+    rho = density_of_graph(g)
+    assigns = np.array(list(coset_representatives(2, 4))[::37])
+    lows = min_pt_eigenvalues(rho.to_complex().real, assigns, 2, 4)
+    for assign, low in zip(assigns, lows):
+        lab = BipartiteLabeling.from_assignment(2, 4, assign)
+        pt = partial_transpose(rho, lab).to_complex().real
+        assert low == np.linalg.eigvalsh(pt)[0]
+        assert low == ppt_test(rho, lab).min_pt_eigenvalue
+
+
+def test_laplacian_states_equal_exact_states():
+    graphs = [path_graph(6), complete_graph(6), build_graph(6, [(0, 5)]),
+              _random_graph(6, 4)]
+    stack = laplacian_states(6, [g.edges for g in graphs])
+    for g, layer in zip(graphs, stack):
+        assert np.array_equal(layer, density_of_graph(g).to_complex().real)
+    with pytest.raises(DensityError):  # the second graph has no edge
+        laplacian_states(4, [[(0, 1)], []])
