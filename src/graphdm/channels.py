@@ -1,10 +1,13 @@
-"""Kraus channels realizing graph edits on graph states.
+"""Quantum channels realizing graph edits on graph states.
 
 Each edit (deleting or adding an edge, deleting or adding a vertex) is a
-trace-preserving completely positive map built from rank-one projectors
-followed by unitaries that relocate the measured states onto the edges of
-the target graph.  Applying the edit channel to the state of the source
-graph lands exactly on the state of the edited graph.
+trace-preserving completely positive map.  An edge edit measures in an
+orthonormal basis and prepares an edge state of the target graph: its
+Kraus operators are |y><x| / sqrt(m'), x over the basis and y over the m'
+unit edge vectors of the target.  Each equals the paper's unitary that
+relocates x onto y (complete_to_unitary) after the projector onto x.
+Applying the edit channel to the state of the source graph lands exactly on
+the state of the edited graph.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .concurrence import concurrence
-from .density import DensityMatrix, density_of_graph, density_with_loops
+from .density import DensityMatrix, density_of_graph, density_with_loops, laplacian_states
 from .graphs import (
     Graph,
     add_isolated_vertex,
@@ -70,12 +73,73 @@ class KrausChannel:
     def output_dim(self) -> int:
         return self.operators[0].shape[0]
 
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """Sum of A state A^dagger over the operators, made exactly Hermitian."""
+        out = sum(a @ state @ a.conj().T for a in self.operators)
+        return (out + out.conj().T) / 2
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurePrepareChannel:
+    """Measure in the orthonormal rows of basis, prepare a uniform mixture of
+    the unit rows of targets.
+
+    Its Kraus operators |y><x| / sqrt(len(targets)) satisfy the completeness
+    identity exactly when basis^T basis = I and every target has unit norm,
+    which is what construction checks.  The map is rho -> tr(rho) sigma with
+    sigma = targets^T targets / len(targets), so applying it costs one pass
+    over the state, whatever the operator count.
+    """
+
+    basis: np.ndarray
+    targets: np.ndarray
+    label: str
+
+    def __post_init__(self):
+        n = self.basis.shape[0]
+        if self.basis.shape != (n, n) or self.targets.ndim != 2 or not len(self.targets):
+            raise ChannelError("channel needs a square basis and at least one target")
+        if np.abs(self.basis.T @ self.basis - np.eye(n)).max() > CHANNEL_TOL:
+            raise ChannelError("measurement basis is not orthonormal")
+        if np.abs(np.linalg.norm(self.targets, axis=1) - 1.0).max() > CHANNEL_TOL:
+            raise ChannelError("prepared states are not unit vectors")
+
+    @property
+    def input_dim(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.targets.shape[1]
+
+    @property
+    def operators(self) -> tuple:
+        """The Kraus operators, basis-major: |y><x| / sqrt(m') for x, then y."""
+        ops = self.targets[None, :, :, None] * self.basis[:, None, None, :]
+        ops = ops / math.sqrt(len(self.targets))
+        return tuple(ops.reshape(-1, self.output_dim, self.input_dim))
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """sum_x <x|state|x> times the prepared mixture."""
+        weight = np.einsum("ij,jk,ik->", self.basis, state, self.basis).real
+        return (weight / len(self.targets)) * (self.targets.T @ self.targets)
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
+    """One outcome of the edit measurement at a vertex pair; vector is the
+    unnormalized integer vector the outcome projects onto."""
+
     projector: str
     probability: float
-    post_state: DensityMatrix | None
+    vector: tuple[int, ...]
+
+    @property
+    def post_state(self) -> DensityMatrix | None:
+        """P sigma P / p, which for a rank-one P is P itself (None when p = 0)."""
+        if self.probability == 0:
+            return None
+        return DensityMatrix(exact_projector(self.vector))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,160 +209,97 @@ def _normalize_edge(g: Graph, edge) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edge_unit(n: int, edge) -> np.ndarray:
-    i, j = edge
-    y = np.zeros(n)
-    y[i] = 1.0 / math.sqrt(2)
-    y[j] = -1.0 / math.sqrt(2)
-    return y
+def _edit_channel(n: int, pair, target_edges, label: str) -> MeasurePrepareChannel:
+    """The measure-and-prepare map shared by edge deletion and addition.
 
-
-def _edit_operators(n: int, projector_edge, target_edges) -> list:
-    """The three operator families shared by edge deletion and addition.
-
-    Rank-one projectors onto (e_i + e_j)/sqrt(2), (e_i - e_j)/sqrt(2) and
-    the vertices off the edited edge, each followed by a unitary carrying
-    the measured state onto an edge state of the target graph, all scaled
-    by 1/sqrt(number of target edges).
+    It measures (e_i + e_j)/sqrt(2), (e_i - e_j)/sqrt(2) and the vertices
+    off the pair, in that order, and prepares (e_u - e_v)/sqrt(2) for each
+    target edge (u, v).
     """
-    i_k, j_k = projector_edge
-    scale = 1.0 / math.sqrt(len(target_edges))
-    x_plus = np.zeros(n)
-    x_plus[i_k] = x_plus[j_k] = 1.0 / math.sqrt(2)
-    x_minus = np.zeros(n)
-    x_minus[i_k] = 1.0 / math.sqrt(2)
-    x_minus[j_k] = -1.0 / math.sqrt(2)
-    targets = [_edge_unit(n, e) for e in target_edges]
-    ops = []
-    for proj_vec in (x_plus, x_minus):
-        proj = np.outer(proj_vec, proj_vec).astype(complex)
-        for y in targets:
-            ops.append(scale * (complete_to_unitary(proj_vec, y) @ proj))
-    for i in range(n):
-        if i in (i_k, j_k):
-            continue
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        proj = np.outer(e_i, e_i).astype(complex)
-        for y in targets:
-            ops.append(scale * (complete_to_unitary(e_i, y) @ proj))
-    return ops
+    i, j = pair
+    h = 1.0 / math.sqrt(2)
+    basis = np.zeros((n, n))
+    basis[0, [i, j]] = h, h
+    basis[1, [i, j]] = h, -h
+    basis[range(2, n), [k for k in range(n) if k not in pair]] = 1.0
+    ends = np.array(target_edges).T
+    targets = np.zeros((len(target_edges), n))
+    rows = np.arange(len(target_edges))
+    targets[rows, ends[0]] = h
+    targets[rows, ends[1]] = -h
+    return MeasurePrepareChannel(basis, targets, label)
 
 
-def edge_deletion_channel(g: Graph, edge) -> KrausChannel:
+def edge_deletion_channel(g: Graph, edge) -> MeasurePrepareChannel:
     """Channel with apply(sigma(g)) = sigma(g - edge)."""
     edge = _normalize_edge(g, edge)
-    if edge not in set(g.edges):
+    if not g.has_edge(*edge):
         raise ChannelError(f"edge {edge} not in the graph")
     if g.m < 2:
         raise ChannelError("deleting the last edge leaves no graph state")
     remaining = [e for e in g.edges if e != edge]
-    ops = _edit_operators(g.n, edge, remaining)
-    return KrausChannel(tuple(ops), f"delete edge {edge[0] + 1}-{edge[1] + 1}")
+    return _edit_channel(g.n, edge, remaining, f"delete edge {edge[0] + 1}-{edge[1] + 1}")
 
 
-def edge_addition_channel(g: Graph, edge) -> KrausChannel:
+def edge_addition_channel(g: Graph, edge) -> MeasurePrepareChannel:
     """Channel with apply(sigma(g)) = sigma(g + edge)."""
     edge = _normalize_edge(g, edge)
-    if edge in set(g.edges):
+    if g.has_edge(*edge):
         raise ChannelError(f"edge {edge} already in the graph")
     if g.m == 0:
         raise ChannelError("source graph has no state to start from")
     target_edges = sorted(g.edges + (edge,))
-    ops = _edit_operators(g.n, edge, target_edges)
-    return KrausChannel(tuple(ops), f"add edge {edge[0] + 1}-{edge[1] + 1}")
+    return _edit_channel(g.n, edge, target_edges, f"add edge {edge[0] + 1}-{edge[1] + 1}")
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+def apply_channel(ch: KrausChannel | MeasurePrepareChannel,
+                  rho: DensityMatrix) -> DensityMatrix:
     if ch.input_dim != rho.dim:
         raise ChannelError(
             f"channel acts on dimension {ch.input_dim}, state has {rho.dim}")
-    data = rho.mat.to_complex()
-    out = np.zeros((ch.output_dim, ch.output_dim), dtype=complex)
-    for a in ch.operators:
-        out += a @ data @ a.conj().T
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(HermitianMatrix(out, exact=False))
+    return DensityMatrix(HermitianMatrix(ch.apply(rho.to_complex()), exact=False))
 
 
 # ---------------------------------------------------------------------------
-# measurement bookkeeping for a single edge
+# measurement bookkeeping for a single vertex pair
 
 
-def measurement_probabilities(g: Graph, edge) -> list[MeasurementOutcome]:
-    """Outcome probabilities of the three-projector measurement at an edge.
+def measurement_probabilities(g: Graph, pair) -> list[MeasurementOutcome]:
+    """Outcome probabilities of the edit measurement at a vertex pair.
 
-    Probabilities follow the Kronecker-delta tallies over the edge list;
-    they coincide with tr(P sigma(g)) and sum to 1 exactly.  Outcomes are
-    ordered plus, minus, then the off-edge vertices ascending.
+    The pair (i, j) need not be an edge.  Each probability is x^T L x / 2m
+    for the outcome's vector x, which reduces to degree tallies: plus and
+    minus give (d_i + d_j -/+ 2 [ij is an edge]) / 4m and vertex k gives
+    d_k / 2m.  They equal tr(P sigma(g)) and sum to 1 exactly.  Outcomes are
+    ordered plus, minus, then the off-pair vertices ascending.
     """
-    edge = _normalize_edge(g, edge)
-    if edge not in set(g.edges):
-        raise ChannelError(f"edge {edge} not in the graph")
-    i_k, j_k = edge
-    m = g.m
-    sigma = density_of_graph(g)
+    i, j = _normalize_edge(g, pair)
+    m, deg = g.m, g.degrees()
+    joined = 2 if g.has_edge(i, j) else 0
 
-    def delta(a, b):
-        return 1 if a == b else 0
+    def unit(k):
+        return tuple(int(x == k) for x in range(g.n))
 
-    outcomes = []
-    exact_probs = []
-
-    plus_sum = sum(
-        (delta(i_k, il) - delta(i_k, jl) + delta(j_k, il) - delta(j_k, jl)) ** 2
-        for (il, jl) in g.edges if (il, jl) != edge)
-    p_plus = Fraction(plus_sum, 4 * m)
-    plus_vec = [0] * g.n
-    plus_vec[i_k] = 1
-    plus_vec[j_k] = 1
-    outcomes.append(_outcome(f"plus({i_k + 1}-{j_k + 1})", p_plus, plus_vec, sigma))
-    exact_probs.append(p_plus)
-
-    minus_sum = sum(
-        (delta(i_k, il) - delta(i_k, jl) - delta(j_k, il) + delta(j_k, jl)) ** 2
-        for (il, jl) in g.edges)
-    p_minus = Fraction(minus_sum, 4 * m)
-    minus_vec = [0] * g.n
-    minus_vec[i_k] = 1
-    minus_vec[j_k] = -1
-    outcomes.append(_outcome(f"minus({i_k + 1}-{j_k + 1})", p_minus, minus_vec, sigma))
-    exact_probs.append(p_minus)
-
-    for i in range(g.n):
-        if i in (i_k, j_k):
-            continue
-        vertex_sum = sum(
-            (delta(i, il) - delta(i, jl)) ** 2 for (il, jl) in g.edges)
-        p_i = Fraction(vertex_sum, 2 * m)
-        vec = [0] * g.n
-        vec[i] = 1
-        outcomes.append(_outcome(f"vertex({i + 1})", p_i, vec, sigma))
-        exact_probs.append(p_i)
-
-    if sum(exact_probs) != 1:
-        raise ChannelError(f"outcome probabilities sum to {sum(exact_probs)}, not 1")
-    return outcomes
-
-
-def _outcome(name: str, prob: Fraction, vec, sigma: DensityMatrix) -> MeasurementOutcome:
-    if prob == 0:
-        return MeasurementOutcome(name, 0.0, None)
-    proj = exact_projector(vec).data
-    post = proj @ sigma.mat.data @ proj
-    post = post * (1 / prob)
-    return MeasurementOutcome(name, float(prob), DensityMatrix(HermitianMatrix(post)))
+    plus = tuple(a + b for a, b in zip(unit(i), unit(j)))
+    minus = tuple(a - b for a, b in zip(unit(i), unit(j)))
+    tallies = [
+        (f"plus({i + 1}-{j + 1})", Fraction(deg[i] + deg[j] - joined, 4 * m), plus),
+        (f"minus({i + 1}-{j + 1})", Fraction(deg[i] + deg[j] + joined, 4 * m), minus),
+    ] + [(f"vertex({k + 1})", Fraction(deg[k], 2 * m), unit(k))
+         for k in range(g.n) if k not in (i, j)]
+    total = sum(p for _, p, _ in tallies)
+    if total != 1:
+        raise ChannelError(f"outcome probabilities sum to {total}, not 1")
+    return [MeasurementOutcome(name, float(p), vec) for name, p, vec in tallies]
 
 
 # ---------------------------------------------------------------------------
 # vertex procedures
 
 
-def _apply_ops(operators, state: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(state)
-    for a in operators:
-        out += a @ state @ a.conj().T
-    return (out + out.conj().T) / 2
+def _graph_state(g: Graph) -> np.ndarray:
+    """sigma(g) in floats, equal to density_of_graph(g).to_complex().real."""
+    return laplacian_states(g.n, [g.edges])[0]
 
 
 def _delete_edges_tracked(start: Graph, state: np.ndarray, edges, steps: list):
@@ -306,10 +307,9 @@ def _delete_edges_tracked(start: Graph, state: np.ndarray, edges, steps: list):
     cur = start
     for e in edges:
         ch = edge_deletion_channel(cur, e)
-        state = _apply_ops(ch.operators, state)
+        state = ch.apply(state)
         cur = delete_edge(cur, *e)
-        expected = density_of_graph(cur).mat.to_complex()
-        if np.max(np.abs(state - expected)) > 1e-8:
+        if np.max(np.abs(state - _graph_state(cur))) > 1e-8:
             raise ChannelError(f"state after '{ch.label}' missed the graph state")
         steps.append(ch.label)
     return cur, state
@@ -321,19 +321,15 @@ def delete_vertex_report(g: Graph, v: int) -> VertexEditReport:
     if residual.m == 0:
         raise ChannelError("vertex deletion leaves an edgeless graph")
     steps: list[str] = []
-    state = density_of_graph(g).mat.to_complex()
     at_v = [e for e in g.edges if v in e]
-    _, state = _delete_edges_tracked(g, state, at_v, steps)
+    _, state = _delete_edges_tracked(g, _graph_state(g), at_v, steps)
 
-    keep_prob = 1.0 - state[v, v].real
-    keep = np.eye(g.n, dtype=complex)
-    keep[v, v] = 0.0
-    post = keep @ state @ keep / keep_prob
+    # the projector off v keeps every other row and column of the state
+    keep_prob = 1.0 - state[v, v]
     steps.append(f"measure away vertex {v + 1} (keep probability {keep_prob:.15f})")
     idx = [u for u in range(g.n) if u != v]
-    reduced = post[np.ix_(idx, idx)]
-    expected = density_of_graph(residual).mat.to_complex()
-    if np.max(np.abs(reduced - expected)) > 1e-8:
+    reduced = state[np.ix_(idx, idx)] / keep_prob
+    if np.max(np.abs(reduced - _graph_state(residual))) > 1e-8:
         raise ChannelError("vertex deletion did not land on the residual state")
     return VertexEditReport(
         DensityMatrix(HermitianMatrix(reduced, exact=False)), keep_prob, tuple(steps))
@@ -361,29 +357,19 @@ def add_vertex_report(g: Graph) -> VertexEditReport:
     if not rho.exact_equal(density_of_graph(product).mat):
         raise ChannelError("product state does not match the product graph state")
     steps = [f"prepare helper product state on {2 * n} vertices ({product.m} edges)"]
-    state = rho.to_complex()
     copy2_edges = [e for e in product.edges if e[0] >= n]
-    _, state = _delete_edges_tracked(product, state, copy2_edges, steps)
+    _, state = _delete_edges_tracked(product, rho.to_complex().real, copy2_edges, steps)
 
+    # the projector off the spare vertices keeps the first n + 1 rows and columns
     drop = list(range(n + 1, 2 * n))
-    keep_prob = 1.0 - sum(state[i, i].real for i in drop)
-    keep = np.eye(2 * n, dtype=complex)
-    for i in drop:
-        keep[i, i] = 0.0
-    post = keep @ state @ keep / keep_prob
+    keep_prob = 1.0 - sum(state[i, i] for i in drop)
     steps.append(
         f"measure away {len(drop)} spare vertices (keep probability {keep_prob:.15f})")
-    idx = list(range(n + 1))
-    reduced = post[np.ix_(idx, idx)]
-    expected = density_of_graph(add_isolated_vertex(g)).mat.to_complex()
-    if np.max(np.abs(reduced - expected)) > 1e-8:
+    reduced = state[:n + 1, :n + 1] / keep_prob
+    if np.max(np.abs(reduced - _graph_state(add_isolated_vertex(g)))) > 1e-8:
         raise ChannelError("vertex addition did not land on the padded state")
     return VertexEditReport(
         DensityMatrix(HermitianMatrix(reduced, exact=False)), keep_prob, tuple(steps))
-
-
-def add_vertex_procedure(g: Graph) -> DensityMatrix:
-    return add_vertex_report(g).state
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from .separability import (
 _PRECONDITION_ERRORS = (
     ParseError, GraphError, DensityError, EntropyError, SeparabilityError,
     ChannelError, ConcurrenceError, LinalgError, FileNotFoundError,
-    IsADirectoryError, PermissionError,
+    IsADirectoryError, PermissionError, UnicodeDecodeError,
 )
 
 # probe instances per stacked eigensolve: bounds the memory of one stack
@@ -314,6 +314,28 @@ def _parse_edit(token: str):
     raise ChannelError(f"unknown edit {kind!r}")
 
 
+def _edit_text(edit) -> str:
+    """An edit as typed: its kind and 1-based vertex numbers."""
+    return " ".join(str(x + 1) if isinstance(x, int) else x for x in edit)
+
+
+def _check_edit(g: Graph, edit) -> None:
+    """Reject an edit that does not fit g, naming its vertices 1-based."""
+    kind, *verts = edit
+    text = _edit_text(edit)
+    for x in verts:
+        if not 0 <= x < g.n:
+            raise ChannelError(f"{text!r}: vertex {x + 1} out of range 1..{g.n}")
+    if kind in ("del-edge", "add-edge"):
+        u, v = verts
+        if u == v:
+            raise ChannelError(f"{text!r}: an edge needs two distinct vertices")
+        if kind == "del-edge" and not g.has_edge(u, v):
+            raise ChannelError(f"{text!r}: edge {u + 1}-{v + 1} is not in the graph")
+        if kind == "add-edge" and g.has_edge(u, v):
+            raise ChannelError(f"{text!r}: edge {u + 1}-{v + 1} is already in the graph")
+
+
 def _operator_payload(ch) -> list:
     return [[[ [float(z.real), float(z.imag)] for z in row] for row in op]
             for op in ch.operators]
@@ -331,54 +353,46 @@ def cmd_channel(args) -> None:
     parsed = [_parse_edit(tok) for tok in edits]
 
     cur = g
-    state = density_of_graph(g).mat.to_complex()
+    state = laplacian_states(g.n, [g.edges])[0]
     steps = []
     for edit in parsed:
+        _check_edit(cur, edit)
         kind = edit[0]
-        record = {"edit": " ".join(str(x + 1) if isinstance(x, int) else x
-                                   for x in edit)}
-        if kind == "del-edge":
+        record = {"edit": _edit_text(edit)}
+        if kind in ("del-edge", "add-edge"):
             _, u, v = edit
-            probs = measurement_probabilities(cur, (u, v))
-            ch = edge_deletion_channel(cur, (u, v))
-            state = _apply_raw(ch, state)
-            cur = delete_edge(cur, u, v)
+            if kind == "del-edge":
+                ch, nxt = edge_deletion_channel(cur, (u, v)), delete_edge(cur, u, v)
+            else:
+                ch, nxt = edge_addition_channel(cur, (u, v)), add_edge(cur, u, v)
             record["probabilities"] = [
                 {"projector": o.projector, "probability": o.probability}
-                for o in probs]
-            if args.dump_operators:
-                record["operators"] = _operator_payload(ch)
-        elif kind == "add-edge":
-            _, u, v = edit
-            ch = edge_addition_channel(cur, (u, v))
-            record["probabilities"] = _edge_projector_probabilities(
-                state, cur.n, (min(u, v), max(u, v)))
-            state = _apply_raw(ch, state)
-            cur = add_edge(cur, u, v)
+                for o in measurement_probabilities(cur, (u, v))]
+            state = ch.apply(state)
+            cur = nxt
             if args.dump_operators:
                 record["operators"] = _operator_payload(ch)
         elif kind == "del-vertex":
             _, v = edit
             rep = delete_vertex_report(cur, v)
-            state = rep.state.mat.to_complex()
+            state = rep.state.mat.to_complex().real
             cur = delete_vertex(cur, v)
             record["click_probability"] = rep.click_probability
         else:  # add-vertex
             rep = add_vertex_report(cur)
-            state = rep.state.mat.to_complex()
+            state = rep.state.mat.to_complex().real
             cur = add_isolated_vertex(cur)
             record["click_probability"] = rep.click_probability
 
-        expected = density_of_graph(cur).mat.to_complex()
-        err = float(np.max(np.abs(state - expected)))
+        err = float(np.max(np.abs(state - laplacian_states(cur.n, [cur.edges])[0])))
         if err > 1e-8:
             raise ChannelError(
                 f"state after {record['edit']!r} missed the graph state by {err:g}")
         record["graph"] = _graph_summary(cur)
-        record["trace"] = float(state.trace().real)
+        record["trace"] = float(state.trace())
         record["max_error_vs_graph_state"] = err
         if args.json:
-            record["state"] = [[float(z.real) for z in row] for row in state]
+            record["state"] = [[float(z) for z in row] for row in state]
         steps.append(record)
 
     payload = {"start": _graph_summary(g), "steps": steps}
@@ -398,30 +412,6 @@ def cmd_channel(args) -> None:
             line = "  ".join(f"{o['projector']}={_fmt(o['probability'])}"
                              for o in rec["probabilities"])
             print(f"  outcome probabilities: {line}")
-
-
-def _apply_raw(ch, state: np.ndarray) -> np.ndarray:
-    out = np.zeros((ch.output_dim, ch.output_dim), dtype=complex)
-    for a in ch.operators:
-        out += a @ state @ a.conj().T
-    return (out + out.conj().T) / 2
-
-
-def _edge_projector_probabilities(state: np.ndarray, n: int, edge) -> list:
-    i, j = edge
-    out = []
-    for name, (ci, cj) in ((f"plus({i + 1}-{j + 1})", (1.0, 1.0)),
-                           (f"minus({i + 1}-{j + 1})", (1.0, -1.0))):
-        x = np.zeros(n)
-        x[i], x[j] = ci / np.sqrt(2), cj / np.sqrt(2)
-        out.append({"projector": name,
-                    "probability": float((x @ state.real @ x))})
-    for k in range(n):
-        if k in (i, j):
-            continue
-        out.append({"projector": f"vertex({k + 1})",
-                    "probability": float(state[k, k].real)})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -146,14 +146,6 @@ def pure_mixture_decomposition(g: Graph) -> list[tuple[Fraction, DensityMatrix]]
     return parts
 
 
-def sigma_plus_edge(factor: Graph) -> DensityMatrix:
-    """Plus-sign edge state P[(e_u + e_v)/sqrt(2)] of a single-edge graph."""
-    if factor.m != 1:
-        raise DensityError("factor must have exactly one non-loop edge")
-    proj = exact_projector(edge_state_vector(factor, factor.edges[0], +1))
-    return DensityMatrix(proj, origin=factor)
-
-
 def sigma_plus(g: Graph) -> DensityMatrix:
     """Uniform mixture of plus-sign edge states: (degrees + adjacency) / 2m."""
     if g.m == 0:

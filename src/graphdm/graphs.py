@@ -71,9 +71,7 @@ class Graph:
         return tuple(deg)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in set(self.edges)
+        return (min(u, v), max(u, v)) in self.edges
 
 
 def build_graph(n: int, pairs, loops=None) -> Graph:
@@ -248,11 +246,6 @@ def component_count(g: Graph) -> int:
 # operations
 
 
-def edge_factors(g: Graph) -> list[Graph]:
-    """One single-edge graph on the same vertex set per non-loop edge."""
-    return [Graph(g.n, (e,), (0,) * g.n) for e in g.edges]
-
-
 def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     if perm.n != g.n:
         raise GraphError("permutation length does not match vertex count")
@@ -266,7 +259,7 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     if u > v:
         u, v = v, u
-    if (u, v) not in set(g.edges):
+    if not g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) not present")
     return Graph(g.n, tuple(e for e in g.edges if e != (u, v)), g.loops)
 
@@ -276,7 +269,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
         raise GraphError("use loops for u == v")
     if u > v:
         u, v = v, u
-    if (u, v) in set(g.edges):
+    if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) already present")
     return Graph(g.n, tuple(sorted(g.edges + ((u, v),))), g.loops)
 

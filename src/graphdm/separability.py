@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityMatrix, density_of_graph
-from .graphs import Graph, GraphError, VertexPermutation, build_graph, complete_graph
-from .linalg import HermitianMatrix, eigensystem, exact_projector
+from .graphs import Graph, VertexPermutation, build_graph, complete_graph
+from .linalg import HermitianMatrix
 
 SEPARABLE = "SEPARABLE"
 ENTANGLED_NPT = "ENTANGLED_NPT"

@@ -1,16 +1,20 @@
 """Tests for the edge/vertex editing channels and their Kraus operators."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdm import (
     ChannelError,
     DensityMatrix,
     HermitianMatrix,
     KrausChannel,
+    MeasurePrepareChannel,
     add_edge,
     add_vertex_report,
     add_isolated_vertex,
@@ -25,7 +29,9 @@ from graphdm import (
     density_of_graph,
     edge_addition_channel,
     edge_deletion_channel,
+    exact_projector,
     measurement_probabilities,
+    nonisomorphic_graphs,
     path_graph,
     star_graph,
 )
@@ -165,17 +171,22 @@ def test_measurement_probabilities_exact_and_ordered():
 
 
 def test_measurement_post_states():
-    g = path_graph(3)
-    outs = measurement_probabilities(g, (0, 1))
-    for o in outs:
-        if o.probability == 0.0:
-            assert o.post_state is None
-        else:
+    # the last graph has an isolated vertex, so one outcome has probability 0
+    cases = [(path_graph(3), (0, 1)), (path_graph(4), (0, 2)),
+             (build_graph(4, [(0, 1), (1, 2)]), (0, 1))]
+    for g, pair in cases:
+        sigma = density_of_graph(g).mat.data
+        for o in measurement_probabilities(g, pair):
+            proj = exact_projector(o.vector).data
+            prob = (proj @ sigma).trace()
+            assert o.probability == float(prob)
+            if prob == 0:
+                assert o.post_state is None
+                continue
             post = o.post_state
             assert post.mat.trace() == 1
-            # rank-one outcome: the post state is the projector itself
-            spec = np.linalg.eigvalsh(post.mat.to_complex().real)
-            assert abs(spec[-1] - 1.0) < 1e-12
+            # rank-one outcome: P sigma P / p is the projector itself, exactly
+            assert post.mat.exact_equal(HermitianMatrix(proj @ sigma @ proj / prob))
 
 
 def test_vertex_deletion_on_triangle():
@@ -222,3 +233,108 @@ def test_locc_examples_report():
     assert rep.k4_minus_edge_status == "ENTANGLED_NPT"
     assert rep.cycle_separable_all_labelings is True
     assert rep.narrative
+
+
+# ---------------------------------------------------------------------------
+# measure-and-prepare form against the Householder Kraus operators
+
+
+def householder_operators(n, pair, target_edges):
+    """The paper's Kraus operators: the projector onto each measured x, then
+    the unitary carrying x onto each target edge state, over sqrt(m').
+
+    Measured vectors come in the order plus, minus, then the vertices off the
+    pair ascending; targets in edge order.
+    """
+    i, j = pair
+    h = 1 / math.sqrt(2)
+    measured = []
+    for sign in (1.0, -1.0):
+        x = np.zeros(n)
+        x[i], x[j] = h, sign * h
+        measured.append(x)
+    measured += [np.eye(n)[k] for k in range(n) if k not in pair]
+    targets = []
+    for u, v in target_edges:
+        y = np.zeros(n)
+        y[u], y[v] = h, -h
+        targets.append(y)
+    scale = 1 / math.sqrt(len(targets))
+    return [scale * (complete_to_unitary(x, y) @ np.outer(x, x))
+            for x in measured for y in targets]
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    """Every graph with 3 to 5 vertices and at least two edges, up to isomorphism."""
+    return [g for n in range(3, 6) for g in nonisomorphic_graphs(n, min_edges=2)]
+
+
+def edits_at(g, edge):
+    """(channel, Householder operators, source state) for deleting edge from g
+    and for adding it back to the reduced graph."""
+    reduced = delete_edge(g, *edge)
+    return [(edge_deletion_channel(g, edge), householder_operators(g.n, edge, reduced.edges),
+             density_of_graph(g).to_complex().real),
+            (edge_addition_channel(reduced, edge), householder_operators(g.n, edge, g.edges),
+             density_of_graph(reduced).to_complex().real)]
+
+
+def test_measure_prepare_matches_householder_kraus_sum(small_graphs):
+    for g in small_graphs:
+        for edge in g.edges:
+            for ch, ops, sigma in edits_at(g, edge):
+                assert len(ch.operators) == len(ops)
+                for derived, reference in zip(ch.operators, ops):
+                    assert np.abs(derived - reference).max() < 1e-15
+                want = sum(a @ sigma @ a.conj().T for a in ops)
+                assert np.abs(ch.apply(sigma) - want).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_measure_prepare_matches_householder_on_random_states(small_graphs, data):
+    """Complex PSD unit-trace inputs of every rank, from a drawn seed."""
+    g = data.draw(st.sampled_from(small_graphs))
+    edge = data.draw(st.sampled_from(g.edges))
+    rank = data.draw(st.integers(1, g.n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((g.n, rank)) + 1j * rng.standard_normal((g.n, rank))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    for ch, ops, _ in edits_at(g, edge):
+        want = sum(k @ rho @ k.conj().T for k in ops)
+        assert np.abs(ch.apply(rho) - want).max() < 1e-12
+
+
+def test_measure_prepare_channel_validates_its_data():
+    basis = np.eye(3)
+    target = np.array([[1.0, -1.0, 0.0]]) / math.sqrt(2)
+    ch = MeasurePrepareChannel(basis, target, "prepare edge 1-2")
+    assert ch.input_dim == ch.output_dim == 3
+    skewed = basis.copy()
+    skewed[0, 1] = 0.1
+    with pytest.raises(ChannelError, match="orthonormal"):
+        MeasurePrepareChannel(skewed, target, "skewed basis")
+    with pytest.raises(ChannelError, match="unit"):
+        MeasurePrepareChannel(basis, 2 * target, "long target")
+    with pytest.raises(ChannelError):
+        MeasurePrepareChannel(basis, np.zeros((0, 3)), "no target")
+
+
+def test_probabilities_at_every_pair_are_quadratic_forms():
+    """Non-edges too: these are the outcome probabilities of edge addition."""
+    h = 1 / math.sqrt(2)
+    for n in range(3, 6):
+        for g in nonisomorphic_graphs(n, min_edges=1):
+            sigma = density_of_graph(g).to_complex().real
+            for i, j in itertools.combinations(range(n), 2):
+                outs = measurement_probabilities(g, (i, j))
+                off = [k for k in range(n) if k not in (i, j)]
+                assert [o.projector for o in outs] == (
+                    [f"plus({i + 1}-{j + 1})", f"minus({i + 1}-{j + 1})"]
+                    + [f"vertex({k + 1})" for k in off])
+                xs = [h * (np.eye(n)[i] + np.eye(n)[j]),
+                      h * (np.eye(n)[i] - np.eye(n)[j])] + [np.eye(n)[k] for k in off]
+                for o, x in zip(outs, xs):
+                    assert abs(o.probability - x @ sigma @ x) < 1e-12

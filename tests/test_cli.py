@@ -167,6 +167,34 @@ def test_channel_bad_edit_is_precondition_error(capsys, graph_file):
     capsys.readouterr()
 
 
+def test_channel_edit_errors_name_vertices_as_typed(capsys, graph_file):
+    path = graph_file("p4.graph", P4_TEXT)
+    cases = [
+        (["del-vertex 0"], "vertex 0 out of range 1..4"),
+        (["add-edge 2 5"], "vertex 5 out of range 1..4"),
+        (["del-edge 1 3"], "edge 1-3 is not in the graph"),
+        (["add-edge 3 2"], "edge 3-2 is already in the graph"),
+        # checked against the graph as edited so far
+        (["del-vertex 1", "del-vertex 4"], "vertex 4 out of range 1..3"),
+    ]
+    for edits, message in cases:
+        assert main(["channel", path, *edits]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_non_utf8_input_is_precondition_error(capsys, graph_file, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"n 4\ne 1 2\xff\n")
+    path = graph_file("p4.graph", P4_TEXT)
+    for argv in (["entropy", str(bad)], ["channel", path, "--script", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_search_exhaustive_json(capsys, graph_file):
     path = graph_file("p4.graph", P4_TEXT)
     blob = run_json(capsys, ["search", path, "--p", "2", "--q", "2", "--json"])
