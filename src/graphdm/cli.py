@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -593,8 +594,8 @@ def cmd_entropy(args) -> None:
                            for v, c in report.spectrum.multiplicities],
     }
     if args.order is not None:
-        if args.order <= 1:
-            raise EntropyError("--order must be greater than 1")
+        if not 1 < args.order < math.inf:
+            raise EntropyError(f"--order must be a finite number above 1, got {args.order}")
         payload["q_entropy"] = {"order": args.order,
                                 "value": q_entropy(rho, args.order)}
     if args.json:
@@ -702,6 +703,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", 0.0)
+        if not 0 <= tol < math.inf:
+            raise SeparabilityError(f"--tol must be a finite number >= 0, got {tol}")
         args.func(args)
         return 0
     except _PRECONDITION_ERRORS as exc:

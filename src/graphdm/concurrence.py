@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,8 +30,7 @@ _SPIN_FLIP = np.array([
     [0, 0, 1, 0],
     [0, 1, 0, 0],
     [-1, 0, 0, 0],
-], dtype=object)
-_SPIN_FLIP = np.vectorize(Fraction)(_SPIN_FLIP)
+], dtype=np.int64)
 
 
 @dataclass(frozen=True)

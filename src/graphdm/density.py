@@ -2,8 +2,9 @@
 
 A graph with at least one non-loop edge yields the unit-trace positive
 matrix (degree matrix minus adjacency) / (2 * edge count).  The loop-aware
-variant adds the loop-multiplicity diagonal and renormalizes.  All of these
-are exact-rational; numerics only appear once a spectrum is requested.
+variant adds the loop-multiplicity diagonal and renormalizes.  Each is an
+exact integer matrix over one denominator; numerics only appear once a
+spectrum is requested.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, degree_matrix, laplacian, tensor_product
-from .linalg import PSD_TOL, HermitianMatrix, LinalgError, exact_projector, is_psd, kron
+from .graphs import Graph, laplacian, tensor_product
+from .linalg import PSD_TOL, HermitianMatrix, exact_projector, is_psd, kron
 
 TRACE_TOL = 1e-12
 
@@ -33,7 +34,7 @@ class DensityMatrix:
 
     mat: HermitianMatrix
     origin: Graph | None = None
-    normalization: Fraction | None = None
+    normalization: int | None = None
 
     def __post_init__(self):
         tr = self.mat.trace()
@@ -58,9 +59,9 @@ def density_of_graph(g: Graph) -> DensityMatrix:
     """Normalized combinatorial Laplacian of g.  Loops are ignored entirely."""
     if g.m == 0:
         raise DensityError("graph has no non-loop edge")
-    denom = Fraction(2 * g.m)
-    mat = HermitianMatrix(laplacian(g)).scale(1 / denom)
-    return DensityMatrix(mat, origin=g, normalization=denom)
+    denom = 2 * g.m
+    return DensityMatrix(HermitianMatrix(laplacian(g), den=denom), origin=g,
+                         normalization=denom)
 
 
 def laplacian_states(n: int, edge_lists) -> np.ndarray:
@@ -91,22 +92,20 @@ def laplacian_states(n: int, edge_lists) -> np.ndarray:
 
 def density_with_loops(g: Graph) -> DensityMatrix:
     """Loop-aware state: (Laplacian + loop-multiplicity diagonal) / (2m + loops)."""
-    denom = Fraction(2 * g.m + g.loop_total)
+    denom = 2 * g.m + g.loop_total
     if denom == 0:
         raise DensityError("graph has neither edges nor loops")
-    data = laplacian(g).copy()
-    for v, count in enumerate(g.loops):
-        data[v, v] += count
-    mat = HermitianMatrix(data).scale(1 / denom)
-    return DensityMatrix(mat, origin=g, normalization=denom)
+    data = laplacian(g) + np.diag(g.loops)
+    return DensityMatrix(HermitianMatrix(data, den=denom), origin=g, normalization=denom)
 
 
 def purity(rho: DensityMatrix):
-    """tr(rho^2); exact Fraction when the matrix is exact."""
-    d = rho.mat.data
+    """tr(rho^2); the exact Fraction sum(num^2) / den^2 when the matrix is exact."""
     if rho.mat.exact_real:
-        return np.dot(d, d).trace()
-    return float((np.asarray(d) @ np.asarray(d)).trace().real)
+        flat = rho.mat.num.ravel().tolist()
+        return Fraction(sum(x * x for x in flat), rho.mat.den ** 2)
+    d = rho.mat.data
+    return float((d @ d).trace().real)
 
 
 def is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
@@ -116,12 +115,12 @@ def is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
     return abs(p - 1) <= tol
 
 
-def edge_state_vector(g: Graph, edge, sign: int = -1) -> list[Fraction]:
+def edge_state_vector(g: Graph, edge, sign: int = -1) -> list[int]:
     """Unnormalized e_u +/- e_v for an edge of g (exact integer entries)."""
     u, v = edge
-    vec = [Fraction(0)] * g.n
-    vec[u] = Fraction(1)
-    vec[v] = Fraction(sign)
+    vec = [0] * g.n
+    vec[u] = 1
+    vec[v] = sign
     return vec
 
 
@@ -150,12 +149,8 @@ def sigma_plus(g: Graph) -> DensityMatrix:
     """Uniform mixture of plus-sign edge states: (degrees + adjacency) / 2m."""
     if g.m == 0:
         raise DensityError("graph has no non-loop edge")
-    data = degree_matrix(g)
-    for (u, v) in g.edges:
-        data[u, v] += 1
-        data[v, u] += 1
-    mat = HermitianMatrix(data).scale(Fraction(1, 2 * g.m))
-    return DensityMatrix(mat, origin=g)
+    # the Laplacian's entries are the degrees and -1 per edge, so |L| = D + A
+    return DensityMatrix(HermitianMatrix(np.abs(laplacian(g)), den=2 * g.m), origin=g)
 
 
 def tensor_separable_decomposition(g: Graph, h: Graph):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMatrix
-from .graphs import Graph, GraphError
+from .graphs import Graph
 from .linalg import HermitianMatrix, SpectrumResult, eigensystem
 
 ZERO_EIGENVALUE_CUTOFF = 1e-12
@@ -50,12 +50,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
 
 
 def q_entropy(rho: DensityMatrix, q: float) -> float:
-    """(sum lambda^q)^(1/q); tends to the largest eigenvalue as q grows."""
-    if q <= 1:
-        raise EntropyError("q must exceed 1")
+    """(sum lambda^q)^(1/q); tends to the largest eigenvalue as q grows.
+
+    Computed as lmax * (sum (lambda/lmax)^q)^(1/q), whose terms lie in
+    [0, 1] and whose sum is at least 1, so no order underflows to 0.
+    """
+    if not 1 < q < math.inf:
+        raise EntropyError(f"q must be a finite number above 1, got {q}")
     spec = eigensystem(rho.mat)
-    total = sum(lam ** q for lam in spec.eigenvalues if lam > 0)
-    return total ** (1.0 / q)
+    top = spec.eigenvalues[-1]
+    total = sum((lam / top) ** q for lam in spec.eigenvalues if lam > 0)
+    return top * total ** (1.0 / q)
 
 
 def regular_graph_entropy(g: Graph, d: int | None = None) -> float:

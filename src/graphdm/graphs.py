@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -189,39 +188,37 @@ def format_graph(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# structural matrices (exact rational entries)
+# structural matrices (int64 entries)
+
+
+def _edge_index(g: Graph) -> np.ndarray:
+    """Endpoint indices of g's non-loop edges as two rows, u then v."""
+    return np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 matrix as a Fraction-valued object array.
+    """Symmetric 0/1 int64 matrix.
 
     A vertex with at least one loop gets a 1 on the diagonal; loop
     multiplicities beyond presence do not appear here.
     """
-    a = np.full((g.n, g.n), Fraction(0), dtype=object)
-    for (u, v) in g.edges:
-        a[u, v] = Fraction(1)
-        a[v, u] = Fraction(1)
-    for v, count in enumerate(g.loops):
-        if count:
-            a[v, v] = Fraction(1)
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    u, v = _edge_index(g)
+    a[u, v] = a[v, u] = 1
+    np.fill_diagonal(a, np.array(g.loops) > 0)
     return a
 
+
 def degree_matrix(g: Graph) -> np.ndarray:
-    d = np.full((g.n, g.n), Fraction(0), dtype=object)
-    for v, deg in enumerate(g.degrees()):
-        d[v, v] = Fraction(deg)
-    return d
+    return np.diag(np.array(g.degrees(), dtype=np.int64))
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Degree matrix minus off-diagonal adjacency; loops are ignored."""
-    lap = np.full((g.n, g.n), Fraction(0), dtype=object)
-    for (u, v) in g.edges:
-        lap[u, v] = Fraction(-1)
-        lap[v, u] = Fraction(-1)
-        lap[u, u] += 1
-        lap[v, v] += 1
+    """Degree matrix minus off-diagonal adjacency, int64; loops are ignored."""
+    lap = np.zeros((g.n, g.n), dtype=np.int64)
+    u, v = _edge_index(g)
+    lap[u, v] = lap[v, u] = -1
+    np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
 
@@ -304,20 +301,12 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     Vertex (a, b) maps to index a * h.n + b, so the product runs through
     the second factor fastest.  Raises if the product has no edges at all.
     """
-    ag, ah = adjacency_matrix(g), adjacency_matrix(h)
-    prod = np.kron(ag, ah)
-    nn = g.n * h.n
-    pairs = []
-    loops = [0] * nn
-    for x in range(nn):
-        if prod[x, x]:
-            loops[x] = 1
-        for y in range(x + 1, nn):
-            if prod[x, y]:
-                pairs.append((x, y))
+    prod = np.kron(adjacency_matrix(g), adjacency_matrix(h))
+    pairs = np.argwhere(np.triu(prod, 1)).tolist()
+    loops = (prod.diagonal() != 0).astype(int).tolist()
     if not pairs and not any(loops):
         raise GraphError("tensor product has no edges")
-    return build_graph(nn, pairs, loops)
+    return build_graph(g.n * h.n, pairs, loops)
 
 
 # ---------------------------------------------------------------------------

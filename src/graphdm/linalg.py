@@ -1,12 +1,18 @@
 """Hermitian matrices with an exact-rational construction path.
 
-Matrices built from graphs stay exact (Fraction entries in object arrays)
-through sums, scalings, Kronecker products, and conjugations; floating
-point enters only at the eigensolver boundary.
+Every exact matrix graphdm builds is an integer matrix over one
+denominator, so an exact matrix is stored as a read-only int64 numerator
+array over one positive int denominator, reduced by their common gcd.
+Sums, scalings, Kronecker products and conjugations stay exact and
+vectorized; an operation whose numerators or denominator could pass 2**62
+raises LinalgError.  Floating point enters only at the eigensolver
+boundary, through correctly rounded num/den quotients.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +20,12 @@ import numpy as np
 
 GROUP_TOL = 1e-8
 PSD_TOL = 1e-9
+
+# largest numerator or denominator an exact matrix holds; half of int64's
+# range, so a result bounded by it cannot have wrapped
+EXACT_LIMIT = 2 ** 62
+# below this every int64 numerator and denominator is a float64 exactly
+_FLOAT_EXACT = 2 ** 53
 
 
 class LinalgError(ValueError):
@@ -28,88 +40,156 @@ def _to_fraction(x) -> Fraction:
     raise LinalgError(f"entry {x!r} is not exact-rational")
 
 
+_AS_FRACTION = np.frompyfunc(_to_fraction, 1, 1)
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+_DENOMINATOR = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
+_TRUEDIV = np.frompyfunc(operator.truediv, 2, 1)
+
+
+def _check_bound(bound) -> None:
+    """Raise unless a bound on an operation's entries stays within EXACT_LIMIT."""
+    if bound > EXACT_LIMIT:
+        raise LinalgError("exact entries would pass 2**62")
+
+
+def _int64(ints: np.ndarray) -> np.ndarray:
+    """An integer-valued array (int or object dtype) as int64, range-checked."""
+    if ints.size and (ints.max() > EXACT_LIMIT or ints.min() < -EXACT_LIMIT):
+        raise LinalgError("exact entries would pass 2**62")
+    return ints.astype(np.int64)
+
+
+def _rational_parts(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(int64 numerators, positive common denominator) of an exact-rational array."""
+    if arr.dtype.kind in "iu":
+        return _int64(arr), 1
+    fracs = _AS_FRACTION(arr)
+    den = math.lcm(*_DENOMINATOR(fracs).ravel().tolist())
+    return _int64(fracs * den), den
+
+
+def _quotient(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den as float64, each entry correctly rounded."""
+    if den <= _FLOAT_EXACT and (not num.size or np.abs(num).max() <= _FLOAT_EXACT):
+        # both operands are exact floats, so IEEE division rounds once
+        return num / den
+    return _TRUEDIV(num.astype(object), den).astype(float)
+
+
 class HermitianMatrix:
     """Square Hermitian matrix.
 
-    Exact matrices hold Fraction entries in a dtype=object array and compare
-    exactly; inexact ones hold complex128 and are symmetrized on input after
-    a Hermiticity check.
+    An exact matrix is num / den: a read-only int64 array and a positive
+    int, gcd-reduced, so equal matrices have equal parts.  An inexact one
+    holds complex128 and is symmetrized on input after a Hermiticity check.
+    `den` divides the entries an exact matrix is built from.
     """
 
-    __slots__ = ("data", "exact_real")
+    __slots__ = ("num", "den", "exact_real", "_complex")
 
-    def __init__(self, rows, exact: bool | None = None):
+    def __init__(self, rows, exact: bool | None = None, den: int = 1):
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise LinalgError("matrix must be square")
         if exact is None:
-            exact = arr.dtype == object or np.issubdtype(arr.dtype, np.integer)
-        if exact:
-            data = np.empty(arr.shape, dtype=object)
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    data[i, j] = _to_fraction(arr[i, j])
-            if not (data == data.T).all():
-                raise LinalgError("matrix is not symmetric")
-        else:
-            data = np.asarray(arr, dtype=complex)
-            scale = max(1.0, np.abs(data).max()) if data.size else 1.0
-            if np.abs(data - data.conj().T).max() > 1e-10 * scale:
-                raise LinalgError("matrix is not Hermitian")
-            data = (data + data.conj().T) / 2
-        data.setflags(write=False)
-        self.data = data
+            exact = arr.dtype.kind in "iuO"
         self.exact_real = bool(exact)
+        if exact:
+            num, scale = _rational_parts(arr)
+            den = operator.index(den) * scale
+            if den < 1:
+                raise LinalgError(f"denominator {den} is not positive")
+            common = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
+            if common > 1:
+                num //= common
+                den //= common
+            _check_bound(den)
+            if not (num == num.T).all():
+                raise LinalgError("matrix is not symmetric")
+            num.setflags(write=False)
+            self.num, self.den, self._complex = num, den, None
+            return
+        if den != 1:
+            raise LinalgError("a denominator applies to exact matrices only")
+        data = np.asarray(arr, dtype=complex)
+        scale = max(1.0, np.abs(data).max()) if data.size else 1.0
+        if np.abs(data - data.conj().T).max() > 1e-10 * scale:
+            raise LinalgError("matrix is not Hermitian")
+        data = (data + data.conj().T) / 2
+        data.setflags(write=False)
+        self.num, self.den, self._complex = None, None, data
+
+    @property
+    def data(self) -> np.ndarray:
+        """The entries; an exact matrix builds a Fraction array on each read."""
+        if not self.exact_real:
+            return self._complex
+        view = _FRACTION(self.num.astype(object), self.den)
+        view.setflags(write=False)
+        return view
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return (self.num if self.exact_real else self._complex).shape[0]
+
+    def _max_num(self) -> int:
+        return int(np.abs(self.num).max()) if self.num.size else 0
 
     @classmethod
     def zeros(cls, dim: int, exact: bool = True) -> "HermitianMatrix":
         if exact:
-            return cls(np.full((dim, dim), Fraction(0), dtype=object))
+            return cls(np.zeros((dim, dim), dtype=np.int64))
         return cls(np.zeros((dim, dim), dtype=complex), exact=False)
 
     @classmethod
     def identity(cls, dim: int, exact: bool = True) -> "HermitianMatrix":
         if exact:
-            data = np.full((dim, dim), Fraction(0), dtype=object)
-            for i in range(dim):
-                data[i, i] = Fraction(1)
-            return cls(data)
+            return cls(np.eye(dim, dtype=np.int64))
         return cls(np.eye(dim, dtype=complex), exact=False)
 
     def entry(self, i: int, j: int):
-        return self.data[i, j]
+        if self.exact_real:
+            return Fraction(int(self.num[i, j]), self.den)
+        return self._complex[i, j]
 
     def to_complex(self) -> np.ndarray:
         if self.exact_real:
-            return np.array([[complex(x) for x in row] for row in self.data])
-        return np.array(self.data)
+            return _quotient(self.num, self.den).astype(complex)
+        return np.array(self._complex)
 
     def to_real(self) -> np.ndarray:
-        c = self.to_complex()
+        if self.exact_real:
+            return _quotient(self.num, self.den)
+        c = self._complex
         if np.abs(c.imag).max() > 1e-12:
             raise LinalgError("matrix has non-real entries")
         return c.real.copy()
 
     def trace(self):
-        return self.data.trace()
+        if self.exact_real:
+            return Fraction(sum(self.num.diagonal().tolist()), self.den)
+        return self._complex.trace()
+
+    def _combine(self, other: "HermitianMatrix", sign: int) -> "HermitianMatrix":
+        """self + sign * other."""
+        if self.exact_real and other.exact_real:
+            den = math.lcm(self.den, other.den)
+            a, b = den // self.den, den // other.den
+            _check_bound(self._max_num() * a + other._max_num() * b)
+            return HermitianMatrix(self.num * a + other.num * (sign * b), den=den)
+        return HermitianMatrix(self.to_complex() + sign * other.to_complex(), exact=False)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if self.exact_real and other.exact_real:
-            return HermitianMatrix(self.data + other.data)
-        return HermitianMatrix(self.to_complex() + other.to_complex(), exact=False)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if self.exact_real and other.exact_real:
-            return HermitianMatrix(self.data - other.data)
-        return HermitianMatrix(self.to_complex() - other.to_complex(), exact=False)
+        return self._combine(other, -1)
 
     def scale(self, s) -> "HermitianMatrix":
         if self.exact_real and isinstance(s, (int, Fraction, np.integer)):
-            return HermitianMatrix(self.data * _to_fraction(s))
+            s = _to_fraction(s)
+            _check_bound(max(self._max_num(), 1) * abs(s.numerator))
+            return HermitianMatrix(self.num * s.numerator, den=self.den * s.denominator)
         s = complex(s)
         if abs(s.imag) > 0:
             raise LinalgError("scaling a Hermitian matrix needs a real factor")
@@ -123,15 +203,19 @@ class HermitianMatrix:
     def conjugate_by(self, m) -> "HermitianMatrix":
         """m @ self @ m^dagger, exact when both operands are exact-rational."""
         m = np.asarray(m)
-        if self.exact_real and m.dtype == object:
-            return HermitianMatrix(np.dot(np.dot(m, self.data), m.T))
+        if self.exact_real and m.dtype.kind in "iuO":
+            mnum, mden = _rational_parts(m)
+            # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2
+            row = np.abs(mnum).sum(axis=1, dtype=float).max() if mnum.size else 0.0
+            _check_bound(float(self._max_num()) * row * row)
+            return HermitianMatrix(mnum @ self.num @ mnum.T, den=self.den * mden * mden)
         mc = m.astype(complex)
         return HermitianMatrix(mc @ self.to_complex() @ mc.conj().T, exact=False)
 
     def exact_equal(self, other: "HermitianMatrix") -> bool:
         if not (self.exact_real and other.exact_real):
             raise LinalgError("exact comparison needs exact-rational matrices")
-        return self.dim == other.dim and bool((self.data == other.data).all())
+        return self.den == other.den and np.array_equal(self.num, other.num)
 
     def max_abs_diff(self, other: "HermitianMatrix") -> float:
         return float(np.abs(self.to_complex() - other.to_complex()).max())
@@ -143,21 +227,19 @@ class HermitianMatrix:
 
 def exact_projector(vec) -> HermitianMatrix:
     """Projector v v^T / (v . v) for a rational (unnormalized) vector."""
-    v = [_to_fraction(x) for x in vec]
-    norm2 = sum(x * x for x in v)
+    v, _ = _rational_parts(np.asarray(vec))  # a common denominator cancels
+    top = int(np.abs(v).max()) if v.size else 0
+    _check_bound(top * top * len(v))
+    norm2 = int(v @ v)
     if norm2 == 0:
         raise LinalgError("zero vector has no projector")
-    dim = len(v)
-    data = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            data[i, j] = v[i] * v[j] / norm2
-    return HermitianMatrix(data)
+    return HermitianMatrix(np.outer(v, v), den=norm2)
 
 
 def kron(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     if a.exact_real and b.exact_real:
-        return HermitianMatrix(np.kron(a.data, b.data))
+        _check_bound(a._max_num() * b._max_num())
+        return HermitianMatrix(np.kron(a.num, b.num), den=a.den * b.den)
     return HermitianMatrix(np.kron(a.to_complex(), b.to_complex()), exact=False)
 
 
@@ -176,22 +258,18 @@ class SpectrumResult:
         return tuple(v for (v, _) in self.multiplicities)
 
 
-def _group(values, tol: float):
-    groups = []
-    for v in values:
-        if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return tuple((float(np.mean(g)), len(g)) for g in groups)
+def _group(values: np.ndarray, tol: float):
+    """(mean, size) of each run of ascending values whose steps stay within tol."""
+    runs = np.split(values, np.flatnonzero(np.diff(values) > tol) + 1)
+    return tuple((float(np.mean(g)), len(g)) for g in runs)
 
 
 def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumResult:
     """Full spectral decomposition via the symmetric/Hermitian eigensolver."""
     if h.exact_real:
-        mat = h.data.astype(float)
+        mat = h.to_real()
     else:
-        mat = np.asarray(h.data)
+        mat = h.data
         if np.abs(mat.imag).max() < 1e-300:
             mat = mat.real
     vals, vecs = np.linalg.eigh(mat)
@@ -199,16 +277,12 @@ def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumRes
     err = np.abs(recon - mat).max()
     if err > 1e-10 * h.dim:
         raise LinalgError(f"eigendecomposition failed to reconstruct (err={err:g})")
-    return SpectrumResult(tuple(float(v) for v in vals), _group(vals, group_tol), vecs)
+    return SpectrumResult(tuple(vals.tolist()), _group(vals, group_tol), vecs)
 
 
 def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     """(matrix is positive semidefinite within tol, smallest eigenvalue)."""
-    if h.exact_real:
-        mat = h.data.astype(float)
-    else:
-        mat = np.asarray(h.data)
-    vals = np.linalg.eigvalsh(mat)
+    vals = np.linalg.eigvalsh(h.to_real() if h.exact_real else h.data)
     low = float(vals[0])
     return low >= -tol, low
 

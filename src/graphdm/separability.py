@@ -14,7 +14,6 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -177,10 +176,9 @@ def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMa
     """
     if rho.dim != lab.n:
         raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
-    out = _pt_indexed(rho.mat.data, lab)
     if rho.mat.exact_real:
-        return HermitianMatrix(out)
-    return HermitianMatrix(out, exact=False)
+        return HermitianMatrix(_pt_indexed(rho.mat.num, lab), den=rho.mat.den)
+    return HermitianMatrix(_pt_indexed(rho.mat.data, lab), exact=False)
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, lab: BipartiteLabeling) -> float:
@@ -503,21 +501,15 @@ def star_projection_witness(n: int, p: int, q: int) -> StarWitness:
     """
     if p * q != n or n < 4 or p < 2 or q < 2:
         raise SeparabilityError("witness needs n = p*q >= 4 with p, q >= 2")
-    lab = BipartiteLabeling.default(p, q)
-    # corner vertices at cells (0,0), (0,1), (1,0), (1,1)
-    corner = [0, 1, q, q + 1]
-    denom = Fraction(2 * (n - 1))
-    data = np.full((4, 4), Fraction(0), dtype=object)
-    for a, va in enumerate(corner):
-        for b, vb in enumerate(corner):
-            if va == vb:
-                data[a, b] = (Fraction(n - 1) if va == 0 else Fraction(1)) / denom
-            elif va == 0 or vb == 0:
-                data[a, b] = Fraction(-1) / denom
-    projected = HermitianMatrix(data)
+    # corner vertices at cells (0,0), (0,1), (1,0), (1,1); the hub, at (0,0),
+    # has degree n - 1 and is joined to the three leaves
+    data = np.eye(4, dtype=np.int64)
+    data[0, 0] = n - 1
+    data[0, 1:] = data[1:, 0] = -1
+    projected = HermitianMatrix(data, den=2 * (n - 1))
     sub = BipartiteLabeling.default(2, 2)
-    pt = HermitianMatrix(_pt_indexed(projected.data, sub))
-    pt_eigs = tuple(float(v) for v in np.linalg.eigvalsh(pt.data.astype(float)))
+    pt = HermitianMatrix(_pt_indexed(projected.num, sub), den=projected.den)
+    pt_eigs = tuple(float(v) for v in np.linalg.eigvalsh(pt.to_real()))
     root = math.sqrt((n - 1) ** 2 + 8) / (n - 1)
     formula = tuple(sorted([1.0 / (2 * (n - 1)), 1.0 / (n - 1),
                             (1 + root) / 4, (1 - root) / 4]))

@@ -291,6 +291,29 @@ def test_entropy_rejects_bad_order(capsys, graph_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ["nan", "inf"])
+def test_entropy_rejects_non_finite_order(capsys, graph_file, order):
+    path = graph_file("p4.graph", P4_TEXT)
+    assert main(["entropy", path, "--order", order, "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --order") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_analyze_rejects_bad_tol(capsys, graph_file, tol):
+    # one entangled edge: the PT has eigenvalue -1/2, so nan or inf would
+    # have called it SEPARABLE, and -1 calls every PPT state entangled
+    path = graph_file("e14.graph", "n 4\ne 1 4\n")
+    assert main(["analyze", path, "--p", "2", "--q", "2", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --tol") and out.err.count("\n") == 1
+    blob = run_json(capsys, ["analyze", path, "--p", "2", "--q", "2", "--json"])
+    assert blob["verdict"]["status"] == "ENTANGLED_NPT"
+    assert abs(blob["verdict"]["min_pt_eigenvalue"] + 0.5) < 1e-12
+
+
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -104,6 +104,12 @@ def test_q_entropy_limits():
         q_entropy(rho, 1)
     with pytest.raises(EntropyError):
         q_entropy(rho, 0.5)
+    for bad in [math.nan, math.inf]:
+        with pytest.raises(EntropyError):
+            q_entropy(rho, bad)
+    # a huge order must not underflow to 0: P4's largest eigenvalue is (2+sqrt 2)/6
+    top = (2 + math.sqrt(2)) / 6
+    assert abs(q_entropy(density_of_graph(path_graph(4)), 1e308) - top) < 1e-12
 
 
 def test_q_entropy_against_hand_sum():
