@@ -594,8 +594,6 @@ def cmd_entropy(args) -> None:
                            for v, c in report.spectrum.multiplicities],
     }
     if args.order is not None:
-        if not 1 < args.order < math.inf:
-            raise EntropyError(f"--order must be a finite number above 1, got {args.order}")
         payload["q_entropy"] = {"order": args.order,
                                 "value": q_entropy(rho, args.order)}
     if args.json:

@@ -4,9 +4,10 @@ Every exact matrix graphdm builds is an integer matrix over one
 denominator, so an exact matrix is stored as a read-only int64 numerator
 array over one positive int denominator, reduced by their common gcd.
 Sums, scalings, Kronecker products and conjugations stay exact and
-vectorized; an operation whose numerators or denominator could pass 2**62
+vectorized; an operation whose numerators or denominator could pass 2**53
 raises LinalgError.  Floating point enters only at the eigensolver
-boundary, through correctly rounded num/den quotients.
+boundary: within that bound num and den are exact floats, so num / den is
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ import numpy as np
 GROUP_TOL = 1e-8
 PSD_TOL = 1e-9
 
-# largest numerator or denominator an exact matrix holds; half of int64's
-# range, so a result bounded by it cannot have wrapped
-EXACT_LIMIT = 2 ** 62
-# below this every int64 numerator and denominator is a float64 exactly
-_FLOAT_EXACT = 2 ** 53
+# largest numerator or denominator an exact matrix holds: each is then a
+# float64 exactly, and a result bounded by it cannot have wrapped in int64
+EXACT_LIMIT = 2 ** 53
 
 
 class LinalgError(ValueError):
@@ -43,19 +42,18 @@ def _to_fraction(x) -> Fraction:
 _AS_FRACTION = np.frompyfunc(_to_fraction, 1, 1)
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
 _DENOMINATOR = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
-_TRUEDIV = np.frompyfunc(operator.truediv, 2, 1)
 
 
 def _check_bound(bound) -> None:
     """Raise unless a bound on an operation's entries stays within EXACT_LIMIT."""
     if bound > EXACT_LIMIT:
-        raise LinalgError("exact entries would pass 2**62")
+        raise LinalgError("exact entries would pass 2**53")
 
 
 def _int64(ints: np.ndarray) -> np.ndarray:
     """An integer-valued array (int or object dtype) as int64, range-checked."""
     if ints.size and (ints.max() > EXACT_LIMIT or ints.min() < -EXACT_LIMIT):
-        raise LinalgError("exact entries would pass 2**62")
+        raise LinalgError("exact entries would pass 2**53")
     return ints.astype(np.int64)
 
 
@@ -66,14 +64,6 @@ def _rational_parts(arr: np.ndarray) -> tuple[np.ndarray, int]:
     fracs = _AS_FRACTION(arr)
     den = math.lcm(*_DENOMINATOR(fracs).ravel().tolist())
     return _int64(fracs * den), den
-
-
-def _quotient(num: np.ndarray, den: int) -> np.ndarray:
-    """num / den as float64, each entry correctly rounded."""
-    if den <= _FLOAT_EXACT and (not num.size or np.abs(num).max() <= _FLOAT_EXACT):
-        # both operands are exact floats, so IEEE division rounds once
-        return num / den
-    return _TRUEDIV(num.astype(object), den).astype(float)
 
 
 class HermitianMatrix:
@@ -154,12 +144,12 @@ class HermitianMatrix:
 
     def to_complex(self) -> np.ndarray:
         if self.exact_real:
-            return _quotient(self.num, self.den).astype(complex)
+            return (self.num / self.den).astype(complex)
         return np.array(self._complex)
 
     def to_real(self) -> np.ndarray:
         if self.exact_real:
-            return _quotient(self.num, self.den)
+            return self.num / self.den
         c = self._complex
         if np.abs(c.imag).max() > 1e-12:
             raise LinalgError("matrix has non-real entries")

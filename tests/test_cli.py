@@ -297,7 +297,8 @@ def test_entropy_rejects_non_finite_order(capsys, graph_file, order):
     assert main(["entropy", path, "--order", order, "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: --order") and out.err.count("\n") == 1
+    assert out.err.startswith("error: q must be a finite number above 1")
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -24,7 +24,7 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     # __init__.py imports are the package's public names, not uses
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) == 8
+    assert {"cli.py", "density.py", "linalg.py"} <= {p.name for p in modules}
     found = {p.name: unused_imports(p) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
 

@@ -146,20 +146,22 @@ def test_purity_and_partial_transpose_of_rational_states(data, dims):
     assert_matches(partial_transpose(rho, lab), pt_reference(ref, lab))
 
 
-def test_floats_of_entries_past_2_53_are_correctly_rounded():
-    # float(n) / 3 rounds twice here and lands one ulp below n / 3
-    n = 2 ** 60 + 32
-    assert float(n) / 3 != n / 3
-    h = HermitianMatrix(np.array([[n, 1], [1, 0]]), den=3)
-    assert h.to_real()[0, 0] == n / 3 == float(F(n, 3))
-    assert_matches(h, fraction_array([[F(n, 3), F(1, 3)], [F(1, 3), 0]]))
-
-
-def test_entries_past_the_int64_bound_raise():
-    big = HermitianMatrix(np.array([[2 ** 62]]))
-    assert big.entry(0, 0) == 2 ** 62
+def test_floats_at_the_bound_are_correctly_rounded():
+    # up to 2**53 numerator and denominator are exact floats
+    h = HermitianMatrix(np.array([[2 ** 53, 1], [1, 0]]), den=3)
+    assert h.to_real()[0, 0] == float(F(2 ** 53, 3))
+    assert_matches(h, fraction_array([[F(2 ** 53, 3), F(1, 3)], [F(1, 3), 0]]))
     with pytest.raises(LinalgError):
-        HermitianMatrix(np.array([[2 ** 62 + 1]]))
+        HermitianMatrix(np.array([[2 ** 60 + 32, 1], [1, 0]]), den=3)
+
+
+def test_entries_past_the_bound_raise():
+    big = HermitianMatrix(np.array([[2 ** 53]]))
+    assert big.entry(0, 0) == 2 ** 53
+    with pytest.raises(LinalgError):
+        HermitianMatrix(np.array([[2 ** 53 + 1]]))
+    with pytest.raises(LinalgError):
+        HermitianMatrix([[F(1, 2 ** 53 + 1)]])
     with pytest.raises(LinalgError):
         HermitianMatrix([[2 ** 63]])  # unsigned input
     with pytest.raises(LinalgError):
@@ -167,7 +169,8 @@ def test_entries_past_the_int64_bound_raise():
     with pytest.raises(LinalgError):
         HermitianMatrix([[F(1, 2 ** 63)]])
     a = HermitianMatrix(np.array([[2 ** 40]]))
-    for op in (lambda: a.scale(2 ** 30), lambda: kron(a, a),
+    assert a.scale(2 ** 13).entry(0, 0) == 2 ** 53
+    for op in (lambda: a.scale(2 ** 14), lambda: kron(a, a),
                lambda: a.conjugate_by(np.array([[2 ** 20]])),
                lambda: HermitianMatrix([[1]]).scale(F(1, 2 ** 63)),
                lambda: big + big,
