@@ -47,39 +47,6 @@ class ChannelError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """A finite set of Kraus operators with the completeness identity checked."""
-
-    operators: tuple
-    label: str
-
-    def __post_init__(self):
-        if not self.operators:
-            raise ChannelError("channel needs at least one operator")
-        dim = self.operators[0].shape[1]
-        total = np.zeros((dim, dim), dtype=complex)
-        for a in self.operators:
-            if a.shape[1] != dim:
-                raise ChannelError("operators disagree on input dimension")
-            total += a.conj().T @ a
-        if np.max(np.abs(total - np.eye(dim))) > CHANNEL_TOL:
-            raise ChannelError("Kraus operators do not sum to the identity")
-
-    @property
-    def input_dim(self) -> int:
-        return self.operators[0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """Sum of A state A^dagger over the operators, made exactly Hermitian."""
-        out = sum(a @ state @ a.conj().T for a in self.operators)
-        return (out + out.conj().T) / 2
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurePrepareChannel:
     """Measure in the orthonormal rows of basis, prepare a uniform mixture of
     the unit rows of targets.
@@ -252,8 +219,7 @@ def edge_addition_channel(g: Graph, edge) -> MeasurePrepareChannel:
     return _edit_channel(g.n, edge, target_edges, f"add edge {edge[0] + 1}-{edge[1] + 1}")
 
 
-def apply_channel(ch: KrausChannel | MeasurePrepareChannel,
-                  rho: DensityMatrix) -> DensityMatrix:
+def apply_channel(ch: MeasurePrepareChannel, rho: DensityMatrix) -> DensityMatrix:
     if ch.input_dim != rho.dim:
         raise ChannelError(
             f"channel acts on dimension {ch.input_dim}, state has {rho.dim}")
@@ -333,10 +299,6 @@ def delete_vertex_report(g: Graph, v: int) -> VertexEditReport:
         raise ChannelError("vertex deletion did not land on the residual state")
     return VertexEditReport(
         DensityMatrix(HermitianMatrix(reduced, exact=False)), keep_prob, tuple(steps))
-
-
-def delete_vertex_procedure(g: Graph, v: int) -> DensityMatrix:
-    return delete_vertex_report(g, v).state
 
 
 def add_vertex_report(g: Graph) -> VertexEditReport:

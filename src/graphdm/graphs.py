@@ -8,7 +8,9 @@ normalization used in :mod:`graphdm.density`.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,39 +91,6 @@ def build_graph(n: int, pairs, loops=None) -> Graph:
         else:
             plain.append((min(u, v), max(u, v)))
     return Graph(n, tuple(sorted(plain)), tuple(loop_counts))
-
-
-@dataclass(frozen=True)
-class VertexPermutation:
-    """Bijection on vertex indices 0..n-1, stored as its image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
-            raise GraphError("not a permutation")
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> "VertexPermutation":
-        return cls(tuple(range(n)))
-
-    def inverse(self) -> "VertexPermutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return VertexPermutation(tuple(inv))
-
-    def compose(self, other: "VertexPermutation") -> "VertexPermutation":
-        """self after other: (self . other)(v) = self(other(v))."""
-        return VertexPermutation(tuple(self.image[other.image[v]] for v in range(self.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +212,6 @@ def component_count(g: Graph) -> int:
 # operations
 
 
-def relabel(g: Graph, perm: VertexPermutation) -> Graph:
-    if perm.n != g.n:
-        raise GraphError("permutation length does not match vertex count")
-    loops = [0] * g.n
-    for v, count in enumerate(g.loops):
-        loops[perm(v)] = count
-    pairs = [(perm(u), perm(v)) for (u, v) in g.edges]
-    return build_graph(g.n, pairs, loops)
-
-
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     if u > v:
         u, v = v, u
@@ -370,13 +329,45 @@ def with_loops(g: Graph, loops) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (brute force, intended for small n)
+# isomorphism (brute force over a permutation table, intended for small n)
 
 _ISO_LIMIT = 8
 
 
-def _edge_key(g: Graph):
-    return (g.edges, g.loops)
+@functools.lru_cache(maxsize=_ISO_LIMIT + 1)
+def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of 0..n-1 and where each sends each vertex pair.
+
+    Row r of the first array is the r-th image tuple of
+    itertools.permutations(range(n)).  Entry [r, i] of the second is the
+    slot, in itertools.combinations(range(n), 2) order, that relabeling
+    vertex v as perms[r, v] sends pair slot i to.  Both are read-only.
+    """
+    count = math.factorial(n)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int8, count=count * n).reshape(count, n)
+    u, v = np.triu_indices(n, 1)
+    slot = np.zeros((n, n), dtype=np.int16)
+    slot[u, v] = slot[v, u] = np.arange(len(u))
+    maps = slot[perms[:, u], perms[:, v]]
+    perms.setflags(write=False)
+    maps.setflags(write=False)
+    return perms, maps
+
+
+def _relabelings_onto(g: Graph, h: Graph) -> np.ndarray:
+    """Per row of the permutation table: whether relabeling g by it gives h.
+
+    g and h must have the same number of edges.
+    """
+    perms, maps = _permutation_table(g.n)
+    pairs = np.triu_indices(g.n, 1)
+    g_mask, h_mask = (adjacency_matrix(x)[pairs] != 0 for x in (g, h))
+    # the relabeled g has pair maps[r, i] exactly when g has pair i; with
+    # equal edge counts it is h when every such pair is an edge of h
+    same_edges = h_mask[maps[:, g_mask]].all(axis=1)
+    same_loops = (np.array(h.loops)[perms] == np.array(g.loops)).all(axis=1)
+    return same_edges & same_loops
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -386,45 +377,31 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         raise GraphError(f"brute-force isomorphism is limited to n <= {_ISO_LIMIT}")
     if g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()) or sorted(g.loops) != sorted(h.loops):
         return False
-    target = _edge_key(h)
-    for image in itertools.permutations(range(g.n)):
-        if _edge_key(relabel(g, VertexPermutation(image))) == target:
-            return True
-    return False
+    return bool(_relabelings_onto(g, h).any())
 
 
-def automorphisms(g: Graph) -> list[VertexPermutation]:
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Image tuples of the permutations that keep g's edges and loop
+    multiplicities, in itertools.permutations order."""
     if g.n > _ISO_LIMIT:
         raise GraphError(f"automorphism search is limited to n <= {_ISO_LIMIT}")
-    key = _edge_key(g)
-    out = []
-    for image in itertools.permutations(range(g.n)):
-        perm = VertexPermutation(image)
-        if _edge_key(relabel(g, perm)) == key:
-            out.append(perm)
-    return out
+    perms, _ = _permutation_table(g.n)
+    return [tuple(p) for p in perms[_relabelings_onto(g, g)].tolist()]
 
 
 def nonisomorphic_graphs(n: int, min_edges: int = 0) -> list[Graph]:
     """One representative per isomorphism class of loop-free graphs on n vertices.
 
     Representatives are the lexicographically smallest edge-subset masks of
-    their class.  Vectorized orbit marking keeps n = 6 (32768 masks x 720
-    permutations) around a second.
+    their class.  Each class is marked in one vectorized pass over the
+    permutation table, so n = 6 (32768 masks x 720 permutations) takes
+    tens of milliseconds.
     """
-    if n > 7:
-        raise GraphError("enumeration is limited to n <= 7")
+    if not 1 <= n <= 7:
+        raise GraphError("enumeration is limited to 1 <= n <= 7")
     pairs = list(itertools.combinations(range(n), 2))
     npairs = len(pairs)
-    index_of = {p: i for i, p in enumerate(pairs)}
-
-    # row r of maps: where each edge slot goes under permutation r
-    perms = list(itertools.permutations(range(n)))
-    maps = np.empty((len(perms), npairs), dtype=np.int64)
-    for r, image in enumerate(perms):
-        for i, (u, v) in enumerate(pairs):
-            a, b = image[u], image[v]
-            maps[r, i] = index_of[(min(a, b), max(a, b))]
+    _, maps = _permutation_table(n)
     weights = np.int64(1) << np.arange(npairs)
 
     seen = np.zeros(1 << npairs, dtype=bool)
@@ -433,7 +410,7 @@ def nonisomorphic_graphs(n: int, min_edges: int = 0) -> list[Graph]:
         if seen[mask]:
             continue
         slots = [i for i in range(npairs) if (mask >> i) & 1]
-        images = np.zeros(len(perms), dtype=np.int64)
+        images = np.zeros(len(maps), dtype=np.int64)
         for i in slots:
             images += weights[maps[:, i]]
         seen[images] = True

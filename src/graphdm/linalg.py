@@ -5,7 +5,7 @@ denominator, so an exact matrix is stored as a read-only int64 numerator
 array over one positive int denominator, reduced by their common gcd.
 Sums, scalings, Kronecker products and conjugations stay exact and
 vectorized; an operation whose numerators or denominator could pass 2**53
-raises LinalgError.  Floating point enters only at the eigensolver
+raises LinalgError (a conjugation checks its gcd-reduced result instead).  Floating point enters only at the eigensolver
 boundary: within that bound num and den are exact floats, so num / den is
 correctly rounded.
 """
@@ -25,6 +25,8 @@ PSD_TOL = 1e-9
 # largest numerator or denominator an exact matrix holds: each is then a
 # float64 exactly, and a result bounded by it cannot have wrapped in int64
 EXACT_LIMIT = 2 ** 53
+# an int64 product whose entries are bounded by this cannot have wrapped
+INT64_SAFE_LIMIT = 2 ** 62
 
 
 class LinalgError(ValueError):
@@ -44,10 +46,16 @@ _FRACTION = np.frompyfunc(Fraction, 2, 1)
 _DENOMINATOR = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
 
 
-def _check_bound(bound) -> None:
-    """Raise unless a bound on an operation's entries stays within EXACT_LIMIT."""
-    if bound > EXACT_LIMIT:
-        raise LinalgError("exact entries would pass 2**53")
+def _check_bound(bound, limit: int = EXACT_LIMIT) -> None:
+    """Raise unless a bound on an operation's entries stays within limit."""
+    if bound > limit:
+        raise LinalgError(f"exact entries would pass 2**{limit.bit_length() - 1}")
+
+
+def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """num and den divided by their common gcd."""
+    common = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
+    return (num // common, den // common) if common > 1 else (num, den)
 
 
 def _int64(ints: np.ndarray) -> np.ndarray:
@@ -89,10 +97,7 @@ class HermitianMatrix:
             den = operator.index(den) * scale
             if den < 1:
                 raise LinalgError(f"denominator {den} is not positive")
-            common = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
-            if common > 1:
-                num //= common
-                den //= common
+            num, den = _reduced(num, den)
             _check_bound(den)
             if not (num == num.T).all():
                 raise LinalgError("matrix is not symmetric")
@@ -191,14 +196,23 @@ class HermitianMatrix:
     __rmul__ = __mul__
 
     def conjugate_by(self, m) -> "HermitianMatrix":
-        """m @ self @ m^dagger, exact when both operands are exact-rational."""
+        """m @ self @ m^dagger, exact when both operands are exact-rational.
+
+        The exact product raises LinalgError when max|N| times the square of
+        M's largest absolute row sum, both over their common denominators,
+        passes 2**62, or when its gcd-reduced numerators or denominator pass
+        2**53.
+        """
         m = np.asarray(m)
         if self.exact_real and m.dtype.kind in "iuO":
             mnum, mden = _rational_parts(m)
-            # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2
+            # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2, so
+            # the int64 product cannot wrap; the common denominators often
+            # cancel, so the 2**53 bound applies to the reduced result
             row = np.abs(mnum).sum(axis=1, dtype=float).max() if mnum.size else 0.0
-            _check_bound(float(self._max_num()) * row * row)
-            return HermitianMatrix(mnum @ self.num @ mnum.T, den=self.den * mden * mden)
+            _check_bound(float(self._max_num()) * row * row, INT64_SAFE_LIMIT)
+            num, den = _reduced(mnum @ self.num @ mnum.T, self.den * mden * mden)
+            return HermitianMatrix(num, den=den)
         mc = m.astype(complex)
         return HermitianMatrix(mc @ self.to_complex() @ mc.conj().T, exact=False)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMatrix, density_of_graph
-from .graphs import Graph, VertexPermutation, build_graph, complete_graph
+from .graphs import Graph, build_graph, complete_graph
 from .linalg import HermitianMatrix
 
 SEPARABLE = "SEPARABLE"
@@ -271,8 +271,8 @@ def canonicalize_pe_matching(g: Graph, lab: BipartiteLabeling):
     Columns are processed in ascending order; whenever the chain through
     column c continues to some later column j, the transposition (j, c+1)
     is applied to the column labels, so every chain closes on a consecutive
-    block.  Returns (column permutation, canonical graph, tally-marks); the
-    canonical graph uses the default labeling.
+    block.  Returns (column permutation as an image tuple, canonical graph,
+    tally-marks); the canonical graph uses the default labeling.
     """
     if lab.p != 2:
         raise SeparabilityError("canonical form is defined for two rows")
@@ -302,9 +302,8 @@ def canonicalize_pe_matching(g: Graph, lab: BipartiteLabeling):
             start = c + 1
         elif img != c + 1:
             apply_transposition(img, c + 1)
-    column_perm = VertexPermutation(tuple(relab))
     canonical = build_graph(2 * q, [(c, q + pi[c]) for c in range(q)])
-    return column_perm, canonical, marks
+    return tuple(relab), canonical, marks
 
 
 def _tally_states(cycle_columns, q: int, weight: float) -> list[ProductState]:
@@ -450,7 +449,7 @@ def pe_matching_separability(g: Graph, lab: BipartiteLabeling):
         # pull each canonical tally-mark back through the column relabeling
         for mark in marks:
             for st in _tally_states(mark.columns, lab.q, w):
-                right = np.array([st.right[column_perm(t)] for t in range(lab.q)])
+                right = np.array([st.right[column_perm[t]] for t in range(lab.q)])
                 states.append(ProductState(st.left, right, w))
     for (u, v) in g.edges:
         (s, t), (s2, t2) = lab.cells[u], lab.cells[v]

@@ -13,7 +13,6 @@ from graphdm import (
     ChannelError,
     DensityMatrix,
     HermitianMatrix,
-    KrausChannel,
     MeasurePrepareChannel,
     add_edge,
     add_vertex_report,
@@ -24,7 +23,6 @@ from graphdm import (
     complete_to_unitary,
     cycle_graph,
     delete_edge,
-    delete_vertex_procedure,
     delete_vertex_report,
     density_of_graph,
     edge_addition_channel,
@@ -118,16 +116,6 @@ def test_channel_error_paths():
         apply_channel(ch, density_of_graph(path_graph(3)))  # dimension mismatch
 
 
-def test_kraus_channel_validates_completeness():
-    half = np.eye(2) / 2.0
-    with pytest.raises(ChannelError):
-        KrausChannel((half,), "broken")
-    ident = KrausChannel((np.eye(2),), "identity")
-    rho = density_of_graph(path_graph(2))
-    out = apply_channel(ident, rho)
-    assert out.mat.max_abs_diff(rho.mat) < 1e-12
-
-
 def test_complete_to_unitary_maps_source_to_target():
     rng = np.random.default_rng(5)
     for dim in [2, 3, 5, 8]:
@@ -201,8 +189,6 @@ def test_vertex_deletion_on_star_leaf():
     rep = delete_vertex_report(star_graph(4), 3)
     assert rep.click_probability == 1.0
     assert rep.state.mat.max_abs_diff(density_of_graph(star_graph(3)).mat) < 1e-10
-    state = delete_vertex_procedure(star_graph(4), 3)
-    assert state.mat.max_abs_diff(rep.state.mat) < 1e-12
 
 
 def test_vertex_deletion_rejects_emptying():

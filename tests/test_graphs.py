@@ -194,7 +194,7 @@ def test_automorphism_group_orders():
     for name, (g, order) in expected.items():
         auts = automorphisms(g)
         assert len(auts) == order, name
-        images = {a.image for a in auts}
+        images = set(auts)
         assert len(images) == order  # all distinct
         assert tuple(range(g.n)) in images  # identity present
 

@@ -1,11 +1,13 @@
-"""Every name a graphdm module imports is used in that module."""
+"""Every name a graphdm module imports is used in that module, and no
+module imports another's _private names."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphdm"
 # perfbench's tracer test reads the private one-labeling kernel front
-# through cli, so cli keeps importing it without calling it
+# through cli, so cli keeps importing it without calling it; it is also the
+# one private name a module imports from another
 KEPT = {("cli.py", "_min_eig_for_assignment")}
 
 
@@ -21,6 +23,15 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(name for name in bound - used if (path.name, name) not in KEPT)
 
 
+def private_imports(path: Path) -> list[str]:
+    """_private names the module imports from sibling modules."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for a in node.names
+                  if a.name.startswith("_") and (path.name, a.name) not in KEPT)
+
+
 def test_no_unused_imports():
     # __init__.py imports are the package's public names, not uses
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -29,10 +40,20 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def test_no_cross_module_private_imports():
+    modules = sorted(SRC.glob("*.py"))
+    assert {"__init__.py", "cli.py", "graphs.py"} <= {p.name for p in modules}
+    found = {p.name: private_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_scan_sees_unused_and_kept_names(tmp_path):
     probe = tmp_path / "cli.py"
     probe.write_text("import os\nimport os.path as osp\n"
                      "from fractions import Fraction\n"
+                     "from os import _exit\n"
                      "from .x import _min_eig_for_assignment, used\n"
-                     "print(used, osp)\n")
+                     "from ..y import _helper\n"
+                     "print(used, osp, _exit, _helper)\n")
     assert unused_imports(probe) == ["Fraction", "os"]
+    assert private_imports(probe) == ["_helper"]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdm import (
@@ -87,17 +87,55 @@ def test_kron(data, n, k):
     assert_matches(kron(HermitianMatrix(a), HermitianMatrix(b)), np.kron(a, b))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4))
-def test_conjugate_by(data, n, k):
-    a = data.draw(symmetric(n))
-    m = data.draw(rectangular(k, n))
+@st.composite
+def conjugation(draw):
+    """A symmetric n x n matrix and a k x n matrix, n and k in 1..4."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(symmetric(n)), draw(rectangular(k, n))
+
+
+def common_parts(rows) -> tuple[list, int]:
+    """Numerators over the lcm of the entries' denominators, and that lcm."""
+    den = math.lcm(*(F(x).denominator for row in rows for x in row))
+    return [[int(F(x) * den) for x in row] for row in rows], den
+
+
+def conjugation_refused(a: np.ndarray, m: np.ndarray, ref: np.ndarray) -> bool:
+    """The documented refusal: max|N| * (largest absolute row sum of M)^2, both
+    over their common denominators, passes 2**62, or the reduced result
+    passes 2**53."""
+    n_num, _ = common_parts(a.tolist())
+    m_num, _ = common_parts(m.tolist())
+    row = max(sum(abs(x) for x in r) for r in m_num)
+    r_num, r_den = common_parts(ref.tolist())
+    top = max(abs(x) for r in r_num for x in r)
+    pre = max(abs(x) for r in n_num for x in r) * row * row
+    return pre > 2 ** 62 or max(top, r_den) > 2 ** 53
+
+
+def assert_conjugation(a: np.ndarray, m: np.ndarray) -> None:
     ref = np.dot(np.dot(m, a), m.T)
-    assert_matches(HermitianMatrix(a).conjugate_by(m), ref)
+    if conjugation_refused(a, m, ref):
+        with pytest.raises(LinalgError):
+            HermitianMatrix(a).conjugate_by(m)
+    else:
+        assert_matches(HermitianMatrix(a).conjugate_by(m), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operands=conjugation())
+# its unreduced numerators pass 2**53 (8.95e15) while the reduced result has
+# den 73180800 and numerators below 1.9e12
+@example(operands=(
+    fraction_array([[0, 0, 0, 0], [0, 0, F(1, 3), F(1, 7)],
+                    [0, F(1, 3), F(1, 8), F(1, 11)], [0, F(1, 7), F(1, 11), 28]]),
+    fraction_array([[0, 0, F(1, 4), F(1, 5)], [F(1, 7), F(1, 9), F(1, 11), 30]])))
+def test_conjugate_by(operands):
+    a, m = operands
+    assert_conjugation(a, m)
     # an integer matrix takes the int64 path directly
     mi = np.vectorize(lambda x: x.numerator)(m).astype(np.int64)
-    ref = np.dot(np.dot(fraction_array(mi.tolist()), a), mi.T)
-    assert_matches(HermitianMatrix(a).conjugate_by(mi), ref)
+    assert_conjugation(a, mi)
 
 
 @settings(max_examples=40, deadline=None)

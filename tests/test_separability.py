@@ -155,7 +155,7 @@ def test_canonicalize_crossing():
         build_graph(4, [(0, 3), (1, 2)]), LAB22)
     assert canonical.edges == ((0, 3), (1, 2))
     assert [m.columns for m in marks] == [(0, 1)]
-    assert perm.image == (0, 1)
+    assert perm == (0, 1)
 
 
 def test_canonicalize_longer_chain():
