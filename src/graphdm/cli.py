@@ -10,6 +10,7 @@ failure (bad input, parse error, illegal edit), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -60,8 +61,9 @@ from .separability import (
     min_pt_eigenvalues,
     partial_transpose,
     pe_matching_separability,
+    ppt_status,
     ppt_test,
-    verdict_status,
+    ppt_verdicts,
     verify_separable_decomposition,
 )
 
@@ -70,10 +72,6 @@ _PRECONDITION_ERRORS = (
     ChannelError, ConcurrenceError, LinalgError, FileNotFoundError,
     IsADirectoryError, PermissionError, UnicodeDecodeError,
 )
-
-# probe instances per stacked eigensolve: bounds the memory of one stack
-_PROBE_BLOCK = 1024
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -90,6 +88,14 @@ def _print_json(obj) -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _warn_disagreements(count: int, tol: float) -> None:
+    """One stderr line when the float cross-check contradicts exact verdicts."""
+    if count:
+        print(f"warning: at --tol {tol:g} the PT eigenvalues contradict {count} "
+              f"cross-checked exact PPT verdict(s); the exact ones are reported",
+              file=sys.stderr)
 
 
 def _graph_summary(g: Graph) -> dict:
@@ -140,13 +146,13 @@ def _labeling_cells(lab: BipartiteLabeling) -> list:
     return [list(c) for c in lab.cells]
 
 
-def _require_dims(args, n: int) -> tuple[int, int]:
+def _require_dims(args, n: int | None = None) -> tuple[int, int]:
     p, q = args.p, args.q
     if p is None or q is None:
         raise SeparabilityError("this command needs --p and --q")
     if p < 2 or q < 2:
         raise SeparabilityError("both parts need dimension at least 2")
-    if p * q != n:
+    if n is not None and p * q != n:
         raise SeparabilityError(f"p*q = {p * q} does not match the {n} vertices")
     return p, q
 
@@ -201,9 +207,7 @@ def cmd_analyze(args) -> None:
 
     conc = None
     if (p, q) == (2, 2):
-        pos = [0] * 4
-        for v in range(4):
-            pos[lab.flat(v)] = v
+        pos = np.argsort([lab.flat(v) for v in range(4)])  # vertex at each cell
         cell_mat = rho.mat.to_complex()[np.ix_(pos, pos)]
         conc = concurrence(DensityMatrix(HermitianMatrix(cell_mat, exact=False))).value
 
@@ -259,6 +263,7 @@ def cmd_analyze(args) -> None:
 
 def cmd_census4(args) -> None:
     report = four_vertex_census(tol=args.tol)
+    _warn_disagreements(report.float_disagreements, args.tol)
     if args.csv:
         rows = census_to_csv_rows(report)
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
@@ -267,7 +272,6 @@ def cmd_census4(args) -> None:
         else:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        if args.csv != "-":
             print(f"wrote {args.csv}")
         return
     if args.json:
@@ -424,6 +428,7 @@ def cmd_search(args) -> None:
     p, q = _require_dims(args, g.n)
     census = labeling_search(g, p, q, tol=args.tol, sample=args.budget,
                              seed=args.seed, workers=args.workers)
+    _warn_disagreements(census.float_disagreements, args.tol)
     payload = {
         "p": p,
         "q": q,
@@ -465,22 +470,41 @@ def cmd_search(args) -> None:
 # probe
 
 
-def _probe_classify(ent_idx_edges):
-    """'single' / 'concentrated' / None for a nonempty entangled edge set."""
-    if len(ent_idx_edges) == 1:
-        return "single"
-    common = set(ent_idx_edges[0])
-    for e in ent_idx_edges[1:]:
-        common &= set(e)
-    return "concentrated" if common else None
+def _probe_exhaustive(pairs, ent_pairs, n: int):
+    """Every edge mask whose entangled edges are one edge or share a vertex,
+    in mask order: (instance x pair mask, single-edge flags)."""
+    present = (np.arange(1, 1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1 == 1
+    chosen = present[:, ent_pairs]
+    size = chosen.sum(axis=1)
+    touches = np.array([[v in pairs[i] for v in range(n)] for i in ent_pairs])
+    keep = (size > 0) & (chosen.astype(int) @ touches == size[:, None]).any(axis=1)
+    return present[keep], size[keep] == 1
+
+
+def _probe_sampled(pairs, ent_pairs, n: int, budget: int, seed: int):
+    """`budget` random instances: each other pair with probability 1/2, plus
+    one entangled edge or several at one random vertex.  Draws the numbers
+    one scalar draw per other pair would, in the same order."""
+    rng = np.random.default_rng(seed)
+    plain_pairs = np.setdiff1d(np.arange(len(pairs)), ent_pairs)
+    per_vertex_ent = {v: [i for i in ent_pairs if v in pairs[i]] for v in range(n)}
+    present = np.zeros((budget, len(pairs)), dtype=bool)
+    single = np.empty(budget, dtype=bool)
+    for k in range(budget):
+        present[k, plain_pairs] = rng.integers(0, 2, size=len(plain_pairs)) == 1
+        options = [] if rng.integers(0, 2) else per_vertex_ent[int(rng.integers(0, n))]
+        if len(options) < 2:  # single part
+            pick = [ent_pairs[rng.integers(0, len(ent_pairs))]]
+        else:  # concentrated part
+            pick = rng.choice(options, size=int(rng.integers(2, len(options) + 1)),
+                              replace=False)
+        present[k, pick] = True
+        single[k] = len(pick) == 1
+    return present, single
 
 
 def cmd_probe(args) -> None:
-    p, q = args.p, args.q
-    if p is None or q is None:
-        raise SeparabilityError("probe needs --p and --q")
-    if p < 2 or q < 2:
-        raise SeparabilityError("both parts need dimension at least 2")
+    p, q = _require_dims(args)
     n = p * q
     if args.max_n > 8:
         raise SeparabilityError("probe is limited to max-n <= 8")
@@ -490,72 +514,35 @@ def cmd_probe(args) -> None:
     cells = [divmod(v, q) for v in range(n)]
     ent_pairs = [idx for idx, (u, v) in enumerate(pairs)
                  if cells[u][0] != cells[v][0] and cells[u][1] != cells[v][1]]
-    ent_set = set(ent_pairs)
-    plain_pairs = [i for i in range(len(pairs)) if i not in ent_set]
-
-    tallies = {"single": {}, "concentrated": {}}
-    counters = {"single": [], "concentrated": []}
-    instances = {"single": 0, "concentrated": 0}
-
-    exhaustive = len(pairs) <= 16
-    mode = "exhaustive" if exhaustive else "sampled"
-
-    def generate():
-        """(part, edge list) per instance, in mask order or draw order."""
-        if exhaustive:
-            for mask in range(1, 1 << len(pairs)):
-                chosen_ent = [i for i in ent_pairs if (mask >> i) & 1]
-                if not chosen_ent:
-                    continue
-                part = _probe_classify([pairs[i] for i in chosen_ent])
-                if part is None:
-                    continue
-                yield part, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            return
-        rng = np.random.default_rng(args.seed)
-        budget = args.budget or 20000
-        per_vertex_ent = {v: [i for i in ent_pairs if v in pairs[i]]
-                          for v in range(n)}
-        for _ in range(budget):
-            extras = [plain_pairs[i] for i in range(len(plain_pairs))
-                      if rng.integers(0, 2)]
-            if rng.integers(0, 2):  # single part
-                pick = [ent_pairs[rng.integers(0, len(ent_pairs))]]
-            else:  # concentrated part
-                v = int(rng.integers(0, n))
-                options = per_vertex_ent[v]
-                if len(options) < 2:
-                    pick = [ent_pairs[rng.integers(0, len(ent_pairs))]]
-                else:
-                    k = int(rng.integers(2, len(options) + 1))
-                    pick = sorted(rng.choice(options, size=k, replace=False).tolist())
-            part = "single" if len(pick) == 1 else "concentrated"
-            yield part, sorted(pairs[i] for i in set(pick) | set(extras))
-
-    stream = generate()
-    while block := list(itertools.islice(stream, _PROBE_BLOCK)):
-        sigma = laplacian_states(n, [edge_list for _, edge_list in block])
-        default = np.broadcast_to(np.arange(n), (len(block), n))
-        lows = min_pt_eigenvalues(sigma, default, p, q)
-        for (part, edge_list), low in zip(block, lows):
-            status = verdict_status(low, p, q, args.tol)
-            instances[part] += 1
-            tallies[part][status] = tallies[part].get(status, 0) + 1
-            if status == SEPARABLE and len(counters[part]) < 10:
-                counters[part].append(
-                    {"edges": [[u + 1, v + 1] for (u, v) in edge_list],
-                     "min_pt_eigenvalue": float(low)})
+    mode = "exhaustive" if len(pairs) <= 16 else "sampled"
+    present, single = (_probe_exhaustive(pairs, ent_pairs, n) if mode == "exhaustive" else
+                       _probe_sampled(pairs, ent_pairs, n, args.budget or 20000, args.seed))
+    ppt = ppt_verdicts(pairs, np.arange(n), p, q, present)
 
     payload = {"p": p, "q": q, "n": n, "mode": mode, "tol": args.tol}
-    for part, title in (("single", "single_entangled_edge"),
-                        ("concentrated", "entangled_edges_at_one_vertex")):
+    off = 0
+    for title, members in (("single_entangled_edge", single),
+                           ("entangled_edges_at_one_vertex", ~single)):
+        verdicts = {status: int(hits.sum()) for status, hits in
+                    ((ENTANGLED_NPT, members & ~ppt), (ppt_status(p, q), members & ppt))
+                    if hits.any()}
+        # separable counterexamples, with the eigenvalue each reports
+        found = np.flatnonzero(members & ppt)[:10] if ppt_status(p, q) == SEPARABLE else []
+        edge_lists = [[pairs[i] for i in np.flatnonzero(present[k])] for k in found]
+        lows = (min_pt_eigenvalues(laplacian_states(n, edge_lists),
+                                   np.broadcast_to(np.arange(n), (len(found), n)), p, q)
+                if edge_lists else [])
+        off += sum(bool(low < -args.tol) for low in lows)
+        counters = [{"edges": [[u + 1, v + 1] for (u, v) in edges],
+                     "min_pt_eigenvalue": float(low)} for edges, low in zip(edge_lists, lows)]
         payload[title] = {
-            "instances": instances[part],
-            "verdicts": dict(sorted(tallies[part].items())),
-            "counterexamples": counters[part],
-            "conclusion": ("no counterexample found" if not counters[part]
-                           else f"{len(counters[part])} separable counterexample(s)"),
+            "instances": int(members.sum()),
+            "verdicts": dict(sorted(verdicts.items())),
+            "counterexamples": counters,
+            "conclusion": ("no counterexample found" if not counters
+                           else f"{len(counters)} separable counterexample(s)"),
         }
+    _warn_disagreements(off, args.tol)
     if mode == "sampled":
         payload["seed"] = args.seed
         payload["budget"] = args.budget or 20000
@@ -563,17 +550,15 @@ def cmd_probe(args) -> None:
         _print_json(payload)
         return
     print(f"probe at {p}x{q} (n = {n}, {mode})")
-    for part, title in (("single", "exactly one entangled edge"),
-                        ("concentrated", "several entangled edges at one vertex")):
-        t = tallies[part]
-        verdicts = "  ".join(f"{k}={v}" for k, v in sorted(t.items())) or "(none)"
-        print(f"{title}: {instances[part]} instance(s)   {verdicts}")
-        key = ("single_entangled_edge" if part == "single"
-               else "entangled_edges_at_one_vertex")
-        print(f"  {payload[key]['conclusion']}")
-        for c in counters[part]:
-            print("  counterexample edges:",
-                  " ".join(f"{u}-{v}" for u, v in c["edges"]))
+    for title, text in (("single_entangled_edge", "exactly one entangled edge"),
+                        ("entangled_edges_at_one_vertex",
+                         "several entangled edges at one vertex")):
+        part = payload[title]
+        verdicts = "  ".join(f"{k}={v}" for k, v in part["verdicts"].items()) or "(none)"
+        print(f"{text}: {part['instances']} instance(s)   {verdicts}")
+        print(f"  {part['conclusion']}")
+        for c in part["counterexamples"]:
+            print("  counterexample edges:", " ".join(f"{u}-{v}" for u, v in c["edges"]))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="columns of the bipartition (second factor)")
         if tol:
             sp.add_argument("--tol", type=float, default=NPT_TOL,
-                            help="negativity tolerance for the PT eigenvalue")
+                            help="negativity tolerance for the PT eigenvalue "
+                                 "(search, probe and census4: float cross-check "
+                                 "of their exact verdicts only)")
         sp.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
 
@@ -640,13 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--labeling", default=None,
                     help="cell assignment as comma-separated v=s.t tokens "
                          "(v 1-based, s/t 0-based); default fills rows")
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("census4", help="exhaustive 4-vertex census")
     common(sp, dims=False)
     sp.add_argument("--csv", default=None,
                     help="write CSV to this path ('-' for stdout)")
-    sp.set_defaults(func=cmd_census4)
 
     sp = sub.add_parser("channel", help="apply edit channels step by step")
     sp.add_argument("graph", help="edge-list file")
@@ -657,9 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="file with one edit per line")
     sp.add_argument("--dump-operators", action="store_true",
                     help="include each channel's Kraus operators in JSON")
-    sp.add_argument("--json", action="store_true",
-                    help="emit machine-readable JSON")
-    sp.set_defaults(func=cmd_channel)
+    common(sp, dims=False, tol=False)
 
     sp = sub.add_parser("search", help="census of labelings for one graph")
     sp.add_argument("graph", help="edge-list file")
@@ -670,9 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for sampled mode (a documented default is used "
                          "when omitted)")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes for the eigensolves of a sampled "
-                         "search (at least 1, clamped to the CPU count)")
-    sp.set_defaults(func=cmd_search)
+                    help="accepted for compatibility (at least 1); every "
+                         "verdict runs in this process")
 
     sp = sub.add_parser("probe",
                         help="scan graphs whose entangled edges are one edge "
@@ -684,27 +666,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="samples when the pair count is too large to exhaust")
     sp.add_argument("--seed", type=int, default=20060111,
                     help="seed for sampled mode")
-    sp.set_defaults(func=cmd_probe)
 
     sp = sub.add_parser("entropy", help="spectrum and entropy of one graph")
     sp.add_argument("graph", help="edge-list file")
     sp.add_argument("--order", type=float, default=None,
                     help="also report the q-entropy of this order (> 1)")
-    sp.add_argument("--json", action="store_true",
-                    help="emit machine-readable JSON")
-    sp.set_defaults(func=cmd_entropy)
+    common(sp, dims=False, tol=False)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; it holds no command functions."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = getattr(args, "tol", 0.0)
         if not 0 <= tol < math.inf:
             raise SeparabilityError(f"--tol must be a finite number >= 0, got {tol}")
-        args.func(args)
+        globals()[f"cmd_{args.command}"](args)
         return 0
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ import numpy as np
 from .density import DensityMatrix, density_of_graph
 from .graphs import automorphisms, nonisomorphic_graphs
 from .linalg import HermitianMatrix, psd_sqrt
-from .separability import NPT_TOL, min_pt_eigenvalues
+from .separability import NPT_TOL, min_pt_eigenvalues, ppt_verdicts
 
 
 class ConcurrenceError(ValueError):
@@ -109,6 +109,7 @@ class CensusReport:
     always_entangled_count: int
     ever_entangled_count: int
     note: str
+    float_disagreements: int = 0  # labelings the eigenvalues at tol call otherwise
 
 
 def _distinct(values, tol=1e-9):
@@ -125,19 +126,22 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
     All 2^6 edge subsets are grouped into isomorphism classes; each class
     with at least one edge is examined under all 24 cell assignments, and
     the distinct concurrence values over its entangled labelings recorded.
+    Verdicts are exact; `tol` only governs the eigenvalue cross-check.
     """
     reps = nonisomorphic_graphs(4)
     assigns = np.array(list(itertools.permutations(range(4))))
     total = len(assigns)
     rows = []
     class_id = 0
+    off = 0
     for g in reps:
         if g.m == 0:
             continue
         class_id += 1
         sigma = density_of_graph(g).mat.to_complex().real
         aut_order = len(automorphisms(g))
-        npt = min_pt_eigenvalues(sigma, assigns, 2, 2) < -tol
+        npt = ~ppt_verdicts(g.edges, assigns, 2, 2)
+        off += int(((min_pt_eigenvalues(sigma, assigns, 2, 2) < -tol) != npt).sum())
         entangled = int(npt.sum())
         values = []
         for assign in assigns[npt]:
@@ -161,7 +165,7 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
     note = (f"{len(reps)} isomorphism classes exist on 4 vertices including the "
             f"empty graph ({len(rows)} with edges); {ever} classes are entangled "
             f"for at least one labeling and {always} for every labeling.")
-    return CensusReport(tuple(rows), len(rows), len(reps), always, ever, note)
+    return CensusReport(tuple(rows), len(rows), len(reps), always, ever, note, off)
 
 
 def census_to_json_dict(report: CensusReport) -> dict:

@@ -3,11 +3,12 @@
 Every exact matrix graphdm builds is an integer matrix over one
 denominator, so an exact matrix is stored as a read-only int64 numerator
 array over one positive int denominator, reduced by their common gcd.
-Sums, scalings, Kronecker products and conjugations stay exact and
-vectorized; an operation whose numerators or denominator could pass 2**53
-raises LinalgError (a conjugation checks its gcd-reduced result instead).  Floating point enters only at the eigensolver
-boundary: within that bound num and den are exact floats, so num / den is
-correctly rounded.
+Sums, scalings, Kronecker products, conjugations and projectors stay
+exact and vectorized; each raises LinalgError when a bound on its
+unreduced int64 result passes 2**62 (so it cannot wrap) or, like the
+constructor, when the gcd-reduced numerators or denominator pass 2**53.
+Floating point enters only at the eigensolver boundary: within that bound
+num and den are exact floats, so num / den is correctly rounded.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 GROUP_TOL = 1e-8
 PSD_TOL = 1e-9
 
-# largest numerator or denominator an exact matrix holds: each is then a
-# float64 exactly, and a result bounded by it cannot have wrapped in int64
+# largest numerator or denominator an exact matrix holds: an exact float64
 EXACT_LIMIT = 2 ** 53
 # an int64 product whose entries are bounded by this cannot have wrapped
 INT64_SAFE_LIMIT = 2 ** 62
@@ -46,7 +46,7 @@ _FRACTION = np.frompyfunc(Fraction, 2, 1)
 _DENOMINATOR = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
 
 
-def _check_bound(bound, limit: int = EXACT_LIMIT) -> None:
+def _check_bound(bound, limit: int = INT64_SAFE_LIMIT) -> None:
     """Raise unless a bound on an operation's entries stays within limit."""
     if bound > limit:
         raise LinalgError(f"exact entries would pass 2**{limit.bit_length() - 1}")
@@ -60,8 +60,8 @@ def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 
 def _int64(ints: np.ndarray) -> np.ndarray:
     """An integer-valued array (int or object dtype) as int64, range-checked."""
-    if ints.size and (ints.max() > EXACT_LIMIT or ints.min() < -EXACT_LIMIT):
-        raise LinalgError("exact entries would pass 2**53")
+    if ints.size and (ints.max() > INT64_SAFE_LIMIT or ints.min() < -INT64_SAFE_LIMIT):
+        raise LinalgError("exact entries would pass 2**62")
     return ints.astype(np.int64)
 
 
@@ -80,7 +80,8 @@ class HermitianMatrix:
     An exact matrix is num / den: a read-only int64 array and a positive
     int, gcd-reduced, so equal matrices have equal parts.  An inexact one
     holds complex128 and is symmetrized on input after a Hermiticity check.
-    `den` divides the entries an exact matrix is built from.
+    `den` divides the entries an exact matrix is built from; they may reach
+    2**62 if the reduced parts stay within 2**53.
     """
 
     __slots__ = ("num", "den", "exact_real", "_complex")
@@ -98,7 +99,7 @@ class HermitianMatrix:
             if den < 1:
                 raise LinalgError(f"denominator {den} is not positive")
             num, den = _reduced(num, den)
-            _check_bound(den)
+            _check_bound(max(int(np.abs(num).max()) if num.size else 0, den), EXACT_LIMIT)
             if not (num == num.T).all():
                 raise LinalgError("matrix is not symmetric")
             num.setflags(write=False)
@@ -206,13 +207,10 @@ class HermitianMatrix:
         m = np.asarray(m)
         if self.exact_real and m.dtype.kind in "iuO":
             mnum, mden = _rational_parts(m)
-            # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2, so
-            # the int64 product cannot wrap; the common denominators often
-            # cancel, so the 2**53 bound applies to the reduced result
+            # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2
             row = np.abs(mnum).sum(axis=1, dtype=float).max() if mnum.size else 0.0
-            _check_bound(float(self._max_num()) * row * row, INT64_SAFE_LIMIT)
-            num, den = _reduced(mnum @ self.num @ mnum.T, self.den * mden * mden)
-            return HermitianMatrix(num, den=den)
+            _check_bound(float(self._max_num()) * row * row)
+            return HermitianMatrix(mnum @ self.num @ mnum.T, den=self.den * mden * mden)
         mc = m.astype(complex)
         return HermitianMatrix(mc @ self.to_complex() @ mc.conj().T, exact=False)
 
@@ -268,8 +266,8 @@ def _group(values: np.ndarray, tol: float):
     return tuple((float(np.mean(g)), len(g)) for g in runs)
 
 
-def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumResult:
-    """Full spectral decomposition via the symmetric/Hermitian eigensolver."""
+def _eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of h's entries, checked by its reconstruction residual."""
     if h.exact_real:
         mat = h.to_real()
     else:
@@ -281,6 +279,12 @@ def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumRes
     err = np.abs(recon - mat).max()
     if err > 1e-10 * h.dim:
         raise LinalgError(f"eigendecomposition failed to reconstruct (err={err:g})")
+    return vals, vecs
+
+
+def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumResult:
+    """Full spectral decomposition via the symmetric/Hermitian eigensolver."""
+    vals, vecs = _eigh(h)
     return SpectrumResult(tuple(vals.tolist()), _group(vals, group_tol), vecs)
 
 
@@ -293,10 +297,8 @@ def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
 
 def psd_sqrt(h: HermitianMatrix) -> HermitianMatrix:
     """Principal square root of a positive semidefinite matrix."""
-    spec = eigensystem(h)
-    vals = np.array(spec.eigenvalues)
+    vals, vecs = _eigh(h)
     if vals[0] < -1e-10:
         raise LinalgError(f"matrix is not PSD (eigenvalue {vals[0]:g})")
     root = np.sqrt(np.clip(vals, 0.0, None))
-    vecs = spec.eigenvectors
     return HermitianMatrix((vecs * root) @ vecs.conj().T, exact=False)

@@ -10,9 +10,8 @@ A labeling identifies the n = p*q vertices with the product basis
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,8 @@ _PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 DEFAULT_SEARCH_SEED = 20060111
 
-# labelings per batched eigensolve: bounds the memory of one PT stack
+# labelings per batched eigensolve or verdict tally: bounds the memory of
+# one PT or index stack
 _EIG_BLOCK = 4096
 
 
@@ -74,13 +74,6 @@ class BipartiteLabeling:
     def flat(self, v: int) -> int:
         s, t = self.cells[v]
         return s * self.q + t
-
-    def vertex_order(self) -> list[int]:
-        """vertex_order()[c] is the vertex sitting at flat cell c."""
-        pos = [0] * self.n
-        for v in range(self.n):
-            pos[self.flat(v)] = v
-        return pos
 
     def is_default(self) -> bool:
         return all(self.flat(v) == v for v in range(self.n))
@@ -163,6 +156,44 @@ def min_pt_eigenvalues(sigma: np.ndarray, assigns, p: int, q: int) -> np.ndarray
     return out
 
 
+def ppt_verdicts(edges, assigns, p: int, q: int, present=None) -> np.ndarray:
+    """Exact PPT verdicts of graph states by the degree criterion.
+
+    The PT moves each entangled edge, (s, t)-(s', t') with s != s' and
+    t != t', to (s, t')-(s', t), so it is L(G') + D(G) - D(G'): PSD when
+    every cell keeps its degree, NPT otherwise (Braunstein et al., PRA 73,
+    012320 (2006); Hildebrand, Mancini and Severini, MSCS 18 (2008)).  Each
+    entangled edge adds +1 at its two cells and -1 at the swapped ones.
+
+    edges is an (m, 2) array of vertex pairs, assigns[k, v] the flat cell of
+    vertex v under labeling k, and present[k] (optional) the edges instance
+    k has; one row of either is shared by all K instances.  Returns K
+    booleans, True where the state is PPT.
+    """
+    n = p * q
+    u, v = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+    assigns = np.asarray(assigns, dtype=np.intp).reshape(-1, n)
+    present = np.ones((1, len(u)), dtype=bool) if present is None else \
+        np.asarray(present, dtype=bool).reshape(-1, len(u))
+    total = max(len(assigns), len(present))
+    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    out = np.empty(total, dtype=bool)
+    for lo in range(0, total, _EIG_BLOCK):
+        k = min(_EIG_BLOCK, total - lo)
+        s, t = np.divmod(assigns[lo:lo + k] if len(assigns) > 1 else assigns, q)
+        mask = present[lo:lo + k] if len(present) > 1 else present
+        # any other edge's four terms cancel, so only entangled ones are tallied
+        i, e = np.nonzero((s[:, u] != s[:, v]) & (t[:, u] != t[:, v]) & mask)
+        j = i if len(s) > 1 else 0  # the labeling of each entangled edge
+        su, sv, tu, tv = s[j, u[e]], s[j, v[e]], t[j, u[e]], t[j, v[e]]
+        cells = np.stack([su * q + tu, sv * q + tv, su * q + tv, sv * q + tu], axis=1)
+        cells += n * i[:, None]
+        tally = np.bincount(cells.ravel(), np.broadcast_to(sign, cells.shape).ravel(),
+                            minlength=k * n)
+        out[lo:lo + k] = ~tally.reshape(k, n).any(axis=1)
+    return out
+
+
 def _min_eig_for_assignment(sigma: np.ndarray, assign, p: int, q: int) -> float:
     """min_pt_eigenvalues for one labeling."""
     return float(min_pt_eigenvalues(sigma, [assign], p, q)[0])
@@ -186,14 +217,9 @@ def min_pt_eigenvalue(rho: DensityMatrix, lab: BipartiteLabeling) -> float:
                                    [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)
 
 
-def _ppt_status(p: int, q: int) -> str:
+def ppt_status(p: int, q: int) -> str:
     """Verdict of a positive partial transpose at dimensions p x q."""
     return SEPARABLE if (p, q) in _PPT_EXACT_DIMS else PPT_INCONCLUSIVE
-
-
-def verdict_status(low: float, p: int, q: int, tol: float = NPT_TOL) -> str:
-    """Status of a labeling whose smallest PT eigenvalue is `low`."""
-    return ENTANGLED_NPT if low < -tol else _ppt_status(p, q)
 
 
 def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling, tol: float = NPT_TOL) -> SeparabilityVerdict:
@@ -201,7 +227,8 @@ def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling, tol: float = NPT_TOL) -
     while a positive partial transpose certifies separability only at
     2x2 and 2x3."""
     low = min_pt_eigenvalue(rho, lab)
-    return SeparabilityVerdict(verdict_status(low, lab.p, lab.q, tol), low, (lab.p, lab.q))
+    status = ENTANGLED_NPT if low < -tol else ppt_status(lab.p, lab.q)
+    return SeparabilityVerdict(status, low, (lab.p, lab.q))
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +428,17 @@ def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
             vec /= math.sqrt(2)
         return vec
 
+    row_pairs = list(itertools.combinations(range(p), 2))
+    col_pairs = list(itertools.combinations(range(q), 2))
     # separable edges: same row (column pair) or same column (row pair)
-    for s in range(p):
-        for t in range(q):
-            for t2 in range(t + 1, q):
-                states.append(ProductState(basis(p, s), basis(q, t, -1.0, t2), w))
-    for t in range(q):
-        for s in range(p):
-            for s2 in range(s + 1, p):
-                states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t), w))
+    for s, (t, t2) in itertools.product(range(p), col_pairs):
+        states.append(ProductState(basis(p, s), basis(q, t, -1.0, t2), w))
+    for t, (s, s2) in itertools.product(range(q), row_pairs):
+        states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t), w))
     # entangled edges, handled as criss-crossing pairs
-    for s in range(p):
-        for s2 in range(s + 1, p):
-            for t in range(q):
-                for t2 in range(t + 1, q):
-                    states.append(ProductState(basis(p, s, 1.0, s2), basis(q, t, -1.0, t2), w))
-                    states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t, 1.0, t2), w))
+    for (s, s2), (t, t2) in itertools.product(row_pairs, col_pairs):
+        states.append(ProductState(basis(p, s, 1.0, s2), basis(q, t, -1.0, t2), w))
+        states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t, 1.0, t2), w))
     rho = density_of_graph(complete_graph(n))
     if not verify_separable_decomposition(rho, states, RECONSTRUCTION_TOL):
         raise SeparabilityError("complete-graph decomposition failed to reconstruct")
@@ -528,6 +550,7 @@ class LabelingCensus:
     counts: dict
     witnesses: dict  # status -> flat cell assignment tuple
     seed: int | None = None
+    float_disagreements: int = 0  # witnesses the eigenvalues at tol call otherwise
 
 
 def coset_representatives(p: int, q: int):
@@ -561,34 +584,20 @@ def coset_representatives(p: int, q: int):
     yield from extend(0, 0, 0)
 
 
-def _tally(lows: np.ndarray, assigns: np.ndarray, p: int, q: int, tol: float,
-           weight: int = 1):
-    """Status counts, each labeling standing for `weight` of them, and the
-    first labeling of each status as its witness."""
-    counts = {SEPARABLE: 0, ENTANGLED_NPT: 0, PPT_INCONCLUSIVE: 0}
-    witnesses = {}
-    npt = lows < -tol
-    for status, mask in ((ENTANGLED_NPT, npt), (_ppt_status(p, q), ~npt)):
-        hits = np.flatnonzero(mask)
-        counts[status] += weight * len(hits)
-        if len(hits):
-            witnesses[status] = tuple(int(a) for a in assigns[hits[0]])
-    return counts, witnesses
-
-
 def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
                     sample: int | None = None, seed: int | None = None,
                     workers: int = 1) -> LabelingCensus:
     """Census of PPT verdicts over vertex labelings of g.
 
-    Exhaustive mode (n <= 8) evaluates one representative per coset of the
-    row and column relabelings S_p x S_q, which leave the PT spectrum
-    unchanged, and weights it by p!q!; counts refer to all n! labelings,
-    and each witness is the lexicographically first labeling of its status.
-    For larger graphs pass `sample` to draw that many uniform labelings
-    from default_rng(seed).  The draws happen in this process; `workers`
-    (clamped to the CPU count) only splits the eigensolves into contiguous
-    blocks, so the result does not depend on it.
+    Every verdict is exact, from `ppt_verdicts`.  Exhaustive mode (n <= 8)
+    evaluates one representative per coset of the row and column
+    relabelings S_p x S_q, which leave the PT spectrum unchanged, and
+    weights it by p!q!; counts refer to all n! labelings, and each witness
+    is the lexicographically first labeling of its status.  For larger
+    graphs pass `sample` to draw that many uniform labelings from
+    default_rng(seed).  `tol` only governs the float cross-check:
+    `float_disagreements` counts the witnesses whose smallest PT
+    eigenvalue says otherwise.  `workers` must be at least 1; it is unused.
     """
     n = g.n
     if p * q != n:
@@ -601,28 +610,28 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         raise SeparabilityError("exhaustive search needs n <= 8; pass a sample budget")
     if sample is not None and sample < 1:
         raise SeparabilityError("sample budget must be positive")
-    sigma = density_of_graph(g).mat.to_complex().real
+    sigma = density_of_graph(g).mat.to_complex().real  # rejects an edgeless graph
 
     if sample is None:
-        reps = np.array(list(coset_representatives(p, q)))
-        lows = min_pt_eigenvalues(sigma, reps, p, q)
-        counts, witnesses = _tally(lows, reps, p, q, tol,
-                                   math.factorial(p) * math.factorial(q))
-        return LabelingCensus(p, q, "exhaustive", math.factorial(n), counts, witnesses)
-
-    if seed is None:
-        seed = DEFAULT_SEARCH_SEED
-    rng = np.random.default_rng(seed)
-    assigns = np.empty((sample, n), dtype=np.int8)
-    for row in assigns:
-        row[:] = rng.permutation(n)
-    procs = min(workers, os.cpu_count() or 1)
-    if procs == 1:
-        lows = min_pt_eigenvalues(sigma, assigns, p, q)
+        assigns = np.array(list(coset_representatives(p, q)))
+        weight = math.factorial(p) * math.factorial(q)
+        mode, total = "exhaustive", math.factorial(n)
     else:
-        blocks = np.array_split(assigns, procs)
-        with multiprocessing.get_context("spawn").Pool(procs) as pool:
-            lows = np.concatenate(pool.starmap(
-                min_pt_eigenvalues, [(sigma, block, p, q) for block in blocks]))
-    counts, witnesses = _tally(lows, assigns, p, q, tol)
-    return LabelingCensus(p, q, "sampled", sample, counts, witnesses, seed=seed)
+        if seed is None:
+            seed = DEFAULT_SEARCH_SEED
+        # row k is the k-th rng.permutation(n) draw of the same generator
+        assigns = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (sample, 1)), axis=1)
+        weight, mode, total = 1, "sampled", sample
+    ppt = ppt_verdicts(g.edges, assigns, p, q)
+    counts = {SEPARABLE: 0, ENTANGLED_NPT: 0, PPT_INCONCLUSIVE: 0}
+    witnesses = {}  # the first labeling of each status
+    for status, mask in ((ENTANGLED_NPT, ~ppt), (ppt_status(p, q), ppt)):
+        hits = np.flatnonzero(mask)
+        counts[status] = weight * len(hits)
+        if len(hits):
+            witnesses[status] = tuple(int(a) for a in assigns[hits[0]])
+    lows = min_pt_eigenvalues(sigma, list(witnesses.values()), p, q)
+    off = sum(bool(low < -tol) != (status == ENTANGLED_NPT)
+              for status, low in zip(witnesses, lows))
+    return LabelingCensus(p, q, mode, total, counts, witnesses,
+                          seed=None if sample is None else seed, float_disagreements=off)

@@ -1,8 +1,11 @@
 """End-to-end tests of the command line interface via its main() entry."""
 
+import hashlib
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 import graphdm.cli as cli
@@ -319,3 +322,119 @@ def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts: output pinned, --tol only cross-checks
+
+
+def run_text(capsys, argv):
+    rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 0, out.err
+    return out.out, out.err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["probe", "--p", "2", "--q", "2"], "d61266bdd670fc11"),
+    (["probe", "--p", "2", "--q", "3"], "b07847ce9717866b"),
+    (["probe", "--p", "2", "--q", "4"], "748dff10af907928"),
+    (["census4"], "824c9aeb2406c0cc"),
+])
+def test_census_json_is_pinned(capsys, argv, digest):
+    # sha256 of the output of the eigenvalue verdicts these replaced
+    out, err = run_text(capsys, argv + ["--json"])
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    assert err == ""
+
+
+# sampled at seed 3, the eigenvalue test at --tol 1e-3 used to call 13 of
+# these 200 labelings PPT that the default tolerance calls NPT
+DENSE10_TEXT = "n 10\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in [
+    (0, 1), (0, 3), (0, 4), (0, 5), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5),
+    (1, 6), (1, 8), (1, 9), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+    (2, 9), (3, 5), (3, 6), (3, 8), (4, 5), (4, 6), (4, 8), (4, 9), (5, 7),
+    (5, 8), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)])
+
+
+def test_search_verdicts_do_not_read_tol(capsys, graph_file):
+    path = graph_file("dense10.graph", DENSE10_TEXT)
+    argv = ["search", path, "--p", "2", "--q", "5", "--budget", "200", "--seed", "3",
+            "--json"]
+    default, err = run_text(capsys, argv)
+    assert err == ""
+    assert json.loads(default)["counts"] == {
+        "ENTANGLED_NPT": 199, "PPT_INCONCLUSIVE": 1, "SEPARABLE": 0}
+    loose, _ = run_text(capsys, argv + ["--tol", "1e-3"])
+    assert loose == default
+
+
+def test_float_cross_check_warns_on_disagreement(capsys, graph_file):
+    # P4's NPT witness has smallest PT eigenvalue (1 - sqrt 2)/6 = -0.069
+    path = graph_file("p4.graph", P4_TEXT)
+    argv = ["search", path, "--p", "2", "--q", "2", "--json"]
+    default, _ = run_text(capsys, argv)
+    loose, err = run_text(capsys, argv + ["--tol", "0.1"])
+    assert loose == default
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    default, _ = run_text(capsys, ["census4", "--json"])
+    loose, err = run_text(capsys, ["census4", "--json", "--tol", "1"])
+    assert loose == default
+    assert err.startswith("warning: ") and err.count("\n") == 1
+
+
+def test_probe_reports_counterexample_eigenvalues(capsys, monkeypatch):
+    # no probed graph is PPT; call every instance PPT to reach the report
+    monkeypatch.setattr(cli, "ppt_verdicts", lambda *a: np.ones(len(a[4]), dtype=bool))
+    blob = json.loads(run_text(capsys, ["probe", "--p", "2", "--q", "2", "--json"])[0])
+    part = blob["single_entangled_edge"]
+    assert part["verdicts"] == {"SEPARABLE": 32}
+    assert len(part["counterexamples"]) == 10
+    for c in part["counterexamples"]:
+        edges = [(u - 1, v - 1) for u, v in c["edges"]]
+        sigma = cli.laplacian_states(4, [edges])
+        assert c["min_pt_eigenvalue"] == float(cli.min_pt_eigenvalues(sigma, [range(4)], 2, 2)[0])
+        assert c["min_pt_eigenvalue"] < -1e-9
+    # the two entangled pairs at 2x2 share no vertex: no concentrated part
+    assert blob["entangled_edges_at_one_vertex"]["instances"] == 0
+    assert main(["probe", "--p", "2", "--q", "2"]) == 0
+    out = capsys.readouterr()
+    assert out.out.count("counterexample edges:") == 10
+    assert out.err.startswith("warning: ") and " contradict 10 cross-checked " in out.err
+
+
+def test_probe_draws_match_scalar_draws():
+    n, q, budget, seed = 8, 4, 300, 17
+    pairs = list(itertools.combinations(range(n), 2))
+    cells = [divmod(v, q) for v in range(n)]
+    ent = [i for i, (u, v) in enumerate(pairs)
+           if cells[u][0] != cells[v][0] and cells[u][1] != cells[v][1]]
+    plain = [i for i in range(len(pairs)) if i not in ent]
+    # the per-instance draws of the scalar loop the vectorized one replaced
+    rng = np.random.default_rng(seed)
+    per_vertex = {v: [i for i in ent if v in pairs[i]] for v in range(n)}
+    want = []
+    for _ in range(budget):
+        extras = [plain[i] for i in range(len(plain)) if rng.integers(0, 2)]
+        if rng.integers(0, 2):
+            pick = [ent[rng.integers(0, len(ent))]]
+        else:
+            options = per_vertex[int(rng.integers(0, n))]
+            if len(options) < 2:
+                pick = [ent[rng.integers(0, len(ent))]]
+            else:
+                k = int(rng.integers(2, len(options) + 1))
+                pick = rng.choice(options, size=k, replace=False).tolist()
+        want.append((len(pick) == 1, sorted(set(pick) | set(extras))))
+    present, single = cli._probe_sampled(pairs, ent, n, budget, seed)
+    assert [(bool(s), np.flatnonzero(row).tolist())
+            for s, row in zip(single, present)] == want
+
+
+def test_parser_is_built_once_and_dispatches_by_name(capsys, graph_file, monkeypatch):
+    assert cli._parser() is cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_entropy", calls.append)
+    path = graph_file("p4.graph", P4_TEXT)
+    assert main(["entropy", path]) == 0
+    assert [a.graph for a in calls] == [path]

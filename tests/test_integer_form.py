@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphdm.linalg as linalg
 from graphdm import (
     BipartiteLabeling,
     DensityMatrix,
@@ -23,6 +24,7 @@ from graphdm import (
     exact_projector,
     kron,
     partial_transpose,
+    psd_sqrt,
     purity,
 )
 
@@ -100,17 +102,21 @@ def common_parts(rows) -> tuple[list, int]:
     return [[int(F(x) * den) for x in row] for row in rows], den
 
 
+def refused(pre: int, ref: np.ndarray) -> bool:
+    """The documented refusal: the bound on the unreduced int64 result passes
+    2**62, or the reduced result's numerators or denominator pass 2**53."""
+    r_num, r_den = common_parts(ref.tolist())
+    top = max(abs(x) for r in r_num for x in r)
+    return pre > 2 ** 62 or max(top, r_den) > 2 ** 53
+
+
 def conjugation_refused(a: np.ndarray, m: np.ndarray, ref: np.ndarray) -> bool:
-    """The documented refusal: max|N| * (largest absolute row sum of M)^2, both
-    over their common denominators, passes 2**62, or the reduced result
-    passes 2**53."""
+    """max|N| * (largest absolute row sum of M)^2, both over their common
+    denominators, bounds the unreduced result."""
     n_num, _ = common_parts(a.tolist())
     m_num, _ = common_parts(m.tolist())
     row = max(sum(abs(x) for x in r) for r in m_num)
-    r_num, r_den = common_parts(ref.tolist())
-    top = max(abs(x) for r in r_num for x in r)
-    pre = max(abs(x) for r in n_num for x in r) * row * row
-    return pre > 2 ** 62 or max(top, r_den) > 2 ** 53
+    return refused(max(abs(x) for r in n_num for x in r) * row * row, ref)
 
 
 def assert_conjugation(a: np.ndarray, m: np.ndarray) -> None:
@@ -216,3 +222,80 @@ def test_entries_past_the_bound_raise():
         with pytest.raises(LinalgError):
             op()
     assert (a + a).entry(0, 0) == 2 ** 41
+
+
+def test_bounds_apply_after_reduction():
+    # each unreduced result passes 2**53, each reduced one does not
+    scaled = HermitianMatrix([[F(1, 2 ** 52)]]).scale(2 ** 60)
+    assert scaled.den == 1 and scaled.entry(0, 0) == 256
+    big = HermitianMatrix(np.array([[2 ** 53]]))
+    assert (big + HermitianMatrix(np.array([[2 - 2 ** 53]]))).entry(0, 0) == 2
+    assert (big - HermitianMatrix(np.array([[2 ** 53 - 2]]))).entry(0, 0) == 2
+    kr = kron(HermitianMatrix([[F(2 ** 40, 3 ** 5)]]), HermitianMatrix([[3 ** 5 * 2 ** 10]]))
+    assert kr.den == 1 and kr.entry(0, 0) == 2 ** 50
+    proj = exact_projector([2 ** 27, 2 ** 27])
+    assert_matches(proj, fraction_array([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]))
+
+
+wide = st.one_of(st.integers(-60, 60), st.integers(-2 ** 53, 2 ** 53),
+                 st.sampled_from([2 ** k for k in range(24, 54)]))
+
+
+@st.composite
+def wide_matrix(draw, n):
+    """A symmetric exact matrix with numerators and denominator up to 2**53."""
+    num = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            num[i, j] = num[j, i] = draw(wide)
+    den = draw(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53)))
+    return HermitianMatrix(num, den=den)
+
+
+def reference(h: HermitianMatrix) -> np.ndarray:
+    return fraction_array(h.data.tolist())
+
+
+def max_num(h: HermitianMatrix) -> int:
+    return int(np.abs(h.num).max())
+
+
+def assert_op(pre: int, ref: np.ndarray, op) -> None:
+    if refused(pre, ref):
+        with pytest.raises(LinalgError):
+            op()
+    else:
+        assert_matches(op(), ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_refusals_follow_the_documented_rule(data, n):
+    a, b = data.draw(wide_matrix(n)), data.draw(wide_matrix(n))
+    ra, rb = reference(a), reference(b)
+    den = math.lcm(a.den, b.den)
+    pre = max_num(a) * (den // a.den) + max_num(b) * (den // b.den)
+    assert_op(pre, ra + rb, lambda: a + b)
+    assert_op(pre, ra - rb, lambda: a - b)
+    s = F(data.draw(wide), data.draw(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53))))
+    assert_op(max(max_num(a), 1) * abs(s.numerator), ra * s, lambda: a.scale(s))
+    c = data.draw(wide_matrix(data.draw(st.integers(1, 2))))
+    assert_op(max_num(a) * max_num(c), np.kron(ra, reference(c)), lambda: kron(a, c))
+    vec = data.draw(st.lists(st.builds(F, wide, st.integers(1, 2 ** 20)),
+                             min_size=1, max_size=4).filter(any))
+    v = fraction_array([vec])[0]
+    v_num, _ = common_parts([vec])
+    assert_op(max(abs(x) for x in v_num[0]) ** 2 * len(vec),
+              np.outer(v, v) / sum(x * x for x in v), lambda: exact_projector(vec))
+
+
+def test_psd_sqrt_squares_back_without_grouping(monkeypatch):
+    def no_grouping(*args):
+        raise AssertionError("psd_sqrt grouped eigenvalues")
+
+    monkeypatch.setattr(linalg, "_group", no_grouping)
+    h = HermitianMatrix(np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), den=6)
+    root = psd_sqrt(h).to_complex()
+    assert np.abs(root @ root - h.to_complex()).max() < 1e-14
+    with pytest.raises(LinalgError):
+        psd_sqrt(HermitianMatrix(np.array([[1, 2], [2, 1]])))

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphdm.separability as separability
-
 from graphdm import (
     ENTANGLED_NPT,
     PPT_INCONCLUSIVE,
@@ -38,6 +36,7 @@ from graphdm import (
     pe_matching_separability,
     petersen_graph,
     ppt_test,
+    ppt_verdicts,
     star_graph,
     star_projection_witness,
     tally_mark_decomposition,
@@ -258,49 +257,10 @@ def test_labeling_search_sampled_is_deterministic():
     assert a.mode == "sampled" and a.total == 300 and a.seed == 123
     c = labeling_search(g, 2, 5, sample=300, seed=124)
     assert c.total == 300  # different seed still yields a full tally
-    # the draws do not depend on the worker count; workers only split the
-    # eigensolves
+    # the worker count is accepted but changes nothing
     par = labeling_search(g, 2, 5, sample=300, seed=123, workers=2)
     assert par.counts == a.counts and par.witnesses == a.witnesses
     assert sum(par.counts.values()) == 300
-
-
-class _SerialContext:
-    """Stands in for a multiprocessing context: records the pool size and
-    runs the work in this process."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def Pool(self, procs):
-        self.sizes.append(procs)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, jobs):
-        return [fn(*job) for job in jobs]
-
-
-def test_labeling_search_workers_clamped_to_cpu_count(monkeypatch):
-    g = petersen_graph()
-    ref = labeling_search(g, 2, 5, sample=50, seed=7)
-    fake = _SerialContext()
-    monkeypatch.setattr(separability.multiprocessing, "get_context", lambda method: fake)
-    monkeypatch.setattr(separability.os, "cpu_count", lambda: 3)
-    got = labeling_search(g, 2, 5, sample=50, seed=7, workers=64)
-    assert fake.sizes == [3]
-    assert got.counts == ref.counts and got.witnesses == ref.witnesses
-    monkeypatch.setattr(separability.os, "cpu_count", lambda: 1)
-    labeling_search(g, 2, 5, sample=50, seed=7, workers=64)
-    assert fake.sizes == [3]  # one CPU: no pool at all
-    for bad in (0, -1):
-        with pytest.raises(SeparabilityError):
-            labeling_search(g, 2, 5, sample=50, seed=7, workers=bad)
 
 
 def test_labeling_search_validates_dimensions():
@@ -308,6 +268,11 @@ def test_labeling_search_validates_dimensions():
         labeling_search(path_graph(4), 2, 3)
     with pytest.raises(SeparabilityError):
         labeling_search(complete_graph(16), 4, 4)  # n > 12 guard
+    for bad in (0, -1):
+        with pytest.raises(SeparabilityError):
+            labeling_search(petersen_graph(), 2, 5, sample=50, seed=7, workers=bad)
+    with pytest.raises(DensityError):  # an edgeless graph has no state
+        labeling_search(build_graph(4, []), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +384,86 @@ def test_laplacian_states_equal_exact_states():
         assert np.array_equal(layer, density_of_graph(g).to_complex().real)
     with pytest.raises(DensityError):  # the second graph has no edge
         laplacian_states(4, [[(0, 1)], []])
+
+
+# ---------------------------------------------------------------------------
+# the exact degree-criterion kernel against the PT eigenvalues
+
+
+@settings(max_examples=120, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (3, 4)]),
+       density=st.floats(0.1, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+def test_ppt_verdicts_match_pt_eigenvalues(dims, density, seed):
+    p, q = dims
+    n = p * q
+    rng = np.random.default_rng(seed)
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    present = rng.random((8, len(pairs))) < density
+    present[np.arange(8), rng.integers(len(pairs), size=8)] = True
+    assigns = np.array([rng.permutation(n) for _ in range(8)])
+    sigma = laplacian_states(n, [[tuple(e) for e in pairs[row]] for row in present])
+
+    def agree(ppt, lows):
+        # a PPT state's PT is a Laplacian, smallest eigenvalue exactly 0
+        return np.all(np.where(ppt, np.abs(lows) < 1e-12, lows < -1e-9))
+
+    # instance k: graph k under labeling k
+    assert agree(ppt_verdicts(pairs, assigns, p, q, present),
+                 min_pt_eigenvalues(sigma, assigns, p, q))
+    # one graph, as an edge list, under every labeling
+    assert agree(ppt_verdicts(pairs[present[0]], assigns, p, q),
+                 min_pt_eigenvalues(sigma[0], assigns, p, q))
+    # every graph under one labeling
+    assert agree(ppt_verdicts(pairs, assigns[0], p, q, present),
+                 min_pt_eigenvalues(sigma, np.broadcast_to(assigns[0], (8, n)), p, q))
+
+
+def test_ppt_verdicts_on_known_states():
+    rng = np.random.default_rng(3)
+    for p, q in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
+        n = p * q
+        assigns = np.array([rng.permutation(n) for _ in range(50)])
+        # complete graphs are separable under every labeling
+        assert ppt_verdicts(complete_graph(n).edges, assigns, p, q).all()
+        # a lone edge is entangled exactly when it crosses rows and columns
+        lone = ppt_verdicts([(0, 1)], assigns, p, q)
+        s, t = np.divmod(assigns[:, :2], q)
+        assert np.array_equal(lone, (s[:, 0] == s[:, 1]) | (t[:, 0] == t[:, 1]))
+    # the criss-cross pair is PPT, its single edges NPT, in blocks past the
+    # block size
+    crossing = ppt_verdicts([(0, 3), (1, 2)], np.tile(np.arange(4), (5000, 1)), 2, 2)
+    assert crossing.shape == (5000,) and crossing.all()
+    assert not ppt_verdicts([(0, 3)], np.arange(4), 2, 2).any()
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 10, 12])
+def test_vectorized_draws_keep_the_stream(n):
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    rows = a.permuted(np.tile(np.arange(n), (64, 1)), axis=1)
+    assert np.array_equal(rows, [b.permutation(n) for _ in range(64)])
+    bits = a.integers(0, 2, size=3 * n)
+    assert bits.tolist() == [int(b.integers(0, 2)) for _ in range(3 * n)]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_sampled_search_matches_per_row_draws_and_eigenvalues():
+    g = petersen_graph()
+    census = labeling_search(g, 2, 5, sample=400, seed=11)
+    rng = np.random.default_rng(11)
+    assigns = np.array([rng.permutation(10) for _ in range(400)])
+    npt = min_pt_eigenvalues(density_of_graph(g).to_complex().real, assigns, 2, 5) < -1e-9
+    assert npt.any() and not npt.all()
+    assert census.counts == {SEPARABLE: 0, ENTANGLED_NPT: int(npt.sum()),
+                             PPT_INCONCLUSIVE: int((~npt).sum())}
+    assert census.witnesses == {ENTANGLED_NPT: tuple(assigns[np.argmax(npt)]),
+                                PPT_INCONCLUSIVE: tuple(assigns[np.argmin(npt)])}
+    assert census.float_disagreements == 0
+
+
+def test_tol_only_governs_the_cross_check():
+    g = path_graph(4)
+    exact = labeling_search(g, 2, 2)
+    # the NPT witness has smallest PT eigenvalue (1 - sqrt 2)/6 = -0.069
+    loose = labeling_search(g, 2, 2, tol=0.1)
+    assert (loose.counts, loose.witnesses) == (exact.counts, exact.witnesses)
+    assert exact.float_disagreements == 0 and loose.float_disagreements == 1
