@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,13 +30,7 @@ from .graphs import (
     tensor_product,
 )
 from .linalg import HermitianMatrix, exact_projector, kron
-from .separability import (
-    NPT_TOL,
-    BipartiteLabeling,
-    min_pt_eigenvalues,
-    pe_matching_separability,
-    ppt_test,
-)
+from .separability import BipartiteLabeling, pe_matching_separability, ppt_test, ppt_verdicts
 
 CHANNEL_TOL = 1e-10
 
@@ -242,21 +235,17 @@ def measurement_probabilities(g: Graph, pair) -> list[MeasurementOutcome]:
     i, j = _normalize_edge(g, pair)
     m, deg = g.m, g.degrees()
     joined = 2 if g.has_edge(i, j) else 0
-
-    def unit(k):
-        return tuple(int(x == k) for x in range(g.n))
-
-    plus = tuple(a + b for a, b in zip(unit(i), unit(j)))
-    minus = tuple(a - b for a, b in zip(unit(i), unit(j)))
+    unit = np.eye(g.n, dtype=int)
+    # numerators over 4m
     tallies = [
-        (f"plus({i + 1}-{j + 1})", Fraction(deg[i] + deg[j] - joined, 4 * m), plus),
-        (f"minus({i + 1}-{j + 1})", Fraction(deg[i] + deg[j] + joined, 4 * m), minus),
-    ] + [(f"vertex({k + 1})", Fraction(deg[k], 2 * m), unit(k))
-         for k in range(g.n) if k not in (i, j)]
-    total = sum(p for _, p, _ in tallies)
-    if total != 1:
-        raise ChannelError(f"outcome probabilities sum to {total}, not 1")
-    return [MeasurementOutcome(name, float(p), vec) for name, p, vec in tallies]
+        (f"plus({i + 1}-{j + 1})", deg[i] + deg[j] - joined, unit[i] + unit[j]),
+        (f"minus({i + 1}-{j + 1})", deg[i] + deg[j] + joined, unit[i] - unit[j]),
+    ] + [(f"vertex({k + 1})", 2 * deg[k], unit[k]) for k in range(g.n) if k not in (i, j)]
+    total = sum(num for _, num, _ in tallies)
+    if total != 4 * m:
+        raise ChannelError(f"outcome probabilities sum to {total}/{4 * m}, not 1")
+    return [MeasurementOutcome(name, num / (4 * m), tuple(vec.tolist()))
+            for name, num, vec in tallies]
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +362,8 @@ def locc_principle_examples() -> LoccReport:
     diamond = delete_edge(k4, 0, 3)
     diamond_verdict = ppt_test(density_of_graph(diamond), lab)
     cycle = delete_edge(diamond, 1, 2)
-    sigma_c = density_of_graph(cycle).mat.to_complex().real
-    cycle_sep = bool((min_pt_eigenvalues(
-        sigma_c, list(itertools.permutations(range(4))), 2, 2) >= -NPT_TOL).all())
+    cycle_sep = bool(ppt_verdicts(cycle.edges, list(itertools.permutations(range(4))),
+                                  2, 2).all())
 
     narrative = (
         "Deleting one edge of the separable two-edge crossing state leaves a "

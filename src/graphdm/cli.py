@@ -190,7 +190,9 @@ def cmd_analyze(args) -> None:
            else BipartiteLabeling.default(p, q))
     rho = density_of_graph(g)
     ent = von_neumann_entropy(rho)
-    verdict = ppt_test(rho, lab, tol=args.tol)
+    verdict = ppt_test(rho, lab)
+    _warn_disagreements(int((verdict.min_pt_eigenvalue < -args.tol)
+                            != (verdict.status == ENTANGLED_NPT)), args.tol)
     pt = partial_transpose(rho, lab)
     pt_spectrum = [float(v) for v in eigensystem(pt).eigenvalues]
     edges_cross = entangled_edges(g, lab)
@@ -426,8 +428,9 @@ def cmd_channel(args) -> None:
 def cmd_search(args) -> None:
     g = _load_graph(args.graph)
     p, q = _require_dims(args, g.n)
-    census = labeling_search(g, p, q, tol=args.tol, sample=args.budget,
-                             seed=args.seed, workers=args.workers)
+    if args.workers < 1:
+        raise SeparabilityError(f"workers must be at least 1, got {args.workers}")
+    census = labeling_search(g, p, q, tol=args.tol, sample=args.budget, seed=args.seed)
     _warn_disagreements(census.float_disagreements, args.tol)
     payload = {
         "p": p,
@@ -615,9 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="columns of the bipartition (second factor)")
         if tol:
             sp.add_argument("--tol", type=float, default=NPT_TOL,
-                            help="negativity tolerance for the PT eigenvalue "
-                                 "(search, probe and census4: float cross-check "
-                                 "of their exact verdicts only)")
+                            help="negativity tolerance of the float PT-eigenvalue "
+                                 "cross-check; every verdict is exact")
         sp.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
 

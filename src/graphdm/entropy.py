@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .density import DensityMatrix
-from .graphs import Graph
+from .graphs import Graph, adjacency_matrix
 from .linalg import HermitianMatrix, SpectrumResult, eigensystem
 
 ZERO_EIGENVALUE_CUTOFF = 1e-12
@@ -81,10 +79,7 @@ def regular_graph_entropy(g: Graph, d: int | None = None) -> float:
         raise EntropyError("regular graph of degree 0 has no state")
     if any(g.loops):
         raise EntropyError("closed form assumes a loop-free graph")
-    adj = np.zeros((g.n, g.n))
-    for (u, v) in g.edges:
-        adj[u, v] = adj[v, u] = 1.0
-    spec = eigensystem(HermitianMatrix(adj, exact=False))
+    spec = eigensystem(HermitianMatrix(adjacency_matrix(g), exact=False))
     dn = d * g.n
     total = 0.0
     for (mu, mult) in spec.multiplicities:

@@ -222,13 +222,19 @@ def ppt_status(p: int, q: int) -> str:
     return SEPARABLE if (p, q) in _PPT_EXACT_DIMS else PPT_INCONCLUSIVE
 
 
-def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling, tol: float = NPT_TOL) -> SeparabilityVerdict:
-    """Peres-Horodecki test: NPT certifies entanglement at any dimension,
-    while a positive partial transpose certifies separability only at
-    2x2 and 2x3."""
-    low = min_pt_eigenvalue(rho, lab)
-    status = ENTANGLED_NPT if low < -tol else ppt_status(lab.p, lab.q)
-    return SeparabilityVerdict(status, low, (lab.p, lab.q))
+def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling) -> SeparabilityVerdict:
+    """Peres-Horodecki test of a graph state, decided by `ppt_verdicts`: NPT
+    certifies entanglement at any dimension, while a positive partial
+    transpose certifies separability only at 2x2 and 2x3.  The verdict also
+    reports the smallest PT eigenvalue."""
+    g = rho.origin
+    if g is None or rho.normalization != 2 * g.m:
+        raise SeparabilityError("the PPT test decides graph states L(G)/2m only")
+    if rho.dim != lab.n:
+        raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
+    ppt = ppt_verdicts(g.edges, [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)[0]
+    status = ppt_status(lab.p, lab.q) if ppt else ENTANGLED_NPT
+    return SeparabilityVerdict(status, min_pt_eigenvalue(rho, lab), (lab.p, lab.q))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +591,7 @@ def coset_representatives(p: int, q: int):
 
 
 def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
-                    sample: int | None = None, seed: int | None = None,
-                    workers: int = 1) -> LabelingCensus:
+                    sample: int | None = None, seed: int | None = None) -> LabelingCensus:
     """Census of PPT verdicts over vertex labelings of g.
 
     Every verdict is exact, from `ppt_verdicts`.  Exhaustive mode (n <= 8)
@@ -597,15 +602,13 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
     graphs pass `sample` to draw that many uniform labelings from
     default_rng(seed).  `tol` only governs the float cross-check:
     `float_disagreements` counts the witnesses whose smallest PT
-    eigenvalue says otherwise.  `workers` must be at least 1; it is unused.
+    eigenvalue says otherwise.
     """
     n = g.n
     if p * q != n:
         raise SeparabilityError("n must equal p*q")
     if n > 12:
         raise SeparabilityError("labeling search is limited to n <= 12")
-    if workers < 1:
-        raise SeparabilityError(f"workers must be at least 1, got {workers}")
     if sample is None and n > 8:
         raise SeparabilityError("exhaustive search needs n <= 8; pass a sample budget")
     if sample is not None and sample < 1:

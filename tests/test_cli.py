@@ -335,14 +335,32 @@ def run_text(capsys, argv):
     return out.out, out.err
 
 
+# P4 with its middle edge 2-3 entangled
+INTERLEAVED = "1=0.0,2=1.0,3=0.1,4=1.1"
+PINNED_FILES = {
+    "p4.graph": P4_TEXT,
+    "k6.graph": "n 6\n" + "".join(
+        f"e {u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)),
+    "cross8.graph": "n 8\ne 1 6\ne 2 5\ne 3 8\ne 4 7\n",  # two criss-crosses at 2x4
+    "c5.graph": "n 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
+    "edits.txt": "del-edge 1 2\nadd-edge 1 3\ndel-vertex 5\nadd-vertex\n",
+}
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["probe", "--p", "2", "--q", "2"], "d61266bdd670fc11"),
     (["probe", "--p", "2", "--q", "3"], "b07847ce9717866b"),
     (["probe", "--p", "2", "--q", "4"], "748dff10af907928"),
     (["census4"], "824c9aeb2406c0cc"),
+    (["analyze", "p4.graph", "--p", "2", "--q", "2", "--labeling", INTERLEAVED],
+     "eef4258d1e439c0a"),
+    (["analyze", "k6.graph", "--p", "2", "--q", "3"], "79a20eacf1beec7a"),
+    (["analyze", "cross8.graph", "--p", "2", "--q", "4"], "6d657eb4825ce122"),
+    (["channel", "c5.graph", "--script", "edits.txt"], "d2bef6bc6501ab26"),
 ])
-def test_census_json_is_pinned(capsys, argv, digest):
-    # sha256 of the output of the eigenvalue verdicts these replaced
+def test_census_json_is_pinned(capsys, graph_file, argv, digest):
+    # sha256 of each output before its verdicts and probabilities became exact
+    argv = [graph_file(a, PINNED_FILES[a]) if a in PINNED_FILES else a for a in argv]
     out, err = run_text(capsys, argv + ["--json"])
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
     assert err == ""
@@ -374,6 +392,12 @@ def test_float_cross_check_warns_on_disagreement(capsys, graph_file):
     path = graph_file("p4.graph", P4_TEXT)
     argv = ["search", path, "--p", "2", "--q", "2", "--json"]
     default, _ = run_text(capsys, argv)
+    loose, err = run_text(capsys, argv + ["--tol", "0.1"])
+    assert loose == default
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    argv = ["analyze", path, "--p", "2", "--q", "2", "--labeling", INTERLEAVED, "--json"]
+    default, err = run_text(capsys, argv)
+    assert err == "" and json.loads(default)["verdict"]["status"] == "ENTANGLED_NPT"
     loose, err = run_text(capsys, argv + ["--tol", "0.1"])
     assert loose == default
     assert err.startswith("warning: ") and err.count("\n") == 1

@@ -24,6 +24,7 @@ from graphdm import (
     coset_representatives,
     cycle_graph,
     density_of_graph,
+    density_with_loops,
     eigensystem,
     entangled_edges,
     labeling_search,
@@ -37,6 +38,7 @@ from graphdm import (
     petersen_graph,
     ppt_test,
     ppt_verdicts,
+    sigma_plus,
     star_graph,
     star_projection_witness,
     tally_mark_decomposition,
@@ -121,6 +123,15 @@ def test_ppt_test_statuses():
     big = ppt_test(density_of_graph(cycle_graph(12)), lab34)
     assert big.status in (ENTANGLED_NPT, PPT_INCONCLUSIVE)
     assert big.dims == (3, 4)
+
+
+def test_ppt_test_decides_graph_states_only():
+    looped = build_graph(4, [(0, 1), (2, 3)], loops=[1, 0, 0, 0])
+    for rho in (density_with_loops(looped), sigma_plus(path_graph(4))):
+        with pytest.raises(SeparabilityError):
+            ppt_test(rho, LAB22)
+    with pytest.raises(SeparabilityError):
+        ppt_test(density_of_graph(path_graph(4)), BipartiteLabeling.default(2, 3))
 
 
 def test_min_pt_eigenvalue_known_values():
@@ -257,10 +268,7 @@ def test_labeling_search_sampled_is_deterministic():
     assert a.mode == "sampled" and a.total == 300 and a.seed == 123
     c = labeling_search(g, 2, 5, sample=300, seed=124)
     assert c.total == 300  # different seed still yields a full tally
-    # the worker count is accepted but changes nothing
-    par = labeling_search(g, 2, 5, sample=300, seed=123, workers=2)
-    assert par.counts == a.counts and par.witnesses == a.witnesses
-    assert sum(par.counts.values()) == 300
+    assert sum(a.counts.values()) == 300
 
 
 def test_labeling_search_validates_dimensions():
@@ -268,9 +276,6 @@ def test_labeling_search_validates_dimensions():
         labeling_search(path_graph(4), 2, 3)
     with pytest.raises(SeparabilityError):
         labeling_search(complete_graph(16), 4, 4)  # n > 12 guard
-    for bad in (0, -1):
-        with pytest.raises(SeparabilityError):
-            labeling_search(petersen_graph(), 2, 5, sample=50, seed=7, workers=bad)
     with pytest.raises(DensityError):  # an edgeless graph has no state
         labeling_search(build_graph(4, []), 2, 2)
 
@@ -416,6 +421,12 @@ def test_ppt_verdicts_match_pt_eigenvalues(dims, density, seed):
     # every graph under one labeling
     assert agree(ppt_verdicts(pairs, assigns[0], p, q, present),
                  min_pt_eigenvalues(sigma, np.broadcast_to(assigns[0], (8, n)), p, q))
+    # ppt_test on the exact state of each instance
+    verdicts = [ppt_test(density_of_graph(build_graph(n, [tuple(e) for e in pairs[row]])),
+                         BipartiteLabeling.from_assignment(p, q, a))
+                for row, a in zip(present, assigns)]
+    assert agree(np.array([v.status != ENTANGLED_NPT for v in verdicts]),
+                 np.array([v.min_pt_eigenvalue for v in verdicts]))
 
 
 def test_ppt_verdicts_on_known_states():
