@@ -30,7 +30,7 @@ from .concurrence import (
     ConcurrenceError,
     census_to_csv_rows,
     census_to_json_dict,
-    concurrence,
+    concurrences,
     four_vertex_census,
 )
 from .density import DensityError, DensityMatrix, density_of_graph, laplacian_states, purity
@@ -46,7 +46,7 @@ from .graphs import (
     delete_vertex,
     parse_graph,
 )
-from .linalg import HermitianMatrix, LinalgError, eigensystem
+from .linalg import LinalgError, eigensystem
 from .separability import (
     ENTANGLED_NPT,
     NPT_TOL,
@@ -211,7 +211,7 @@ def cmd_analyze(args) -> None:
     if (p, q) == (2, 2):
         pos = np.argsort([lab.flat(v) for v in range(4)])  # vertex at each cell
         cell_mat = rho.mat.to_complex()[np.ix_(pos, pos)]
-        conc = concurrence(DensityMatrix(HermitianMatrix(cell_mat, exact=False))).value
+        conc = float(concurrences(cell_mat[None])[0][0])
 
     payload = {
         "graph": _graph_summary(g),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, density_of_graph
+from .density import TRACE_TOL, DensityError, DensityMatrix, laplacian_states
 from .graphs import automorphisms, nonisomorphic_graphs
-from .linalg import HermitianMatrix, psd_sqrt
+from .linalg import PSD_TOL, HermitianMatrix, LinalgError
 from .separability import NPT_TOL, min_pt_eigenvalues, ppt_verdicts
 
 
@@ -49,26 +49,84 @@ def spin_flip(rho: DensityMatrix) -> HermitianMatrix:
     return HermitianMatrix(flip @ rho.mat.to_complex().conj() @ flip, exact=False)
 
 
+def _check(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> None:
+    """Raise error for the first state flagged in bad, its value put in message."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise error(f"state {k} of the stack: " + message.format(values[k]))
+
+
+def _hermitian(data: np.ndarray) -> np.ndarray:
+    """HermitianMatrix(exact=False) per layer: checked, then symmetrized."""
+    adj = data.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(data).max(axis=(1, 2)))
+    asym = np.abs(data - adj).max(axis=(1, 2))
+    _check(asym > 1e-10 * scale, LinalgError, "matrix is not Hermitian", asym)
+    return (data + adj) / 2
+
+
+def _psd_sqrts(data: np.ndarray) -> np.ndarray:
+    """psd_sqrt per layer; a layer with no imaginary part is solved as real."""
+    real = np.abs(data.imag).max(axis=(1, 2)) < 1e-300
+    err, low = np.zeros(len(data)), np.zeros(len(data))
+    roots = np.empty_like(data)
+    for where, mats in ((np.flatnonzero(real), data.real), (np.flatnonzero(~real), data)):
+        if not len(where):
+            continue
+        mat = mats[where]
+        vals, vecs = np.linalg.eigh(mat)
+        adj = vecs.conj().swapaxes(1, 2)
+        err[where] = np.abs((vecs * vals[:, None, :]) @ adj - mat).max(axis=(1, 2))
+        low[where] = vals[:, 0]
+        roots[where] = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ adj
+    # eigensystem's reconstruction bound is 1e-10 * dim
+    _check(err > 1e-10 * 4, LinalgError,
+           "eigendecomposition failed to reconstruct (err={:g})", err)
+    _check(low < -1e-10, LinalgError, "matrix is not PSD (eigenvalue {:g})", low)
+    return _hermitian(roots)
+
+
+def concurrences(states) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence values and descending lambdas of a (K, 4, 4) stack of states.
+
+    Each layer gets the checks DensityMatrix(HermitianMatrix(layer,
+    exact=False)) makes (Hermitian within 1e-10 relative, then symmetrized;
+    unit trace; PSD) and the arithmetic of one concurrence: the lambdas are
+    the square roots of the eigenvalues of the symmetric matrix
+    sqrt(rho) rho~ sqrt(rho), which must be PSD up to 1e-8 roundoff, and the
+    value is max{0, l1 - l2 - l3 - l4}.  The stack goes through batched
+    eigensolvers, which solve each layer as a lone call would.  A failing
+    layer raises the error a lone state would, naming its index.
+    """
+    data = np.asarray(states, dtype=complex)
+    if data.ndim != 3 or data.shape[1:] != (4, 4):
+        raise ConcurrenceError("concurrence is defined on two-qubit states")
+    data = _hermitian(data)
+    tr = np.trace(data, axis1=1, axis2=2)
+    _check(np.abs(tr - 1) > TRACE_TOL, DensityError, "trace is {}, not 1", tr)
+    low = np.linalg.eigvalsh(data)[:, 0]
+    _check(low < -PSD_TOL, DensityError, "matrix is not PSD (eigenvalue {:g})", low)
+    flip = _SPIN_FLIP.astype(complex)
+    flipped = _hermitian(flip @ data.conj() @ flip)
+    root = _psd_sqrts(data)
+    sym = root @ flipped @ root
+    vals = np.linalg.eigvalsh((sym + sym.conj().swapaxes(1, 2)) / 2)
+    _check(vals[:, 0] < -1e-8, ConcurrenceError,
+           "spin-flip product has eigenvalue {:g}", vals[:, 0])
+    # floor roundoff before the square root: an eigenvalue that is exactly
+    # zero lands at +-1e-16 numerically and sqrt would inflate it to 1e-8
+    lams = np.sqrt(np.where(vals > 1e-13, vals, 0.0))[:, ::-1]
+    value = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
+    return np.where(value > 0.0, value, 0.0), lams
+
+
 def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     """max{0, l1 - l2 - l3 - l4} from the square-root eigenvalues of rho rho~.
 
-    The eigenvalues are computed on the similar symmetric matrix
-    sqrt(rho) rho~ sqrt(rho), which must be PSD up to 1e-8 roundoff.
+    The one-state case of `concurrences`.
     """
-    if rho.dim != 4:
-        raise ConcurrenceError("concurrence is defined on two-qubit states")
-    flipped = spin_flip(rho)
-    root = psd_sqrt(rho.mat).to_complex()
-    sym = root @ flipped.to_complex() @ root
-    vals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
-    if vals[0] < -1e-8:
-        raise ConcurrenceError(f"spin-flip product has eigenvalue {vals[0]:g}")
-    # floor roundoff before the square root: an eigenvalue that is exactly
-    # zero lands at +-1e-16 numerically and sqrt would inflate it to 1e-8
-    lams = tuple(sorted(
-        (math.sqrt(v) if v > 1e-13 else 0.0 for v in vals), reverse=True))
-    value = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
-    return ConcurrenceResult(value, lams)
+    values, lams = concurrences(rho.to_complex()[None])
+    return ConcurrenceResult(float(values[0]), tuple(lams[0].tolist()))
 
 
 def pure_state_concurrence(psi) -> float:
@@ -129,37 +187,31 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
     Verdicts are exact; `tol` only governs the eigenvalue cross-check.
     """
     reps = nonisomorphic_graphs(4)
+    graphs = [g for g in reps if g.m]
     assigns = np.array(list(itertools.permutations(range(4))))
     total = len(assigns)
-    rows = []
-    class_id = 0
-    off = 0
-    for g in reps:
-        if g.m == 0:
-            continue
-        class_id += 1
-        sigma = density_of_graph(g).mat.to_complex().real
-        aut_order = len(automorphisms(g))
-        npt = ~ppt_verdicts(g.edges, assigns, 2, 2)
-        off += int(((min_pt_eigenvalues(sigma, assigns, 2, 2) < -tol) != npt).sum())
-        entangled = int(npt.sum())
-        values = []
-        for assign in assigns[npt]:
-            pos = np.argsort(assign)  # vertex sitting at each cell
-            cell_state = DensityMatrix(
-                HermitianMatrix(sigma[np.ix_(pos, pos)], exact=False))
-            values.append(concurrence(cell_state).value)
-        rows.append(CensusRow(
-            class_id=class_id,
-            edges=tuple((u + 1, v + 1) for (u, v) in g.edges),
-            edge_count=g.m,
-            aut_order=aut_order,
-            labeling_count=total,
-            entangled_labelings=entangled,
-            always_entangled=entangled == total,
-            ever_entangled=entangled > 0,
-            concurrence_values=_distinct(values),
-        ))
+    sigmas = laplacian_states(4, [g.edges for g in graphs])
+    npt = ~np.array([ppt_verdicts(g.edges, assigns, 2, 2) for g in graphs])
+    lows = min_pt_eigenvalues(sigmas.repeat(total, axis=0), np.tile(assigns, (len(graphs), 1)),
+                              2, 2)
+    off = int(((lows.reshape(npt.shape) < -tol) != npt).sum())
+    # every NPT labeling's state in the cell basis, as one stack
+    cls, lab = np.nonzero(npt)
+    pos = np.argsort(assigns, axis=1)[lab]  # vertex sitting at each cell
+    values, _ = concurrences(sigmas[cls[:, None, None], pos[:, :, None], pos[:, None, :]])
+    counts = npt.sum(axis=1).tolist()
+    per_class = np.split(values, np.cumsum(counts)[:-1])
+    rows = [CensusRow(
+        class_id=class_id,
+        edges=tuple((u + 1, v + 1) for (u, v) in g.edges),
+        edge_count=g.m,
+        aut_order=len(automorphisms(g)),
+        labeling_count=total,
+        entangled_labelings=entangled,
+        always_entangled=entangled == total,
+        ever_entangled=entangled > 0,
+        concurrence_values=_distinct(vals.tolist()),
+    ) for class_id, (g, entangled, vals) in enumerate(zip(graphs, counts, per_class), 1)]
     always = sum(1 for r in rows if r.always_entangled)
     ever = sum(1 for r in rows if r.ever_entangled)
     note = (f"{len(reps)} isomorphism classes exist on 4 vertices including the "

@@ -559,35 +559,34 @@ class LabelingCensus:
     float_disagreements: int = 0  # witnesses the eigenvalues at tol call otherwise
 
 
-def coset_representatives(p: int, q: int):
-    """Yield one cell assignment per coset of S_p x S_q, in lexicographic order.
+def coset_representatives(p: int, q: int) -> np.ndarray:
+    """One cell assignment per coset of S_p x S_q, in lexicographic order.
 
     Relabeling the rows or the columns is a local permutation unitary, so
     it leaves the partial-transpose spectrum unchanged.  The group acts
     freely on the cells, so each of the n!/(p!q!) cosets holds p!q!
-    assignments.  The one yielded is its lexicographically smallest member:
-    the assignment whose rows, and whose columns, first appear in
-    increasing order along the vertices.
+    assignments.  The one returned is its lexicographically smallest
+    member: the assignment whose rows, and whose columns, first appear in
+    increasing order along the vertices.  Returns a read-only (K, n) int8
+    array, built one vertex at a time from every valid prefix.
     """
     n = p * q
-    assign = [0] * n
-    used = [False] * n
-
-    def extend(v: int, rows: int, cols: int):
-        if v == n:
-            yield tuple(assign)
-            return
-        for s in range(min(rows + 1, p)):
-            for t in range(min(cols + 1, q)):
-                cell = s * q + t
-                if used[cell]:
-                    continue
-                used[cell] = True
-                assign[v] = cell
-                yield from extend(v + 1, max(rows, s + 1), max(cols, t + 1))
-                used[cell] = False
-
-    yield from extend(0, 0, 0)
+    s, t = np.divmod(np.arange(n), q)
+    assigns = np.zeros((1, 0), dtype=np.int8)
+    used = np.zeros((1, n), dtype=bool)
+    rows = cols = np.zeros(1, dtype=np.intp)  # rows and columns opened so far
+    for _ in range(n):
+        # the next vertex takes a free cell opening at most one new row and
+        # column; nonzero walks prefix by prefix, cells ascending, so the
+        # rows stay in lexicographic order
+        parent, cell = np.nonzero(~used & (s <= rows[:, None]) & (t <= cols[:, None]))
+        assigns = np.concatenate([assigns[parent], cell[:, None].astype(np.int8)], axis=1)
+        used = used[parent]
+        used[np.arange(len(cell)), cell] = True
+        rows = np.maximum(rows[parent], s[cell] + 1)
+        cols = np.maximum(cols[parent], t[cell] + 1)
+    assigns.setflags(write=False)
+    return assigns
 
 
 def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
@@ -616,7 +615,7 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
     sigma = density_of_graph(g).mat.to_complex().real  # rejects an edgeless graph
 
     if sample is None:
-        assigns = np.array(list(coset_representatives(p, q)))
+        assigns = coset_representatives(p, q)
         weight = math.factorial(p) * math.factorial(q)
         mode, total = "exhaustive", math.factorial(n)
     else:

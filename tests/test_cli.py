@@ -352,6 +352,7 @@ PINNED_FILES = {
     (["probe", "--p", "2", "--q", "3"], "b07847ce9717866b"),
     (["probe", "--p", "2", "--q", "4"], "748dff10af907928"),
     (["census4"], "824c9aeb2406c0cc"),
+    (["census4", "--csv", "-"], "fcf89dc12cd1bdea"),  # the CSV wins over --json
     (["analyze", "p4.graph", "--p", "2", "--q", "2", "--labeling", INTERLEAVED],
      "eef4258d1e439c0a"),
     (["analyze", "k6.graph", "--p", "2", "--q", "3"], "79a20eacf1beec7a"),

@@ -1,20 +1,30 @@
 """Tests for the two-qubit concurrence and the exhaustive 4-vertex census."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdm import (
     ConcurrenceError,
+    ConcurrenceResult,
+    DensityError,
     DensityMatrix,
     HermitianMatrix,
+    LinalgError,
     build_graph,
     concurrence,
+    concurrences,
     density_of_graph,
     four_vertex_census,
+    nonisomorphic_graphs,
     path_graph,
+    ppt_verdicts,
+    psd_sqrt,
     pure_state_concurrence,
     spin_flip,
 )
@@ -145,3 +155,112 @@ def test_census_exports():
     assert len(rows) == 11  # header + 10 classes
     widths = {len(r) for r in rows}
     assert len(widths) == 1  # rectangular table
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel against the scalar concurrence it replaced
+
+
+def scalar_concurrence(rho: DensityMatrix) -> ConcurrenceResult:
+    """The one-state concurrence the stacked kernel replaced, kept as its oracle."""
+    if rho.dim != 4:
+        raise ConcurrenceError("concurrence is defined on two-qubit states")
+    flipped = spin_flip(rho)
+    root = psd_sqrt(rho.mat).to_complex()
+    sym = root @ flipped.to_complex() @ root
+    vals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
+    if vals[0] < -1e-8:
+        raise ConcurrenceError(f"spin-flip product has eigenvalue {vals[0]:g}")
+    # floor roundoff before the square root: an eigenvalue that is exactly
+    # zero lands at +-1e-16 numerically and sqrt would inflate it to 1e-8
+    lams = tuple(sorted(
+        (math.sqrt(v) if v > 1e-13 else 0.0 for v in vals), reverse=True))
+    value = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+    return ConcurrenceResult(value, lams)
+
+
+def oracle(state) -> ConcurrenceResult:
+    return scalar_concurrence(DensityMatrix(HermitianMatrix(state, exact=False)))
+
+
+def assert_matches_oracle(stack):
+    values, lams = concurrences(stack)
+    assert values.shape == (len(stack),) and lams.shape == (len(stack), 4)
+    for k, state in enumerate(stack):
+        want = oracle(state)
+        assert values[k] == want.value, k
+        assert tuple(lams[k].tolist()) == want.lambdas, k
+
+
+def random_state(rng, rank: int, complex_entries: bool) -> np.ndarray:
+    a = rng.standard_normal((4, rank))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((4, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def census_cell_states() -> np.ndarray:
+    """Every NPT 4-vertex graph state in the cell basis, one labeling at a time."""
+    out = []
+    for g in nonisomorphic_graphs(4, min_edges=1):
+        sigma = density_of_graph(g).to_complex().real
+        for assign in itertools.permutations(range(4)):
+            if not ppt_verdicts(g.edges, [assign], 2, 2)[0]:
+                pos = np.argsort(assign)
+                out.append(sigma[np.ix_(pos, pos)])
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_kernel_matches_scalar_concurrence(kinds, seed):
+    # ranks 1 to 4, real and complex layers mixed in one stack
+    rng = np.random.default_rng(seed)
+    assert_matches_oracle(np.array([random_state(rng, r, c) for r, c in kinds]))
+
+
+def test_stacked_kernel_matches_scalar_concurrence_on_census_states():
+    stack = census_cell_states()
+    assert len(stack) == 104
+    assert_matches_oracle(stack)
+
+
+def _eigenvalue_below_zero(rng):
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return (u * np.array([0.5, 0.3, 0.2 + 1e-6, -1e-6])) @ u.conj().T
+
+
+def _not_hermitian(rng):
+    state = random_state(rng, 4, True)
+    state[0, 1] += 1e-3
+    return state
+
+
+@pytest.mark.parametrize("make_bad,error", [
+    (lambda rng: 1.01 * random_state(rng, 3, False), DensityError),
+    (_eigenvalue_below_zero, DensityError),
+    (_not_hermitian, LinalgError),
+])
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_stacked_kernel_names_the_failing_state(make_bad, error, index):
+    rng = np.random.default_rng(index)
+    stack = [random_state(rng, 2, k % 2 == 1) for k in range(5)]
+    stack[index] = make_bad(rng)
+    with pytest.raises(error):
+        oracle(stack[index])
+    with pytest.raises(error, match=rf"^state {index} of the stack: "):
+        concurrences(np.array(stack))
+
+
+def test_census_batches_its_eigensolves(monkeypatch):
+    # a loop over the labelings makes 332 eigensolver calls; the batched census needs 5
+    four_vertex_census()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k))
+    four_vertex_census()
+    assert 0 < len(calls) <= 25

@@ -335,10 +335,42 @@ def test_coset_census_matches_brute_force():
     assert cases == 10 + 2 * 155 + 8
 
 
+def recursive_coset_representatives(p: int, q: int):
+    """The recursive generator the array builder replaced, kept as its reference."""
+    n = p * q
+    assign = [0] * n
+    used = [False] * n
+
+    def extend(v: int, rows: int, cols: int):
+        if v == n:
+            yield tuple(assign)
+            return
+        for s in range(min(rows + 1, p)):
+            for t in range(min(cols + 1, q)):
+                cell = s * q + t
+                if used[cell]:
+                    continue
+                used[cell] = True
+                assign[v] = cell
+                yield from extend(v + 1, max(rows, s + 1), max(cols, t + 1))
+                used[cell] = False
+
+    yield from extend(0, 0, 0)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 11) for q in range(1, 10 // p + 1)])
+def test_coset_array_matches_recursive_generator(p, q):
+    n = p * q
+    reps = coset_representatives(p, q)
+    assert reps.dtype == np.int8 and not reps.flags.writeable
+    assert reps.shape == (math.factorial(n) // (math.factorial(p) * math.factorial(q)), n)
+    assert reps.tolist() == [list(r) for r in recursive_coset_representatives(p, q)]
+
+
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
 def test_coset_representatives_are_sorted_distinct_minima(p, q):
     n = p * q
-    reps = list(coset_representatives(p, q))
+    reps = [tuple(r) for r in coset_representatives(p, q).tolist()]
     assert len(reps) == math.factorial(n) // (math.factorial(p) * math.factorial(q))
     assert reps == sorted(set(reps))
     assert all(sorted(r) == list(range(n)) for r in reps)
@@ -372,7 +404,7 @@ def test_min_pt_eigenvalue_invariant_under_local_relabeling(dims, data):
 def test_kernel_matches_ppt_test_bit_for_bit():
     g = _random_graph(8, 3)
     rho = density_of_graph(g)
-    assigns = np.array(list(coset_representatives(2, 4))[::37])
+    assigns = coset_representatives(2, 4)[::37]
     lows = min_pt_eigenvalues(rho.to_complex().real, assigns, 2, 4)
     for assign, low in zip(assigns, lows):
         lab = BipartiteLabeling.from_assignment(2, 4, assign)
