@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence
-from .density import DensityMatrix, density_of_graph, density_with_loops, laplacian_states
+from .density import DensityMatrix, density_of_graph, density_with_loops, graph_states
 from .graphs import (
     Graph,
     add_isolated_vertex,
@@ -252,45 +252,70 @@ def measurement_probabilities(g: Graph, pair) -> list[MeasurementOutcome]:
 # vertex procedures
 
 
-def _graph_state(g: Graph) -> np.ndarray:
-    """sigma(g) in floats, equal to density_of_graph(g).to_complex().real."""
-    return laplacian_states(g.n, [g.edges])[0]
+@dataclass(frozen=True, eq=False)
+class VertexEdit:
+    """A vertex edit as a walk through graph states, laid out before any
+    state is built.
+
+    The float pass starts from the state of graphs[0].  Channel k deletes
+    one edge and must land on the state of graphs[k + 1].  A projective
+    measurement then drops the `dropped` rows and columns and renormalizes
+    by its keep probability, and the result must land on the state of
+    graphs[-1], the edited graph.
+    """
+
+    steps: tuple[str, ...]  # what happens before the measurement
+    channels: tuple[MeasurePrepareChannel, ...]
+    graphs: tuple[Graph, ...]
+    dropped: tuple[int, ...]
+    measurement: str
+    missed: str  # the error when the measured state misses graphs[-1]
+
+    def run(self, states) -> tuple[np.ndarray, float, float]:
+        """(final state, keep probability, its landing error); reads the
+        float states of self.graphs, in order, from the iterator states."""
+        state = next(states)
+        for ch in self.channels:
+            state = ch.apply(state)
+            if np.max(np.abs(state - next(states))) > 1e-8:
+                raise ChannelError(f"state after '{ch.label}' missed the graph state")
+        keep_prob = 1.0 - sum(state[i, i] for i in self.dropped)
+        kept = [i for i in range(len(state)) if i not in self.dropped]
+        reduced = state[np.ix_(kept, kept)] / keep_prob
+        err = float(np.max(np.abs(reduced - next(states))))
+        if err > 1e-8:
+            raise ChannelError(self.missed)
+        return reduced, keep_prob, err
+
+    def report(self) -> VertexEditReport:
+        """The edit run on its own graph states, with every step described."""
+        state, keep_prob, _ = self.run(iter(graph_states(self.graphs)))
+        steps = self.steps + (f"{self.measurement} (keep probability {keep_prob:.15f})",)
+        return VertexEditReport(
+            DensityMatrix(HermitianMatrix(state, exact=False)), keep_prob, steps)
 
 
-def _delete_edges_tracked(start: Graph, state: np.ndarray, edges, steps: list):
-    """Run edge-deletion channels for `edges` in order, checking each landing."""
-    cur = start
+def _edge_deletions(start: Graph, edges):
+    """The deletion channel of each edge in turn and the graph it leaves."""
+    channels, graphs = [], [start]
     for e in edges:
-        ch = edge_deletion_channel(cur, e)
-        state = ch.apply(state)
-        cur = delete_edge(cur, *e)
-        if np.max(np.abs(state - _graph_state(cur))) > 1e-8:
-            raise ChannelError(f"state after '{ch.label}' missed the graph state")
-        steps.append(ch.label)
-    return cur, state
+        channels.append(edge_deletion_channel(graphs[-1], e))
+        graphs.append(delete_edge(graphs[-1], *e))
+    return channels, graphs
 
 
-def delete_vertex_report(g: Graph, v: int) -> VertexEditReport:
+def vertex_deletion(g: Graph, v: int) -> VertexEdit:
     """Edge deletions at v, then the projective measurement that removes it."""
     residual = delete_vertex(g, v)  # validates v
     if residual.m == 0:
         raise ChannelError("vertex deletion leaves an edgeless graph")
-    steps: list[str] = []
-    at_v = [e for e in g.edges if v in e]
-    _, state = _delete_edges_tracked(g, _graph_state(g), at_v, steps)
-
-    # the projector off v keeps every other row and column of the state
-    keep_prob = 1.0 - state[v, v]
-    steps.append(f"measure away vertex {v + 1} (keep probability {keep_prob:.15f})")
-    idx = [u for u in range(g.n) if u != v]
-    reduced = state[np.ix_(idx, idx)] / keep_prob
-    if np.max(np.abs(reduced - _graph_state(residual))) > 1e-8:
-        raise ChannelError("vertex deletion did not land on the residual state")
-    return VertexEditReport(
-        DensityMatrix(HermitianMatrix(reduced, exact=False)), keep_prob, tuple(steps))
+    channels, graphs = _edge_deletions(g, [e for e in g.edges if v in e])
+    return VertexEdit(
+        tuple(ch.label for ch in channels), tuple(channels), (*graphs, residual), (v,),
+        f"measure away vertex {v + 1}", "vertex deletion did not land on the residual state")
 
 
-def add_vertex_report(g: Graph) -> VertexEditReport:
+def vertex_addition(g: Graph) -> VertexEdit:
     """Grow the state by one isolated vertex via a looped two-vertex helper.
 
     The helper state is I/2, so the product state is the state of two
@@ -307,20 +332,24 @@ def add_vertex_report(g: Graph) -> VertexEditReport:
     rho = kron(density_with_loops(helper).mat, density_of_graph(g).mat)
     if not rho.exact_equal(density_of_graph(product).mat):
         raise ChannelError("product state does not match the product graph state")
-    steps = [f"prepare helper product state on {2 * n} vertices ({product.m} edges)"]
-    copy2_edges = [e for e in product.edges if e[0] >= n]
-    _, state = _delete_edges_tracked(product, rho.to_complex().real, copy2_edges, steps)
+    channels, graphs = _edge_deletions(product, [e for e in product.edges if e[0] >= n])
+    drop = tuple(range(n + 1, 2 * n))
+    return VertexEdit(
+        (f"prepare helper product state on {2 * n} vertices ({product.m} edges)",
+         *(ch.label for ch in channels)),
+        tuple(channels), (*graphs, add_isolated_vertex(g)), drop,
+        f"measure away {len(drop)} spare vertices",
+        "vertex addition did not land on the padded state")
 
-    # the projector off the spare vertices keeps the first n + 1 rows and columns
-    drop = list(range(n + 1, 2 * n))
-    keep_prob = 1.0 - sum(state[i, i] for i in drop)
-    steps.append(
-        f"measure away {len(drop)} spare vertices (keep probability {keep_prob:.15f})")
-    reduced = state[:n + 1, :n + 1] / keep_prob
-    if np.max(np.abs(reduced - _graph_state(add_isolated_vertex(g)))) > 1e-8:
-        raise ChannelError("vertex addition did not land on the padded state")
-    return VertexEditReport(
-        DensityMatrix(HermitianMatrix(reduced, exact=False)), keep_prob, tuple(steps))
+
+def delete_vertex_report(g: Graph, v: int) -> VertexEditReport:
+    """vertex_deletion(g, v), run from g's state: the state of g - v."""
+    return vertex_deletion(g, v).report()
+
+
+def add_vertex_report(g: Graph) -> VertexEditReport:
+    """vertex_addition(g), run: g's state padded with an isolated vertex."""
+    return vertex_addition(g).report()
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ import numpy as np
 
 from .channels import (
     ChannelError,
-    add_vertex_report,
-    delete_vertex_report,
+    VertexEdit,
     edge_addition_channel,
     edge_deletion_channel,
     measurement_probabilities,
+    vertex_addition,
+    vertex_deletion,
 )
 from .concurrence import (
     ConcurrenceError,
@@ -33,17 +34,22 @@ from .concurrence import (
     concurrences,
     four_vertex_census,
 )
-from .density import DensityError, DensityMatrix, density_of_graph, laplacian_states, purity
+from .density import (
+    DensityError,
+    DensityMatrix,
+    density_of_graph,
+    graph_states,
+    laplacian_states,
+    purity,
+)
 from .entropy import EntropyError, q_entropy, von_neumann_entropy
 from .graphs import (
     Graph,
     GraphError,
     ParseError,
     add_edge,
-    add_isolated_vertex,
     component_count,
     delete_edge,
-    delete_vertex,
     parse_graph,
 )
 from .linalg import LinalgError, eigensystem
@@ -82,8 +88,70 @@ def _load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
+# json.dumps runs its C encoder only without indent, so _render walks dicts
+# and mixed lists itself and hands each leaf, and each list of plain numbers
+# or of non-empty rows of them, to a compact C encoder built once
+_C_ENCODE = (json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii,
+                                         None, ": ", ", ", True, False, True)
+             if json.encoder.c_make_encoder is not None else None)
+_NUMBER = frozenset({int, float, bool, np.float64})
+_LEAF = _NUMBER | {str, type(None)}
+
+
+class _Unrendered(Exception):
+    """A value _render leaves to json.dumps."""
+
+
+def _render(obj, indent: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) at nesting indent, byte for byte.
+
+    A compact number list has no string in it, so its ", " and "], ["
+    separators can only be separators, and re-indenting them with
+    str.replace gives the indented text.
+    """
+    if type(obj) in _LEAF:
+        return _C_ENCODE(obj, 0)[0]
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _Unrendered
+        body = f",\n{inner}".join(
+            f"{json.encoder.encode_basestring_ascii(k)}: {_render(obj[k], inner)}"
+            for k in sorted(obj))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types <= _NUMBER:
+            body = "".join(_C_ENCODE(obj, 0))[1:-1].replace(", ", f",\n{inner}")
+            return f"[\n{inner}{body}\n{indent}]"
+        if (types <= {list, tuple} and all(obj)
+                and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBER):
+            row = inner + "  "
+            body = ("".join(_C_ENCODE(obj, 0))[2:-2]
+                    .replace("], [", f"\n{inner}],\n{inner}[\n{row}")
+                    .replace(", ", f",\n{row}"))
+            return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]"
+        body = f",\n{inner}".join(_render(x, inner) for x in obj)
+        return f"[\n{inner}{body}\n{indent}]"
+    raise _Unrendered
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), mostly at C speed."""
+    if _C_ENCODE is not None:
+        try:
+            return _render(obj, "")
+        except _Unrendered:
+            pass
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_dumps(obj))
 
 
 def _fmt(x: float) -> str:
@@ -358,48 +426,49 @@ def cmd_channel(args) -> None:
     if not edits:
         raise ChannelError("no edits given (positional edits or --script)")
     parsed = [_parse_edit(tok) for tok in edits]
+    if g.m == 0:  # refused before any edit is checked, as laplacian_states would
+        raise DensityError("graph has no non-loop edge")
 
-    cur = g
-    state = laplacian_states(g.n, [g.edges])[0]
-    steps = []
+    # walk the graph sequence first, so that one stacked call per vertex
+    # count builds every state a landing is checked against
+    cur, graphs, walk = g, [g], []
     for edit in parsed:
         _check_edit(cur, edit)
         kind = edit[0]
+        if kind == "del-edge":
+            op, nxt = edge_deletion_channel(cur, edit[1:]), delete_edge(cur, *edit[1:])
+        elif kind == "add-edge":
+            op, nxt = edge_addition_channel(cur, edit[1:]), add_edge(cur, *edit[1:])
+        else:
+            op = vertex_deletion(cur, edit[1]) if kind == "del-vertex" else vertex_addition(cur)
+            nxt = op.graphs[-1]
+        graphs.extend(op.graphs if isinstance(op, VertexEdit) else [nxt])
+        walk.append((edit, cur, op, nxt))
+        cur = nxt
+
+    states = iter(graph_states(graphs))
+    state = next(states)
+    steps = []
+    for edit, before, op, after in walk:
         record = {"edit": _edit_text(edit)}
-        if kind in ("del-edge", "add-edge"):
-            _, u, v = edit
-            if kind == "del-edge":
-                ch, nxt = edge_deletion_channel(cur, (u, v)), delete_edge(cur, u, v)
-            else:
-                ch, nxt = edge_addition_channel(cur, (u, v)), add_edge(cur, u, v)
+        if isinstance(op, VertexEdit):
+            state, record["click_probability"], err = op.run(states)
+        else:
             record["probabilities"] = [
                 {"projector": o.projector, "probability": o.probability}
-                for o in measurement_probabilities(cur, (u, v))]
-            state = ch.apply(state)
-            cur = nxt
+                for o in measurement_probabilities(before, edit[1:])]
+            state = op.apply(state)
+            err = float(np.max(np.abs(state - next(states))))
+            if err > 1e-8:
+                raise ChannelError(
+                    f"state after {record['edit']!r} missed the graph state by {err:g}")
             if args.dump_operators:
-                record["operators"] = _operator_payload(ch)
-        elif kind == "del-vertex":
-            _, v = edit
-            rep = delete_vertex_report(cur, v)
-            state = rep.state.mat.to_complex().real
-            cur = delete_vertex(cur, v)
-            record["click_probability"] = rep.click_probability
-        else:  # add-vertex
-            rep = add_vertex_report(cur)
-            state = rep.state.mat.to_complex().real
-            cur = add_isolated_vertex(cur)
-            record["click_probability"] = rep.click_probability
-
-        err = float(np.max(np.abs(state - laplacian_states(cur.n, [cur.edges])[0])))
-        if err > 1e-8:
-            raise ChannelError(
-                f"state after {record['edit']!r} missed the graph state by {err:g}")
-        record["graph"] = _graph_summary(cur)
+                record["operators"] = _operator_payload(op)
+        record["graph"] = _graph_summary(after)
         record["trace"] = float(state.trace())
         record["max_error_vs_graph_state"] = err
         if args.json:
-            record["state"] = [[float(z) for z in row] for row in state]
+            record["state"] = state.tolist()
         steps.append(record)
 
     payload = {"start": _graph_summary(g), "steps": steps}

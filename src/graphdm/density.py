@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, laplacian, tensor_product
-from .linalg import PSD_TOL, HermitianMatrix, exact_projector, is_psd, kron
+from .linalg import HermitianMatrix, diagonally_dominant, exact_projector, is_psd, kron
 
 TRACE_TOL = 1e-12
 
@@ -30,6 +30,8 @@ class DensityMatrix:
 
     normalization records the divisor applied to the integer matrix when the
     state came from a graph; it is None for channel outputs and the like.
+    An exact state whose numerator is diagonally dominant (every Laplacian,
+    D + A) is PSD by that certificate; any other state needs an eigensolve.
     """
 
     mat: HermitianMatrix
@@ -43,6 +45,8 @@ class DensityMatrix:
                 raise DensityError(f"trace is {tr}, not 1")
         elif abs(complex(tr) - 1) > TRACE_TOL:
             raise DensityError(f"trace is {tr}, not 1")
+        if self.mat.exact_real and diagonally_dominant(self.mat.num):
+            return
         ok, low = is_psd(self.mat)
         if not ok:
             raise DensityError(f"matrix is not PSD (eigenvalue {low:g})")
@@ -68,25 +72,38 @@ def laplacian_states(n: int, edge_lists) -> np.ndarray:
     """Float states L(G)/2m, stacked, for loop-free edge lists on n vertices.
 
     Each entry is the correctly rounded value of the exact state's entry,
-    so a layer equals density_of_graph(g).to_complex().real bit for bit.
-    The stack gets the checks DensityMatrix makes: unit trace, and no
-    eigenvalue below -PSD_TOL.
+    so a layer equals density_of_graph(g).to_complex().real bit for bit,
+    whatever else is stacked with it.  The stack gets the checks
+    DensityMatrix makes of an exact state: unit trace, and the diagonal
+    dominance of its integer Laplacians, which certifies PSD.
     """
-    lap = np.zeros((len(edge_lists), n, n))
+    lap = np.zeros((len(edge_lists), n, n), dtype=np.int64)
     i, u, v = np.array([(i, u, v) for i, edges in enumerate(edge_lists) for u, v in edges],
                        dtype=np.intp).reshape(-1, 3).T
-    lap[i, u, v] = lap[i, v, u] = -1.0
+    lap[i, u, v] = lap[i, v, u] = -1
     degrees = np.count_nonzero(lap, axis=2)
     if (degrees.sum(axis=1) == 0).any():
         raise DensityError("graph has no non-loop edge")
     diag = np.arange(n)
     lap[:, diag, diag] = degrees
+    if not diagonally_dominant(lap):
+        raise DensityError("a stacked Laplacian is not diagonally dominant")
     states = lap / degrees.sum(axis=1)[:, None, None]
     if np.abs(np.trace(states, axis1=1, axis2=2) - 1).max() > TRACE_TOL:
         raise DensityError("a stacked state does not have unit trace")
-    low = np.linalg.eigvalsh(states)[:, 0].min()
-    if low < -PSD_TOL:
-        raise DensityError(f"a stacked state is not PSD (eigenvalue {low:g})")
+    return states
+
+
+def graph_states(graphs) -> list[np.ndarray]:
+    """The float state of each graph, in order: one laplacian_states call per
+    vertex count among them, so each state equals its one-graph layer."""
+    by_order: dict[int, list[int]] = {}
+    for k, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(k)
+    states = [None] * len(graphs)
+    for n, ks in by_order.items():
+        for k, state in zip(ks, laplacian_states(n, [graphs[k].edges for k in ks])):
+            states[k] = state
     return states
 
 

@@ -288,6 +288,23 @@ def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumRes
     return SpectrumResult(tuple(vals.tolist()), _group(vals, group_tol), vecs)
 
 
+def diagonally_dominant(num: np.ndarray) -> bool:
+    """Whether every integer matrix of a stack has each diagonal entry at
+    least the absolute sum of the rest of its row (so nonnegative).
+
+    A symmetric matrix that passes is positive semidefinite: each
+    Gershgorin disc lies in [0, inf).  So for an exact state (num over a
+    positive denominator) this O(n^2) test certifies PSD without an
+    eigensolve.  It needs |entries| <= 2**53, so a row of more than 512
+    entries, whose int64 sum could wrap, gets no certificate.
+    """
+    if num.shape[-1] > INT64_SAFE_LIMIT // EXACT_LIMIT:
+        return False
+    # 2 a_ii >= sum_j |a_ij| holds only when a_ii >= 0
+    diag = np.diagonal(num, axis1=-2, axis2=-1)
+    return bool((2 * diag >= np.abs(num).sum(axis=-1)).all())
+
+
 def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     """(matrix is positive semidefinite within tol, smallest eigenvalue)."""
     vals = np.linalg.eigvalsh(h.to_real() if h.exact_real else h.data)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphdm.channels as channels_mod
 from graphdm import (
     ChannelError,
     DensityMatrix,
@@ -23,6 +24,7 @@ from graphdm import (
     complete_to_unitary,
     cycle_graph,
     delete_edge,
+    delete_vertex,
     delete_vertex_report,
     density_of_graph,
     edge_addition_channel,
@@ -205,6 +207,38 @@ def test_vertex_addition_appends_isolated_vertex():
         assert rep.state.dim == g.n + 1
         target = density_of_graph(add_isolated_vertex(g))
         assert rep.state.mat.max_abs_diff(target.mat) < 1e-10
+
+
+
+# landing checks: an edit whose float state misses its graph state is refused
+
+
+@pytest.fixture
+def drifting_apply(monkeypatch):
+    """Every channel output moved by 1e-6 in each entry."""
+    apply = MeasurePrepareChannel.apply
+    monkeypatch.setattr(MeasurePrepareChannel, "apply",
+                        lambda self, state: apply(self, state) + 1e-6)
+
+
+def test_vertex_edits_check_each_edge_landing(drifting_apply):
+    # C5's vertex 4 (1-based) loses edge 3-4 first; P3's copy drains 4-5 first
+    with pytest.raises(ChannelError, match="state after 'delete edge 3-4' missed"):
+        delete_vertex_report(cycle_graph(5), 3)
+    with pytest.raises(ChannelError, match="state after 'delete edge 4-5' missed"):
+        add_vertex_report(path_graph(3))
+
+
+def test_vertex_edits_check_the_final_landing(monkeypatch):
+    # the compressed state is compared with the graph the edit claims to reach
+    monkeypatch.setattr(channels_mod, "delete_vertex",
+                        lambda g, v: add_edge(delete_vertex(g, v), 0, 2))
+    monkeypatch.setattr(channels_mod, "add_isolated_vertex",
+                        lambda g: add_edge(add_isolated_vertex(g), 0, g.n))
+    with pytest.raises(ChannelError, match="vertex deletion did not land"):
+        delete_vertex_report(cycle_graph(5), 4)
+    with pytest.raises(ChannelError, match="vertex addition did not land"):
+        add_vertex_report(path_graph(3))
 
 
 def test_locc_examples_report():

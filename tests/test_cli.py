@@ -7,9 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import graphdm.channels as channels
 import graphdm.cli as cli
+import graphdm.density as density
+from graphdm.channels import MeasurePrepareChannel
 from graphdm.cli import main
+from graphdm.graphs import add_edge, add_isolated_vertex, delete_vertex
 from graphdm.linalg import LinalgError
 
 P4_TEXT = "n 4\ne 1 2\ne 2 3\ne 3 4\n"
@@ -186,6 +192,83 @@ def test_channel_edit_errors_name_vertices_as_typed(capsys, graph_file):
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and message in captured.err
+
+
+
+C5_TEXT = "n 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
+# every kind of edit, through three vertex counts: 5, then 10 while add-vertex
+# drains its product state, then 6 until del-vertex lands back on 5
+C5_SCRIPT = ["del-edge 1 2", "add-edge 1 3", "add-vertex", "del-vertex 5"]
+
+
+def assert_one_line_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("del-edge 1 2", "state after 'del-edge 1 2' missed the graph state by "),
+    ("del-vertex 4", "state after 'delete edge 3-4' missed the graph state"),
+    ("add-vertex", "state after 'delete edge 6-7' missed the graph state"),
+])
+def test_channel_refuses_a_drifting_landing(capsys, graph_file, monkeypatch, edit, message):
+    apply = MeasurePrepareChannel.apply
+    monkeypatch.setattr(MeasurePrepareChannel, "apply",
+                        lambda self, state: apply(self, state) + 1e-6)
+    path = graph_file("c5.graph", C5_TEXT)
+    assert_one_line_error(capsys, ["channel", path, edit, "--json"], message)
+
+
+@pytest.mark.parametrize("edit,name,wrong,message", [
+    ("del-vertex 5", "delete_vertex", lambda g, v: add_edge(delete_vertex(g, v), 0, 2),
+     "vertex deletion did not land on the residual state"),
+    ("add-vertex", "add_isolated_vertex", lambda g: add_edge(add_isolated_vertex(g), 0, g.n),
+     "vertex addition did not land on the padded state"),
+])
+def test_channel_refuses_a_vertex_edit_off_its_target(capsys, graph_file, monkeypatch,
+                                                      edit, name, wrong, message):
+    monkeypatch.setattr(channels, name, wrong)
+    path = graph_file("c5.graph", C5_TEXT)
+    assert_one_line_error(capsys, ["channel", path, edit, "--json"], message)
+
+
+def test_channel_checks_every_channel_output(capsys, graph_file, monkeypatch):
+    path = graph_file("c5.graph", C5_TEXT)
+    apply = MeasurePrepareChannel.apply
+    calls = []
+    monkeypatch.setattr(MeasurePrepareChannel, "apply",
+                        lambda self, state: calls.append(1) or apply(self, state))
+    run_json(capsys, ["channel", path, *C5_SCRIPT, "--json"])
+    assert len(calls) == 2 + 5 + 2  # two edge edits, five drains, two at vertex 5
+    for k in range(len(calls)):
+        calls.clear()
+
+        def drift_kth(self, state, k=k):
+            calls.append(1)
+            return apply(self, state) + (1e-6 if len(calls) == k + 1 else 0.0)
+
+        monkeypatch.setattr(MeasurePrepareChannel, "apply", drift_kth)
+        assert_one_line_error(capsys, ["channel", path, *C5_SCRIPT, "--json"],
+                              "missed the graph state")
+
+
+def test_channel_builds_states_once_per_vertex_count(capsys, graph_file, monkeypatch):
+    sizes = []
+    build = density.laplacian_states
+
+    def counted(n, edge_lists):
+        sizes.append(n)
+        return build(n, edge_lists)
+
+    for module in (density, channels, cli):
+        if hasattr(module, "laplacian_states"):
+            monkeypatch.setattr(module, "laplacian_states", counted)
+    path = graph_file("c5.graph", C5_TEXT)
+    run_json(capsys, ["channel", path, *C5_SCRIPT, "--json"])
+    assert sorted(sizes) == [5, 6, 10]
 
 
 def test_non_utf8_input_is_precondition_error(capsys, graph_file, tmp_path):
@@ -463,3 +546,63 @@ def test_parser_is_built_once_and_dispatches_by_name(capsys, graph_file, monkeyp
     path = graph_file("p4.graph", P4_TEXT)
     assert main(["entropy", path]) == 0
     assert [a.graph for a in calls] == [path]
+
+
+# ---------------------------------------------------------------------------
+# --json rendering: json.dumps(sort_keys=True, indent=2) byte for byte
+
+# strings that look like the separators the number-list path rewrites
+TEXT = st.one_of(st.sampled_from(['", "', '"], ["', "], [", ", ", "[1, 2]", "a\nb", "é ☃ 𝄞",
+                                  "\\", '"', ""]),
+                 st.text(max_size=6))
+FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+                  st.floats().map(np.float64))
+NUMBER = st.one_of(st.integers(), FLOAT, st.booleans())
+SCALAR = st.one_of(st.none(), TEXT, NUMBER)
+PAYLOAD = st.recursive(
+    st.one_of(SCALAR, st.lists(NUMBER, max_size=6),
+              st.lists(st.lists(NUMBER, max_size=4), max_size=4),  # rows, some empty
+              st.lists(st.tuples(NUMBER, NUMBER), max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, min_size=1, max_size=2)),  # json.dumps renders
+    max_leaves=30)
+
+
+@settings(max_examples=250, deadline=None)
+@given(PAYLOAD)
+@example({"state": [[0.5, -0.0], [float("nan"), True]], "edges": [(1, 2), (2, 3)],
+          "note": '[1.0, 2.0], [3.0]', "empty": [[], {}, [[]]], "x": np.float64(0.1)})
+@example([[1, 2], ["], [", 3]])
+def test_renderer_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_renderer_leaves_unknown_values_to_json_dumps(monkeypatch):
+    for bad, message in (({"a": [np.int64(1)]}, "int64 is not JSON serializable"),
+                         ({"a": np.bool_(True)}, "bool is not JSON serializable"),
+                         ({"a": {1: 2, "b": 3}}, "'<' not supported")):
+        with pytest.raises(TypeError, match=message):
+            cli._dumps(bad)
+    payload = {"b": [[1.5, 2]], "a": ["x, y"]}
+    monkeypatch.setattr(cli, "_C_ENCODE", None)  # an interpreter without the C encoder
+    assert cli._dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_every_subcommand_renders_without_json_dumps(capsys, graph_file, monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("json.dumps")
+
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    paths = {name: graph_file(name, text) for name, text in PINNED_FILES.items()}
+    for argv in (["channel", paths["c5.graph"], "--script", paths["edits.txt"],
+                  "--dump-operators"],
+                 ["analyze", paths["cross8.graph"], "--p", "2", "--q", "4"],
+                 ["search", paths["p4.graph"], "--p", "2", "--q", "2"],
+                 ["entropy", paths["c5.graph"], "--order", "2"],
+                 ["probe", "--p", "2", "--q", "2"], ["census4"]):
+        out, _ = run_text(capsys, argv + ["--json"])
+        assert out == dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

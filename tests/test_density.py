@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import graphdm.density as density_mod
 from graphdm import (
     DensityError,
     DensityMatrix,
@@ -16,6 +18,8 @@ from graphdm import (
     disjoint_union,
     edge_state_vector,
     eigensystem,
+    exact_projector,
+    graph_states,
     is_psd,
     is_pure,
     kron,
@@ -163,3 +167,35 @@ def test_density_matrix_validation():
         DensityMatrix(HermitianMatrix([[F(1), F(0)], [F(0), F(1)]]))  # trace 2
     with pytest.raises(DensityError):
         DensityMatrix(HermitianMatrix([[F(2), F(0)], [F(0), F(-1)]]))  # not PSD
+
+
+def test_exact_dominant_states_skip_the_eigensolve(monkeypatch):
+    checked = []
+    psd = density_mod.is_psd
+    monkeypatch.setattr(density_mod, "is_psd", lambda h: checked.append(h) or psd(h))
+    density_of_graph(cycle_graph(12))
+    sigma_plus(petersen_graph())
+    density_with_loops(build_graph(3, [(0, 1)], loops=[0, 2, 1]))
+    assert checked == []
+    # a projector onto (1, 1, 1) fails the certificate; a float state never takes it
+    DensityMatrix(exact_projector([1, 1, 1]))
+    DensityMatrix(HermitianMatrix([[0.5, 0.0], [0.0, 0.5]], exact=False))
+    assert len(checked) == 2
+    with pytest.raises(DensityError, match=r"matrix is not PSD \(eigenvalue -1\)"):
+        DensityMatrix(HermitianMatrix([[F(2), F(0)], [F(0), F(-1)]]))
+
+
+def test_graph_states_stack_once_per_order_without_an_eigensolve(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    orders = []
+    build = density_mod.laplacian_states
+    monkeypatch.setattr(density_mod, "laplacian_states",
+                        lambda n, edge_lists: orders.append(n) or build(n, edge_lists))
+    graphs = [cycle_graph(5), path_graph(3), complete_graph(5), star_graph(3), cycle_graph(5)]
+    states = graph_states(graphs)
+    assert sorted(orders) == [3, 5]
+    for g, state in zip(graphs, states):
+        assert np.array_equal(state, density_of_graph(g).to_complex().real)

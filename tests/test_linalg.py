@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdm import (
     HermitianMatrix,
     LinalgError,
+    diagonally_dominant,
     eigensystem,
     exact_projector,
     is_psd,
@@ -125,6 +128,42 @@ def test_is_psd_boundary():
     assert ok and abs(low) < 1e-12
     ok, low = is_psd(HermitianMatrix([[F(1), F(2)], [F(2), F(1)]]))
     assert not ok and abs(low - (-1.0)) < 1e-12
+
+
+
+def dominant_by_rows(mat) -> bool:
+    """The diagonal dominance test, one row at a time."""
+    return all(mat[i][i] >= 0 and mat[i][i] >= sum(abs(x) for j, x in enumerate(row) if j != i)
+               for i, row in enumerate(mat.tolist()))
+
+
+def test_diagonal_dominance_cases():
+    lap = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    assert diagonally_dominant(lap) and diagonally_dominant(np.abs(lap))  # L and D + A
+    ones = np.ones((3, 3), dtype=np.int64)  # 3 times the projector onto (1, 1, 1)
+    assert not diagonally_dominant(ones)
+    assert not diagonally_dominant(np.array([[-1, 0], [0, 2]]))
+    assert diagonally_dominant(np.stack([lap, np.abs(lap)]))
+    assert not diagonally_dominant(np.stack([lap, ones]))  # one layer fails the stack
+    # a longer int64 row could wrap its sum, so it gets no certificate
+    assert diagonally_dominant(np.eye(512, dtype=np.int64))
+    assert not diagonally_dominant(np.eye(513, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+def test_diagonal_dominance_matches_rows_and_certifies_psd(draw):
+    entries, slack = draw
+    n = len(slack)
+    off = np.array(entries, dtype=np.int64).reshape(n, n)
+    off = np.triu(off, 1) + np.triu(off, 1).T
+    # diagonal = off-diagonal row sum plus a slack that may break dominance
+    mat = off + np.diag(np.abs(off).sum(axis=1) + slack)
+    assert diagonally_dominant(mat) == dominant_by_rows(mat)
+    if diagonally_dominant(mat):
+        assert np.linalg.eigvalsh(mat.astype(float))[0] >= -1e-9
 
 
 def test_psd_sqrt_squares_back():
