@@ -216,7 +216,7 @@ def apply_channel(ch: MeasurePrepareChannel, rho: DensityMatrix) -> DensityMatri
     if ch.input_dim != rho.dim:
         raise ChannelError(
             f"channel acts on dimension {ch.input_dim}, state has {rho.dim}")
-    return DensityMatrix(HermitianMatrix(ch.apply(rho.to_complex()), exact=False))
+    return DensityMatrix(HermitianMatrix(ch.apply(rho.to_complex())))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ class VertexEdit:
         state, keep_prob, _ = self.run(iter(graph_states(self.graphs)))
         steps = self.steps + (f"{self.measurement} (keep probability {keep_prob:.15f})",)
         return VertexEditReport(
-            DensityMatrix(HermitianMatrix(state, exact=False)), keep_prob, steps)
+            DensityMatrix(HermitianMatrix(state)), keep_prob, steps)
 
 
 def _edge_deletions(start: Graph, edges):

@@ -192,19 +192,19 @@ def _states_payload(states) -> list:
 def _parse_labeling(spec: str, p: int, q: int, n: int) -> BipartiteLabeling:
     """Parse 'v=s.t' tokens, comma separated; v is 1-based, s and t 0-based."""
     cells: list = [None] * n
-    try:
-        for token in spec.split(","):
+    for token in spec.split(","):
+        try:
             left, right = token.strip().split("=")
-            v = int(left) - 1
             s_str, t_str = right.split(".")
-            if not 0 <= v < n:
-                raise SeparabilityError(f"vertex {v + 1} out of range in labeling")
-            if cells[v] is not None:
-                raise SeparabilityError(f"vertex {v + 1} labeled twice")
-            cells[v] = (int(s_str), int(t_str))
-    except (ValueError, IndexError) as exc:
-        raise SeparabilityError(
-            f"bad labeling {spec!r}; expected comma-separated v=s.t tokens") from exc
+            v, cell = int(left) - 1, (int(s_str), int(t_str))
+        except ValueError as exc:
+            raise SeparabilityError(
+                f"bad labeling {spec!r}; expected comma-separated v=s.t tokens") from exc
+        if not 0 <= v < n:
+            raise SeparabilityError(f"vertex {v + 1} out of range in labeling")
+        if cells[v] is not None:
+            raise SeparabilityError(f"vertex {v + 1} labeled twice")
+        cells[v] = cell
     if any(c is None for c in cells):
         raise SeparabilityError("labeling must cover every vertex")
     return BipartiteLabeling(p, q, tuple(cells))

@@ -46,7 +46,7 @@ def spin_flip(rho: DensityMatrix) -> HermitianMatrix:
     if rho.mat.exact_real:
         return rho.mat.conjugate_by(_SPIN_FLIP)
     flip = _SPIN_FLIP.astype(complex)
-    return HermitianMatrix(flip @ rho.mat.to_complex().conj() @ flip, exact=False)
+    return HermitianMatrix(flip @ rho.mat.to_complex().conj() @ flip)
 
 
 def _check(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> None:
@@ -57,7 +57,7 @@ def _check(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> No
 
 
 def _hermitian(data: np.ndarray) -> np.ndarray:
-    """HermitianMatrix(exact=False) per layer: checked, then symmetrized."""
+    """A complex HermitianMatrix per layer: checked, then symmetrized."""
     adj = data.conj().swapaxes(1, 2)
     scale = np.maximum(1.0, np.abs(data).max(axis=(1, 2)))
     asym = np.abs(data - adj).max(axis=(1, 2))
@@ -89,8 +89,8 @@ def _psd_sqrts(data: np.ndarray) -> np.ndarray:
 def concurrences(states) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence values and descending lambdas of a (K, 4, 4) stack of states.
 
-    Each layer gets the checks DensityMatrix(HermitianMatrix(layer,
-    exact=False)) makes (Hermitian within 1e-10 relative, then symmetrized;
+    Each layer gets the checks DensityMatrix(HermitianMatrix(layer)) makes
+    of a complex layer (Hermitian within 1e-10 relative, then symmetrized;
     unit trace; PSD) and the arithmetic of one concurrence: the lambdas are
     the square roots of the eigenvalues of the symmetric matrix
     sqrt(rho) rho~ sqrt(rho), which must be PSD up to 1e-8 roundoff, and the

@@ -79,7 +79,7 @@ def regular_graph_entropy(g: Graph, d: int | None = None) -> float:
         raise EntropyError("regular graph of degree 0 has no state")
     if any(g.loops):
         raise EntropyError("closed form assumes a loop-free graph")
-    spec = eigensystem(HermitianMatrix(adjacency_matrix(g), exact=False))
+    spec = eigensystem(HermitianMatrix(adjacency_matrix(g)))
     dn = d * g.n
     total = 0.0
     for (mu, mult) in spec.multiplicities:

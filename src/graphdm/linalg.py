@@ -1,14 +1,17 @@
-"""Hermitian matrices with an exact-rational construction path.
+"""Hermitian matrices, exact or floating point, and the eigensolver boundary.
 
 Every exact matrix graphdm builds is an integer matrix over one
 denominator, so an exact matrix is stored as a read-only int64 numerator
-array over one positive int denominator, reduced by their common gcd.
-Sums, scalings, Kronecker products, conjugations and projectors stay
-exact and vectorized; each raises LinalgError when a bound on its
-unreduced int64 result passes 2**62 (so it cannot wrap) or, like the
-constructor, when the gcd-reduced numerators or denominator pass 2**53.
-Floating point enters only at the eigensolver boundary: within that bound
-num and den are exact floats, so num / den is correctly rounded.
+array over one positive int denominator, reduced by their common gcd.  The
+dtype alone decides exactness: an integer array is exact, a float or
+complex array is inexact, and any other dtype (an object array of
+Fractions, or of ints past int64) raises LinalgError.  Sums, scalings,
+Kronecker products, conjugations and projectors are exact-only and
+vectorized; each raises LinalgError when a bound on its unreduced int64
+result passes 2**62 (so it cannot wrap) or, like the constructor, when the
+gcd-reduced numerators or denominator pass 2**53.  Floating point enters
+only at the eigensolver boundary: within that bound num and den are exact
+floats, so num / den is correctly rounded.
 """
 
 from __future__ import annotations
@@ -33,19 +36,6 @@ class LinalgError(ValueError):
     """Invalid matrix construction or operation."""
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    raise LinalgError(f"entry {x!r} is not exact-rational")
-
-
-_AS_FRACTION = np.frompyfunc(_to_fraction, 1, 1)
-_FRACTION = np.frompyfunc(Fraction, 2, 1)
-_DENOMINATOR = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
-
-
 def _check_bound(bound, limit: int = INT64_SAFE_LIMIT) -> None:
     """Raise unless a bound on an operation's entries stays within limit."""
     if bound > limit:
@@ -58,53 +48,53 @@ def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return (num // common, den // common) if common > 1 else (num, den)
 
 
-def _int64(ints: np.ndarray) -> np.ndarray:
-    """An integer-valued array (int or object dtype) as int64, range-checked."""
+def _int64(ints) -> np.ndarray:
+    """An integer array as int64, range-checked; any other dtype raises, so
+    no rational or float entry is truncated."""
+    ints = np.asarray(ints)
+    if ints.dtype.kind not in "iu":
+        raise LinalgError(f"exact entries must be integers, not {ints.dtype}")
     if ints.size and (ints.max() > INT64_SAFE_LIMIT or ints.min() < -INT64_SAFE_LIMIT):
         raise LinalgError("exact entries would pass 2**62")
     return ints.astype(np.int64)
 
 
-def _rational_parts(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """(int64 numerators, positive common denominator) of an exact-rational array."""
-    if arr.dtype.kind in "iu":
-        return _int64(arr), 1
-    fracs = _AS_FRACTION(arr)
-    den = math.lcm(*_DENOMINATOR(fracs).ravel().tolist())
-    return _int64(fracs * den), den
+def _exact(*mats: "HermitianMatrix") -> None:
+    """Raise unless every operand is exact: arithmetic has no float path."""
+    if not all(m.exact_real for m in mats):
+        raise LinalgError("exact arithmetic needs exact matrices")
 
 
 class HermitianMatrix:
     """Square Hermitian matrix.
 
-    An exact matrix is num / den: a read-only int64 array and a positive
-    int, gcd-reduced, so equal matrices have equal parts.  An inexact one
-    holds complex128 and is symmetrized on input after a Hermiticity check.
-    `den` divides the entries an exact matrix is built from; they may reach
-    2**62 if the reduced parts stay within 2**53.
+    An integer array is exact: num / den, a read-only int64 array over a
+    positive int (the keyword `den`), gcd-reduced, so equal matrices have
+    equal parts.  Its entries may reach 2**62 if the reduced parts stay
+    within 2**53.  A float or complex array is inexact: it holds complex128
+    and is symmetrized on input after a Hermiticity check.
     """
 
     __slots__ = ("num", "den", "exact_real", "_complex")
 
-    def __init__(self, rows, exact: bool | None = None, den: int = 1):
+    def __init__(self, rows, *, den: int = 1):
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise LinalgError("matrix must be square")
-        if exact is None:
-            exact = arr.dtype.kind in "iuO"
-        self.exact_real = bool(exact)
-        if exact:
-            num, scale = _rational_parts(arr)
-            den = operator.index(den) * scale
+        self.exact_real = arr.dtype.kind in "iu"
+        if self.exact_real:
+            den = operator.index(den)
             if den < 1:
                 raise LinalgError(f"denominator {den} is not positive")
-            num, den = _reduced(num, den)
+            num, den = _reduced(_int64(arr), den)
             _check_bound(max(int(np.abs(num).max()) if num.size else 0, den), EXACT_LIMIT)
             if not (num == num.T).all():
                 raise LinalgError("matrix is not symmetric")
             num.setflags(write=False)
             self.num, self.den, self._complex = num, den, None
             return
+        if arr.dtype.kind not in "fc":
+            raise LinalgError(f"entries must be integer or floating point, not {arr.dtype}")
         if den != 1:
             raise LinalgError("a denominator applies to exact matrices only")
         data = np.asarray(arr, dtype=complex)
@@ -117,12 +107,10 @@ class HermitianMatrix:
 
     @property
     def data(self) -> np.ndarray:
-        """The entries; an exact matrix builds a Fraction array on each read."""
-        if not self.exact_real:
-            return self._complex
-        view = _FRACTION(self.num.astype(object), self.den)
-        view.setflags(write=False)
-        return view
+        """The complex entries of an inexact matrix; an exact one has num and den."""
+        if self.exact_real:
+            raise LinalgError("an exact matrix has no float data; read num and den")
+        return self._complex
 
     @property
     def dim(self) -> int:
@@ -132,16 +120,12 @@ class HermitianMatrix:
         return int(np.abs(self.num).max()) if self.num.size else 0
 
     @classmethod
-    def zeros(cls, dim: int, exact: bool = True) -> "HermitianMatrix":
-        if exact:
-            return cls(np.zeros((dim, dim), dtype=np.int64))
-        return cls(np.zeros((dim, dim), dtype=complex), exact=False)
+    def zeros(cls, dim: int) -> "HermitianMatrix":
+        return cls(np.zeros((dim, dim), dtype=np.int64))
 
     @classmethod
-    def identity(cls, dim: int, exact: bool = True) -> "HermitianMatrix":
-        if exact:
-            return cls(np.eye(dim, dtype=np.int64))
-        return cls(np.eye(dim, dtype=complex), exact=False)
+    def identity(cls, dim: int) -> "HermitianMatrix":
+        return cls(np.eye(dim, dtype=np.int64))
 
     def entry(self, i: int, j: int):
         if self.exact_real:
@@ -168,12 +152,11 @@ class HermitianMatrix:
 
     def _combine(self, other: "HermitianMatrix", sign: int) -> "HermitianMatrix":
         """self + sign * other."""
-        if self.exact_real and other.exact_real:
-            den = math.lcm(self.den, other.den)
-            a, b = den // self.den, den // other.den
-            _check_bound(self._max_num() * a + other._max_num() * b)
-            return HermitianMatrix(self.num * a + other.num * (sign * b), den=den)
-        return HermitianMatrix(self.to_complex() + sign * other.to_complex(), exact=False)
+        _exact(self, other)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        _check_bound(self._max_num() * a + other._max_num() * b)
+        return HermitianMatrix(self.num * a + other.num * (sign * b), den=den)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return self._combine(other, 1)
@@ -182,14 +165,14 @@ class HermitianMatrix:
         return self._combine(other, -1)
 
     def scale(self, s) -> "HermitianMatrix":
-        if self.exact_real and isinstance(s, (int, Fraction, np.integer)):
-            s = _to_fraction(s)
-            _check_bound(max(self._max_num(), 1) * abs(s.numerator))
-            return HermitianMatrix(self.num * s.numerator, den=self.den * s.denominator)
-        s = complex(s)
-        if abs(s.imag) > 0:
-            raise LinalgError("scaling a Hermitian matrix needs a real factor")
-        return HermitianMatrix(self.to_complex() * s.real, exact=False)
+        """s * self for an int or Fraction s."""
+        _exact(self)
+        if isinstance(s, (int, np.integer)):
+            s = Fraction(int(s))
+        elif not isinstance(s, Fraction):
+            raise LinalgError(f"an exact matrix scales by an int or Fraction, not {s!r}")
+        _check_bound(max(self._max_num(), 1) * abs(s.numerator))
+        return HermitianMatrix(self.num * s.numerator, den=self.den * s.denominator)
 
     def __mul__(self, s):
         return self.scale(s)
@@ -197,26 +180,21 @@ class HermitianMatrix:
     __rmul__ = __mul__
 
     def conjugate_by(self, m) -> "HermitianMatrix":
-        """m @ self @ m^dagger, exact when both operands are exact-rational.
+        """m @ self @ m^T for an integer matrix m.
 
-        The exact product raises LinalgError when max|N| times the square of
-        M's largest absolute row sum, both over their common denominators,
-        passes 2**62, or when its gcd-reduced numerators or denominator pass
-        2**53.
+        The product raises LinalgError when max|N| times the square of m's
+        largest absolute row sum passes 2**62, or when its gcd-reduced
+        numerators or denominator pass 2**53.
         """
-        m = np.asarray(m)
-        if self.exact_real and m.dtype.kind in "iuO":
-            mnum, mden = _rational_parts(m)
-            # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2
-            row = np.abs(mnum).sum(axis=1, dtype=float).max() if mnum.size else 0.0
-            _check_bound(float(self._max_num()) * row * row)
-            return HermitianMatrix(mnum @ self.num @ mnum.T, den=self.den * mden * mden)
-        mc = m.astype(complex)
-        return HermitianMatrix(mc @ self.to_complex() @ mc.conj().T, exact=False)
+        _exact(self)
+        m = _int64(m)
+        # |(M N M^T)_ij| <= max|N| * (largest absolute row sum of M)^2
+        row = np.abs(m).sum(axis=1, dtype=float).max() if m.size else 0.0
+        _check_bound(float(self._max_num()) * row * row)
+        return HermitianMatrix(m @ self.num @ m.T, den=self.den)
 
     def exact_equal(self, other: "HermitianMatrix") -> bool:
-        if not (self.exact_real and other.exact_real):
-            raise LinalgError("exact comparison needs exact-rational matrices")
+        _exact(self, other)
         return self.den == other.den and np.array_equal(self.num, other.num)
 
     def max_abs_diff(self, other: "HermitianMatrix") -> float:
@@ -228,8 +206,8 @@ class HermitianMatrix:
 
 
 def exact_projector(vec) -> HermitianMatrix:
-    """Projector v v^T / (v . v) for a rational (unnormalized) vector."""
-    v, _ = _rational_parts(np.asarray(vec))  # a common denominator cancels
+    """Projector v v^T / (v . v) for an integer (unnormalized) vector."""
+    v = _int64(vec)
     top = int(np.abs(v).max()) if v.size else 0
     _check_bound(top * top * len(v))
     norm2 = int(v @ v)
@@ -239,10 +217,9 @@ def exact_projector(vec) -> HermitianMatrix:
 
 
 def kron(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
-    if a.exact_real and b.exact_real:
-        _check_bound(a._max_num() * b._max_num())
-        return HermitianMatrix(np.kron(a.num, b.num), den=a.den * b.den)
-    return HermitianMatrix(np.kron(a.to_complex(), b.to_complex()), exact=False)
+    _exact(a, b)
+    _check_bound(a._max_num() * b._max_num())
+    return HermitianMatrix(np.kron(a.num, b.num), den=a.den * b.den)
 
 
 @dataclass(frozen=True)
@@ -318,4 +295,4 @@ def psd_sqrt(h: HermitianMatrix) -> HermitianMatrix:
     if vals[0] < -1e-10:
         raise LinalgError(f"matrix is not PSD (eigenvalue {vals[0]:g})")
     root = np.sqrt(np.clip(vals, 0.0, None))
-    return HermitianMatrix((vecs * root) @ vecs.conj().T, exact=False)
+    return HermitianMatrix((vecs * root) @ vecs.conj().T)

@@ -53,6 +53,9 @@ class BipartiteLabeling:
         n = self.p * self.q
         if len(self.cells) != n:
             raise SeparabilityError("labeling must cover exactly p*q vertices")
+        for s, t in self.cells:
+            if not (0 <= s < self.p and 0 <= t < self.q):
+                raise SeparabilityError(f"cell {s}.{t} is outside the {self.p}x{self.q} grid")
         flats = sorted(self.flat(v) for v in range(n))
         if flats != list(range(n)):
             raise SeparabilityError("labeling is not a bijection onto the cells")
@@ -209,7 +212,7 @@ def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMa
         raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
     if rho.mat.exact_real:
         return HermitianMatrix(_pt_indexed(rho.mat.num, lab), den=rho.mat.den)
-    return HermitianMatrix(_pt_indexed(rho.mat.data, lab), exact=False)
+    return HermitianMatrix(_pt_indexed(rho.mat.data, lab))
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, lab: BipartiteLabeling) -> float:

@@ -87,8 +87,8 @@ def cell_basis_density(rho, assign):
     pos = [None] * len(assign)
     for vertex, cell in enumerate(assign):
         pos[cell] = vertex
-    data = rho.mat.data[np.ix_(pos, pos)]
-    return DensityMatrix(HermitianMatrix(data))
+    num = rho.mat.num[np.ix_(pos, pos)]
+    return DensityMatrix(HermitianMatrix(num, den=rho.mat.den))
 
 
 def ph_concurrence_agreement(tol=1e-9):
@@ -113,7 +113,7 @@ def ph_concurrence_agreement(tol=1e-9):
 
 def test_criterion_01_single_edge_state():
     rho = density_of_graph(path_graph(2))
-    expected = HermitianMatrix([[F(1, 2), F(-1, 2)], [F(-1, 2), F(1, 2)]])
+    expected = HermitianMatrix([[1, -1], [-1, 1]], den=2)
     exact = rho.mat.exact_equal(expected)
     lams = eigensystem(rho.mat).eigenvalues
     eig_ok = abs(lams[0]) < 1e-10 and abs(lams[1] - 1) < 1e-10

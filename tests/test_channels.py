@@ -165,10 +165,10 @@ def test_measurement_post_states():
     cases = [(path_graph(3), (0, 1)), (path_graph(4), (0, 2)),
              (build_graph(4, [(0, 1), (1, 2)]), (0, 1))]
     for g, pair in cases:
-        sigma = density_of_graph(g).mat.data
+        sigma = density_of_graph(g).mat
         for o in measurement_probabilities(g, pair):
-            proj = exact_projector(o.vector).data
-            prob = (proj @ sigma).trace()
+            proj = exact_projector(o.vector)
+            prob = F(int((proj.num @ sigma.num).trace()), proj.den * sigma.den)
             assert o.probability == float(prob)
             if prob == 0:
                 assert o.post_state is None
@@ -176,7 +176,8 @@ def test_measurement_post_states():
             post = o.post_state
             assert post.mat.trace() == 1
             # rank-one outcome: P sigma P / p is the projector itself, exactly
-            assert post.mat.exact_equal(HermitianMatrix(proj @ sigma @ proj / prob))
+            exact = HermitianMatrix(proj.num @ sigma.num @ proj.num, den=proj.den ** 2 * sigma.den)
+            assert post.mat.exact_equal(exact.scale(1 / prob))
 
 
 def test_vertex_deletion_on_triangle():

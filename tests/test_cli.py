@@ -430,6 +430,10 @@ PINNED_FILES = {
 }
 
 
+def pinned_argv(graph_file, argv):
+    return [graph_file(a, PINNED_FILES[a]) if a in PINNED_FILES else a for a in argv]
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["probe", "--p", "2", "--q", "2"], "d61266bdd670fc11"),
     (["probe", "--p", "2", "--q", "3"], "b07847ce9717866b"),
@@ -444,8 +448,7 @@ PINNED_FILES = {
 ])
 def test_census_json_is_pinned(capsys, graph_file, argv, digest):
     # sha256 of each output before its verdicts and probabilities became exact
-    argv = [graph_file(a, PINNED_FILES[a]) if a in PINNED_FILES else a for a in argv]
-    out, err = run_text(capsys, argv + ["--json"])
+    out, err = run_text(capsys, pinned_argv(graph_file, argv) + ["--json"])
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
     assert err == ""
 
@@ -606,3 +609,67 @@ def test_every_subcommand_renders_without_json_dumps(capsys, graph_file, monkeyp
                  ["probe", "--p", "2", "--q", "2"], ["census4"]):
         out, _ = run_text(capsys, argv + ["--json"])
         assert out == dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# misuse exits 2 with one line; default text output
+
+
+def labeling(spec):
+    return ["analyze", "p4.graph", "--p", "2", "--q", "2", "--labeling", spec]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (labeling("5=0.0,2=0.1,3=1.0,4=1.1"), "vertex 5 out of range in labeling"),
+    (labeling("1=0.0,1=0.1,3=1.0,4=1.1"), "vertex 1 labeled twice"),
+    (labeling("1=0.0,2=01,3=1.0,4=1.1"), "bad labeling '1=0.0,2=01,3=1.0,4=1.1'"),
+    (labeling("1=0.0,2=0.1,3=1.0"), "labeling must cover every vertex"),
+    # flat indices 0..3 once each, from cells outside the grid
+    (labeling("1=0.0,2=0.1,3=0.2,4=1.1"), "cell 0.2 is outside the 2x2 grid"),
+    (labeling("1=0.0,2=1.-1,3=1.0,4=1.1"), "cell 1.-1 is outside the 2x2 grid"),
+    (["analyze", "p4.graph", "--p", "2"], "this command needs --p and --q"),
+    (["search", "p4.graph", "--q", "2"], "this command needs --p and --q"),
+    (["analyze", "p4.graph", "--p", "1", "--q", "4"], "both parts need dimension at least 2"),
+    (["channel", "p4.graph", ""], "empty edit"),
+    (["channel", "p4.graph", "del-edge 1"], "'del-edge' needs two vertex numbers"),
+    (["channel", "p4.graph", "del-vertex 1 2"], "'del-vertex' needs one vertex number"),
+    (["channel", "p4.graph", "add-edge 1 x"], "bad vertex number in 'add-edge 1 x'"),
+    (["channel", "p4.graph", "del-vertex x"], "bad vertex number in 'del-vertex x'"),
+    (["channel", "p4.graph", "add-vertex 3"], "'add-vertex' takes no arguments"),
+    (["channel", "p4.graph", "add-edge 2 2"], "an edge needs two distinct vertices"),
+    (["channel", "p4.graph"], "no edits given"),
+    (["probe", "--p", "2", "--q", "2", "--max-n", "9"], "probe is limited to max-n <= 8"),
+])
+def test_misuse_exits_2_with_one_error_line(capsys, graph_file, argv, message):
+    assert_one_line_error(capsys, pinned_argv(graph_file, argv), message)
+
+
+def test_unexpected_exception_exits_1_with_one_line(capsys, graph_file, monkeypatch):
+    def broken(_):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "von_neumann_entropy", broken)
+    assert main(["entropy", graph_file("p4.graph", P4_TEXT)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: division by zero\n"
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["census4"], [" id edges", "11 isomorphism classes exist on 4 vertices"]),
+    (["channel", "c5.graph", "--script", "edits.txt"],
+     ["start: 5 vertices, 5 edges", "del-edge 1 2: -> 5 vertices, 4 edges"]),
+    (["search", "p4.graph", "--p", "2", "--q", "2"], ["labelings as 2x2 (exhaustive, total 24)"]),
+    # a complete graph prints the note and the certified counts
+    (["search", "k6.graph", "--p", "2", "--q", "3"],
+     ["labelings as 2x3 (exhaustive, total 720)", "complete graph: an explicit",
+      "certified counts: ENTANGLED_NPT=0 SEPARABLE=720"]),
+    (["entropy", "c5.graph", "--order", "2"], ["graph: 5 vertices, 5 edges", "q-entropy (q=2): "]),
+])
+def test_default_text_output(capsys, graph_file, argv, lines):
+    out, err = run_text(capsys, pinned_argv(graph_file, argv))
+    assert err == "" and "Traceback" not in out
+    got = out.splitlines()
+    assert got[0].startswith(lines[0])
+    for line in lines[1:]:
+        assert any(g.startswith(line) for g in got), line

@@ -86,7 +86,7 @@ def test_pure_state_agrees_with_density_formula():
     for _ in range(100):
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.linalg.norm(psi)
-        rho = DensityMatrix(HermitianMatrix(np.outer(psi, psi.conj()), exact=False))
+        rho = DensityMatrix(HermitianMatrix(np.outer(psi, psi.conj())))
         a = pure_state_concurrence(psi)
         b = concurrence(rho).value
         assert abs(a - b) < 1e-8
@@ -180,7 +180,7 @@ def scalar_concurrence(rho: DensityMatrix) -> ConcurrenceResult:
 
 
 def oracle(state) -> ConcurrenceResult:
-    return scalar_concurrence(DensityMatrix(HermitianMatrix(state, exact=False)))
+    return scalar_concurrence(DensityMatrix(HermitianMatrix(state)))
 
 
 def assert_matches_oracle(stack):

@@ -38,7 +38,7 @@ F = Fraction
 
 def test_single_edge_state_by_hand():
     rho = density_of_graph(path_graph(2))
-    expected = HermitianMatrix([[F(1, 2), F(-1, 2)], [F(-1, 2), F(1, 2)]])
+    expected = HermitianMatrix([[1, -1], [-1, 1]], den=2)
     assert rho.mat.exact_equal(expected)
     assert rho.normalization == 2
     assert rho.origin == path_graph(2)
@@ -70,7 +70,7 @@ def test_density_with_loops_normalization():
     # loops enter only the diagonal and the trace normalization
     g = build_graph(2, [], loops=[1, 1])
     rho = density_with_loops(g)
-    assert rho.mat.exact_equal(HermitianMatrix([[F(1, 2), F(0)], [F(0), F(1, 2)]]))
+    assert rho.mat.exact_equal(HermitianMatrix([[1, 0], [0, 1]], den=2))
     h = build_graph(3, [(0, 1)], loops=[0, 0, 2])
     rho = density_with_loops(h)
     # denominator 2m + loops = 2 + 2 = 4
@@ -81,7 +81,7 @@ def test_density_with_loops_normalization():
 
 def test_sigma_plus_uses_signless_combination():
     rho = sigma_plus(path_graph(2))
-    expected = HermitianMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
+    expected = HermitianMatrix([[1, 1], [1, 1]], den=2)
     assert rho.mat.exact_equal(expected)
     ok, _ = is_psd(rho.mat)
     assert ok
@@ -164,9 +164,9 @@ def test_tensor_separable_decomposition_reconstructs():
 
 def test_density_matrix_validation():
     with pytest.raises(DensityError):
-        DensityMatrix(HermitianMatrix([[F(1), F(0)], [F(0), F(1)]]))  # trace 2
+        DensityMatrix(HermitianMatrix([[1, 0], [0, 1]]))  # trace 2
     with pytest.raises(DensityError):
-        DensityMatrix(HermitianMatrix([[F(2), F(0)], [F(0), F(-1)]]))  # not PSD
+        DensityMatrix(HermitianMatrix([[2, 0], [0, -1]]))  # not PSD
 
 
 def test_exact_dominant_states_skip_the_eigensolve(monkeypatch):
@@ -179,10 +179,10 @@ def test_exact_dominant_states_skip_the_eigensolve(monkeypatch):
     assert checked == []
     # a projector onto (1, 1, 1) fails the certificate; a float state never takes it
     DensityMatrix(exact_projector([1, 1, 1]))
-    DensityMatrix(HermitianMatrix([[0.5, 0.0], [0.0, 0.5]], exact=False))
+    DensityMatrix(HermitianMatrix([[0.5, 0.0], [0.0, 0.5]]))
     assert len(checked) == 2
     with pytest.raises(DensityError, match=r"matrix is not PSD \(eigenvalue -1\)"):
-        DensityMatrix(HermitianMatrix([[F(2), F(0)], [F(0), F(-1)]]))
+        DensityMatrix(HermitianMatrix([[2, 0], [0, -1]]))
 
 
 def test_graph_states_stack_once_per_order_without_an_eigensolve(monkeypatch):

@@ -1,5 +1,5 @@
-"""Every name a graphdm module imports is used in that module, and no
-module imports another's _private names."""
+"""Every name a graphdm module imports is used in that module, no module
+imports another's _private names, and no module builds an object array."""
 
 import ast
 from pathlib import Path
@@ -32,6 +32,29 @@ def private_imports(path: Path) -> list[str]:
                   if a.name.startswith("_") and (path.name, a.name) not in KEPT)
 
 
+def object_arrays(path: Path) -> list[str]:
+    """Each use of frompyfunc, dtype=object or astype(object), by line.
+
+    Exact matrices are int64 numerators over one denominator; an object
+    array of Fractions or big ints is the representation they replaced.
+    """
+    def is_object(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "object"
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr == "frompyfunc"
+                or isinstance(node, ast.Name) and node.id == "frompyfunc"):
+            found.append(f"{node.lineno}: frompyfunc")
+        elif isinstance(node, ast.Call):
+            if any(k.arg == "dtype" and is_object(k.value) for k in node.keywords):
+                found.append(f"{node.lineno}: dtype=object")
+            if (isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+                    and node.args and is_object(node.args[0])):
+                found.append(f"{node.lineno}: astype(object)")
+    return found
+
+
 def test_no_unused_imports():
     # __init__.py imports are the package's public names, not uses
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -45,6 +68,24 @@ def test_no_cross_module_private_imports():
     assert {"__init__.py", "cli.py", "graphs.py"} <= {p.name for p in modules}
     found = {p.name: private_imports(p) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_object_arrays():
+    modules = sorted(SRC.glob("*.py"))
+    assert {"linalg.py", "density.py"} <= {p.name for p in modules}
+    found = {p.name: object_arrays(p) for p in modules}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_object_scan_sees_each_form(tmp_path):
+    probe = tmp_path / "linalg.py"
+    probe.write_text("import numpy as np\n"
+                     "from numpy import frompyfunc\n"
+                     "a = np.empty(2, dtype=object)\n"
+                     "b = a.astype(object)\n"
+                     "c = np.frompyfunc(int, 1, 1)\n"
+                     "d = np.zeros(2, dtype=np.int64).astype(float)\n")
+    assert object_arrays(probe) == ["3: dtype=object", "4: astype(object)", "5: frompyfunc"]
 
 
 def test_scan_sees_unused_and_kept_names(tmp_path):

@@ -1,10 +1,12 @@
 """The int64-numerator form of exact matrices against Fraction object arrays.
 
 Every reference here is computed entry by entry in Fraction arithmetic on
-dtype=object arrays, the representation the integer form replaced.  A
-result must match it exactly, in canonical form (the denominator is the
-lcm of the reduced entries' denominators), and its floats must be the
-correctly rounded entries, as complex(Fraction) gives them.
+dtype=object arrays, the representation the integer form replaced; the
+operands are given to graphdm as integer numerators over one denominator,
+since an object array is no input form.  A result must match the reference
+exactly, in canonical form (the denominator is the lcm of the reduced
+entries' denominators), and its floats must be the correctly rounded
+entries, as complex(Fraction) gives them.
 """
 
 import math
@@ -59,7 +61,8 @@ def assert_matches(h: HermitianMatrix, ref: np.ndarray) -> None:
     den = math.lcm(*(x.denominator for x in ref.flat))
     assert h.den == den
     assert h.num.tolist() == [[int(x * den) for x in row] for row in ref]
-    assert (h.data == ref).all()
+    with pytest.raises(LinalgError):
+        h.data  # an exact matrix has no Fraction view
     assert h.trace() == sum(ref.diagonal())
     for i in range(h.dim):
         for j in range(h.dim):
@@ -73,7 +76,7 @@ def assert_matches(h: HermitianMatrix, ref: np.ndarray) -> None:
 def test_sum_difference_and_scale(data, n):
     a, b = data.draw(symmetric(n)), data.draw(symmetric(n))
     s = data.draw(st.one_of(fractions_, st.integers(-9, 9)))
-    ha, hb = HermitianMatrix(a), HermitianMatrix(b)
+    ha, hb = exact(a), exact(b)
     assert_matches(ha, a)
     assert_matches(ha + hb, a + b)
     assert_matches(ha - hb, a - b)
@@ -86,7 +89,7 @@ def test_sum_difference_and_scale(data, n):
 @given(data=st.data(), n=st.integers(1, 3), k=st.integers(1, 3))
 def test_kron(data, n, k):
     a, b = data.draw(symmetric(n)), data.draw(symmetric(k))
-    assert_matches(kron(HermitianMatrix(a), HermitianMatrix(b)), np.kron(a, b))
+    assert_matches(kron(exact(a), exact(b)), np.kron(a, b))
 
 
 @st.composite
@@ -100,6 +103,12 @@ def common_parts(rows) -> tuple[list, int]:
     """Numerators over the lcm of the entries' denominators, and that lcm."""
     den = math.lcm(*(F(x).denominator for row in rows for x in row))
     return [[int(F(x) * den) for x in row] for row in rows], den
+
+
+def exact(a: np.ndarray) -> HermitianMatrix:
+    """A Fraction array as graphdm takes it: integer numerators over one den."""
+    num, den = common_parts(a.tolist())
+    return HermitianMatrix(np.array(num, dtype=np.int64), den=den)
 
 
 def refused(pre: int, ref: np.ndarray) -> bool:
@@ -123,23 +132,27 @@ def assert_conjugation(a: np.ndarray, m: np.ndarray) -> None:
     ref = np.dot(np.dot(m, a), m.T)
     if conjugation_refused(a, m, ref):
         with pytest.raises(LinalgError):
-            HermitianMatrix(a).conjugate_by(m)
+            exact(a).conjugate_by(m)
     else:
-        assert_matches(HermitianMatrix(a).conjugate_by(m), ref)
+        assert_matches(exact(a).conjugate_by(m), ref)
 
 
 @settings(max_examples=40, deadline=None)
 @given(operands=conjugation())
-# its unreduced numerators pass 2**53 (8.95e15) while the reduced result has
-# den 73180800 and numerators below 1.9e12
+# over m's common denominator 13860, the bound on the unreduced product
+# (9.15e15) passes 2**53 while the reduced result has den 8 and numerators
+# below 3.9e13
 @example(operands=(
     fraction_array([[0, 0, 0, 0], [0, 0, F(1, 3), F(1, 7)],
                     [0, F(1, 3), F(1, 8), F(1, 11)], [0, F(1, 7), F(1, 11), 28]]),
     fraction_array([[0, 0, F(1, 4), F(1, 5)], [F(1, 7), F(1, 9), F(1, 11), 30]])))
 def test_conjugate_by(operands):
     a, m = operands
-    assert_conjugation(a, m)
-    # an integer matrix takes the int64 path directly
+    with pytest.raises(LinalgError):
+        exact(a).conjugate_by(m)  # a rational conjugator is refused
+    # its numerators over their common denominator are an integer conjugator
+    assert_conjugation(a, np.array(common_parts(m.tolist())[0], dtype=np.int64))
+    # and so are the entries' own numerators
     mi = np.vectorize(lambda x: x.numerator)(m).astype(np.int64)
     assert_conjugation(a, mi)
 
@@ -149,7 +162,10 @@ def test_conjugate_by(operands):
 def test_exact_projector(vec):
     v = fraction_array([vec])[0]
     norm2 = sum(x * x for x in v)
-    assert_matches(exact_projector(vec), np.outer(v, v) / norm2)
+    with pytest.raises(LinalgError):
+        exact_projector(vec)  # a Fraction vector is refused
+    # a common denominator cancels, so its numerators give the same projector
+    assert_matches(exact_projector(common_parts([vec])[0][0]), np.outer(v, v) / norm2)
     ints = [x.numerator for x in vec]
     if any(ints):
         w = fraction_array([ints])[0]
@@ -205,13 +221,13 @@ def test_entries_past_the_bound_raise():
     with pytest.raises(LinalgError):
         HermitianMatrix(np.array([[2 ** 53 + 1]]))
     with pytest.raises(LinalgError):
-        HermitianMatrix([[F(1, 2 ** 53 + 1)]])
+        HermitianMatrix([[1]], den=2 ** 53 + 1)
     with pytest.raises(LinalgError):
         HermitianMatrix([[2 ** 63]])  # unsigned input
     with pytest.raises(LinalgError):
-        HermitianMatrix([[F(2 ** 70, 3)]])
+        HermitianMatrix([[2 ** 70]], den=3)  # object input
     with pytest.raises(LinalgError):
-        HermitianMatrix([[F(1, 2 ** 63)]])
+        HermitianMatrix([[1]], den=2 ** 63)
     a = HermitianMatrix(np.array([[2 ** 40]]))
     assert a.scale(2 ** 13).entry(0, 0) == 2 ** 53
     for op in (lambda: a.scale(2 ** 14), lambda: kron(a, a),
@@ -226,12 +242,12 @@ def test_entries_past_the_bound_raise():
 
 def test_bounds_apply_after_reduction():
     # each unreduced result passes 2**53, each reduced one does not
-    scaled = HermitianMatrix([[F(1, 2 ** 52)]]).scale(2 ** 60)
+    scaled = HermitianMatrix([[1]], den=2 ** 52).scale(2 ** 60)
     assert scaled.den == 1 and scaled.entry(0, 0) == 256
     big = HermitianMatrix(np.array([[2 ** 53]]))
     assert (big + HermitianMatrix(np.array([[2 - 2 ** 53]]))).entry(0, 0) == 2
     assert (big - HermitianMatrix(np.array([[2 ** 53 - 2]]))).entry(0, 0) == 2
-    kr = kron(HermitianMatrix([[F(2 ** 40, 3 ** 5)]]), HermitianMatrix([[3 ** 5 * 2 ** 10]]))
+    kr = kron(HermitianMatrix([[2 ** 40]], den=3 ** 5), HermitianMatrix([[3 ** 5 * 2 ** 10]]))
     assert kr.den == 1 and kr.entry(0, 0) == 2 ** 50
     proj = exact_projector([2 ** 27, 2 ** 27])
     assert_matches(proj, fraction_array([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]))
@@ -253,7 +269,7 @@ def wide_matrix(draw, n):
 
 
 def reference(h: HermitianMatrix) -> np.ndarray:
-    return fraction_array(h.data.tolist())
+    return fraction_array([[F(x, h.den) for x in row] for row in h.num.tolist()])
 
 
 def max_num(h: HermitianMatrix) -> int:
@@ -286,7 +302,7 @@ def test_refusals_follow_the_documented_rule(data, n):
     v = fraction_array([vec])[0]
     v_num, _ = common_parts([vec])
     assert_op(max(abs(x) for x in v_num[0]) ** 2 * len(vec),
-              np.outer(v, v) / sum(x * x for x in v), lambda: exact_projector(vec))
+              np.outer(v, v) / sum(x * x for x in v), lambda: exact_projector(v_num[0]))
 
 
 def test_psd_sqrt_squares_back_without_grouping(monkeypatch):
@@ -299,3 +315,26 @@ def test_psd_sqrt_squares_back_without_grouping(monkeypatch):
     assert np.abs(root @ root - h.to_complex()).max() < 1e-14
     with pytest.raises(LinalgError):
         psd_sqrt(HermitianMatrix(np.array([[1, 2], [2, 1]])))
+
+
+def test_object_and_float_operands_are_refused():
+    # none becomes a float matrix, and astype(np.int64) would truncate each
+    # Fraction: the vector (3/2, -1/3) would give the projector onto (1, 0)
+    for rows in (fraction_array([[F(1, 2), 0], [0, F(1, 2)]]), [[2 ** 70]],
+                 np.eye(2, dtype=np.int64).astype(object)):
+        with pytest.raises(LinalgError):
+            HermitianMatrix(rows)
+    h = HermitianMatrix([[2, -1], [-1, 2]], den=4)
+    for m in (fraction_array([[F(1, 2), 0], [0, 1]]), np.array([[0.5, 0.0], [0.0, 1.0]])):
+        with pytest.raises(LinalgError):
+            h.conjugate_by(m)
+    for vec in ([F(3, 2), F(-1, 3)], [1.5, -1.0]):
+        with pytest.raises(LinalgError):
+            exact_projector(vec)
+    inexact = HermitianMatrix(h.to_real())
+    for op in (lambda: h + inexact, lambda: inexact - h, lambda: h.scale(0.5),
+               lambda: inexact.scale(2), lambda: kron(h, inexact),
+               lambda: inexact.conjugate_by(np.eye(2, dtype=np.int64)),
+               lambda: h.exact_equal(inexact)):
+        with pytest.raises(LinalgError):
+            op()

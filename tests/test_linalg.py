@@ -23,13 +23,13 @@ F = Fraction
 
 
 def test_exact_construction_and_entries():
-    h = HermitianMatrix([[F(1, 2), F(-1, 2)], [F(-1, 2), F(1, 2)]])
+    h = HermitianMatrix([[1, -1], [-1, 1]], den=2)
     assert h.exact_real
     assert h.dim == 2
     assert h.trace() == 1
     assert h.entry(0, 1) == F(-1, 2)
     assert isinstance(h.entry(0, 0), Fraction)
-    # integer input promotes to exact fractions
+    # integer input is exact, over den 1 by default
     g = HermitianMatrix([[1, 0], [0, 2]])
     assert g.exact_real and g.entry(1, 1) == 2
 
@@ -38,13 +38,15 @@ def test_construction_rejects_bad_shapes_and_asymmetry():
     with pytest.raises(LinalgError):
         HermitianMatrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(LinalgError):
-        HermitianMatrix([[F(0), F(1)], [F(2), F(0)]])
+        HermitianMatrix([[0, 1], [2, 0]])
     with pytest.raises(LinalgError):
-        HermitianMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]), exact=False)
+        HermitianMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(LinalgError):
-        HermitianMatrix([[0.5]], exact=True)  # floats are not exact-rational
-    # without the flag, float input just takes the inexact path
+        HermitianMatrix([[0.5]], den=2)  # floats are not exact-rational
+    # float input just takes the inexact path
     assert not HermitianMatrix([[0.5]]).exact_real
+    with pytest.raises(LinalgError):
+        HermitianMatrix([[F(0), F(1)], [F(1), F(0)]])  # Fractions are no input form
 
 
 def test_complex_path_symmetrizes():
@@ -59,8 +61,8 @@ def test_complex_path_symmetrizes():
 
 
 def test_arithmetic_stays_exact():
-    a = HermitianMatrix([[F(1), F(2)], [F(2), F(0)]])
-    b = HermitianMatrix([[F(0), F(1, 3)], [F(1, 3), F(1)]])
+    a = HermitianMatrix([[1, 2], [2, 0]])
+    b = HermitianMatrix([[0, 1], [1, 3]], den=3)
     s = a + b
     assert s.exact_real and s.entry(0, 1) == F(7, 3)
     d = a - b
@@ -68,31 +70,36 @@ def test_arithmetic_stays_exact():
     scaled = a.scale(F(1, 4))
     assert scaled.entry(0, 1) == F(1, 2)
     assert (2 * a).entry(0, 0) == 2
+    with pytest.raises(LinalgError):
+        a.scale(0.25)  # a float factor has no exact result
 
 
 def test_conjugate_by_exact_permutation():
-    h = HermitianMatrix([[F(1), F(2)], [F(2), F(3)]])
-    swap = np.empty((2, 2), dtype=object)
-    swap[:] = [[F(0), F(1)], [F(1), F(0)]]
+    h = HermitianMatrix([[1, 2], [2, 3]])
+    swap = np.array([[0, 1], [1, 0]])
     g = h.conjugate_by(swap)
     assert g.exact_real
     assert g.entry(0, 0) == 3 and g.entry(1, 1) == 1
+    with pytest.raises(LinalgError):
+        h.conjugate_by(swap.astype(object))  # an object conjugator is refused
 
 
 def test_exact_projector():
-    p = exact_projector([F(1), F(-1)])
-    expected = HermitianMatrix([[F(1, 2), F(-1, 2)], [F(-1, 2), F(1, 2)]])
+    p = exact_projector([1, -1])
+    expected = HermitianMatrix([[1, -1], [-1, 1]], den=2)
     assert p.exact_equal(expected)
     # idempotent: P conjugated into itself through P equals P
-    sq = p.conjugate_by(p.data)
+    sq = p.conjugate_by(p.num).scale(F(1, p.den ** 2))
     assert sq.exact_equal(p)
     with pytest.raises(LinalgError):
-        exact_projector([F(0), F(0)])
+        exact_projector([0, 0])
+    with pytest.raises(LinalgError):
+        exact_projector([F(1), F(-1)])  # Fraction vectors are no input form
 
 
 def test_kron_block_structure():
-    a = HermitianMatrix([[F(1), F(0)], [F(0), F(2)]])
-    b = HermitianMatrix([[F(0), F(1)], [F(1), F(0)]])
+    a = HermitianMatrix([[1, 0], [0, 2]])
+    b = HermitianMatrix([[0, 1], [1, 0]])
     k = kron(a, b)
     assert k.dim == 4 and k.exact_real
     assert k.entry(0, 1) == 1 and k.entry(2, 3) == 2 and k.entry(0, 2) == 0
@@ -103,7 +110,7 @@ def test_eigensystem_matches_numpy_on_random_symmetric():
     for dim in [2, 3, 5, 8]:
         raw = rng.standard_normal((dim, dim))
         sym = (raw + raw.T) / 2
-        h = HermitianMatrix(sym, exact=False)
+        h = HermitianMatrix(sym)
         spec = eigensystem(h)
         np.testing.assert_allclose(
             spec.eigenvalues, np.linalg.eigvalsh(sym), atol=1e-10)
@@ -115,18 +122,18 @@ def test_eigensystem_matches_numpy_on_random_symmetric():
 
 
 def test_eigensystem_groups_multiplicities():
-    h = HermitianMatrix([[F(1), F(0), F(0)],
-                         [F(0), F(1), F(0)],
-                         [F(0), F(0), F(3)]])
+    h = HermitianMatrix([[1, 0, 0],
+                         [0, 1, 0],
+                         [0, 0, 3]])
     spec = eigensystem(h)
     assert spec.multiplicities == ((1.0, 2), (3.0, 1))
     assert spec.distinct() == (1.0, 3.0)
 
 
 def test_is_psd_boundary():
-    ok, low = is_psd(HermitianMatrix([[F(1), F(-1)], [F(-1), F(1)]]))
+    ok, low = is_psd(HermitianMatrix([[1, -1], [-1, 1]]))
     assert ok and abs(low) < 1e-12
-    ok, low = is_psd(HermitianMatrix([[F(1), F(2)], [F(2), F(1)]]))
+    ok, low = is_psd(HermitianMatrix([[1, 2], [2, 1]]))
     assert not ok and abs(low - (-1.0)) < 1e-12
 
 
@@ -171,12 +178,12 @@ def test_psd_sqrt_squares_back():
     for dim in [2, 4, 6]:
         raw = rng.standard_normal((dim, dim))
         psd = raw @ raw.T  # Gram matrix, PSD by construction
-        h = HermitianMatrix(psd, exact=False)
+        h = HermitianMatrix(psd)
         r = psd_sqrt(h)
         sq = r.to_complex() @ r.to_complex()
         np.testing.assert_allclose(sq, psd, atol=1e-9)
     with pytest.raises(LinalgError):
-        psd_sqrt(HermitianMatrix([[F(-1)]]))
+        psd_sqrt(HermitianMatrix([[-1]]))
 
 
 def test_identity_and_zeros():

@@ -66,6 +66,18 @@ def test_labeling_helpers():
         BipartiteLabeling.from_assignment(2, 2, (0, 1, 2, 2))
 
 
+@pytest.mark.parametrize("cells", [
+    ((0, 0), (0, 1), (0, 2), (1, 1)),  # (0, 2) has the flat index of (1, 0)
+    ((0, 0), (1, -1), (1, 0), (1, 1)),  # (1, -1) has the flat index of (0, 1)
+    ((0, 0), (0, 1), (2, -2), (1, 1)),
+])
+def test_labeling_rejects_cells_outside_the_grid(cells):
+    # each flat index s*q + t still occurs once, so only the range check refuses
+    assert sorted(s * 2 + t for s, t in cells) == [0, 1, 2, 3]
+    with pytest.raises(SeparabilityError, match="outside the 2x2 grid"):
+        BipartiteLabeling(2, 2, cells)
+
+
 def test_partial_transpose_is_exact_involution():
     from graphdm import DensityMatrix
 
