@@ -33,6 +33,8 @@ from .linalg import HermitianMatrix, exact_projector, kron
 from .separability import BipartiteLabeling, pe_matching_separability, ppt_test, ppt_verdicts
 
 CHANNEL_TOL = 1e-10
+# largest entrywise distance at which a channel output lands on its graph state
+LANDING_TOL = 1e-8
 
 
 class ChannelError(ValueError):
@@ -277,13 +279,13 @@ class VertexEdit:
         state = next(states)
         for ch in self.channels:
             state = ch.apply(state)
-            if np.max(np.abs(state - next(states))) > 1e-8:
+            if np.max(np.abs(state - next(states))) > LANDING_TOL:
                 raise ChannelError(f"state after '{ch.label}' missed the graph state")
         keep_prob = 1.0 - sum(state[i, i] for i in self.dropped)
         kept = [i for i in range(len(state)) if i not in self.dropped]
         reduced = state[np.ix_(kept, kept)] / keep_prob
         err = float(np.max(np.abs(reduced - next(states))))
-        if err > 1e-8:
+        if err > LANDING_TOL:
             raise ChannelError(self.missed)
         return reduced, keep_prob, err
 

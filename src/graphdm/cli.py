@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .channels import (
+    LANDING_TOL,
     ChannelError,
     VertexEdit,
     edge_addition_channel,
@@ -426,8 +427,6 @@ def cmd_channel(args) -> None:
     if not edits:
         raise ChannelError("no edits given (positional edits or --script)")
     parsed = [_parse_edit(tok) for tok in edits]
-    if g.m == 0:  # refused before any edit is checked, as laplacian_states would
-        raise DensityError("graph has no non-loop edge")
 
     # walk the graph sequence first, so that one stacked call per vertex
     # count builds every state a landing is checked against
@@ -459,7 +458,7 @@ def cmd_channel(args) -> None:
                 for o in measurement_probabilities(before, edit[1:])]
             state = op.apply(state)
             err = float(np.max(np.abs(state - next(states))))
-            if err > 1e-8:
+            if err > LANDING_TOL:
                 raise ChannelError(
                     f"state after {record['edit']!r} missed the graph state by {err:g}")
             if args.dump_operators:
@@ -578,17 +577,19 @@ def _probe_sampled(pairs, ent_pairs, n: int, budget: int, seed: int):
 def cmd_probe(args) -> None:
     p, q = _require_dims(args)
     n = p * q
-    if args.max_n > 8:
-        raise SeparabilityError("probe is limited to max-n <= 8")
-    if n > args.max_n:
-        raise SeparabilityError(f"p*q = {n} exceeds max-n = {args.max_n}")
+    if n > 8:
+        raise SeparabilityError(f"probe is limited to p*q <= 8, got {n}")
+    if args.budget < 1:
+        raise SeparabilityError(f"budget must be at least 1, got {args.budget}")
+    if args.seed < 0:
+        raise SeparabilityError(f"seed must be non-negative, got {args.seed}")
     pairs = list(itertools.combinations(range(n), 2))
     cells = [divmod(v, q) for v in range(n)]
     ent_pairs = [idx for idx, (u, v) in enumerate(pairs)
                  if cells[u][0] != cells[v][0] and cells[u][1] != cells[v][1]]
     mode = "exhaustive" if len(pairs) <= 16 else "sampled"
     present, single = (_probe_exhaustive(pairs, ent_pairs, n) if mode == "exhaustive" else
-                       _probe_sampled(pairs, ent_pairs, n, args.budget or 20000, args.seed))
+                       _probe_sampled(pairs, ent_pairs, n, args.budget, args.seed))
     ppt = ppt_verdicts(pairs, np.arange(n), p, q, present)
 
     payload = {"p": p, "q": q, "n": n, "mode": mode, "tol": args.tol}
@@ -617,7 +618,7 @@ def cmd_probe(args) -> None:
     _warn_disagreements(off, args.tol)
     if mode == "sampled":
         payload["seed"] = args.seed
-        payload["budget"] = args.budget or 20000
+        payload["budget"] = args.budget
     if args.json:
         _print_json(payload)
         return
@@ -731,9 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan graphs whose entangled edges are one edge "
                              "or concentrated at one vertex")
     common(sp)
-    sp.add_argument("--max-n", type=int, default=8, dest="max_n",
-                    help="largest vertex count the probe may touch (<= 8)")
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=int, default=20000,
                     help="samples when the pair count is too large to exhaust")
     sp.add_argument("--seed", type=int, default=20060111,
                     help="seed for sampled mode")

@@ -116,20 +116,16 @@ def density_with_loops(g: Graph) -> DensityMatrix:
     return DensityMatrix(HermitianMatrix(data, den=denom), origin=g, normalization=denom)
 
 
-def purity(rho: DensityMatrix):
-    """tr(rho^2); the exact Fraction sum(num^2) / den^2 when the matrix is exact."""
-    if rho.mat.exact_real:
-        flat = rho.mat.num.ravel().tolist()
-        return Fraction(sum(x * x for x in flat), rho.mat.den ** 2)
-    d = rho.mat.data
-    return float((d @ d).trace().real)
+def purity(rho: DensityMatrix) -> Fraction:
+    """tr(rho^2) as the exact Fraction sum(num^2) / den^2; an inexact state raises."""
+    if not rho.mat.exact_real:
+        raise DensityError("purity needs an exact state")
+    flat = rho.mat.num.ravel().tolist()
+    return Fraction(sum(x * x for x in flat), rho.mat.den ** 2)
 
 
-def is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    p = purity(rho)
-    if isinstance(p, Fraction):
-        return p == 1
-    return abs(p - 1) <= tol
+def is_pure(rho: DensityMatrix) -> bool:
+    return purity(rho) == 1
 
 
 def edge_state_vector(g: Graph, edge, sign: int = -1) -> list[int]:

@@ -61,7 +61,7 @@ def q_entropy(rho: DensityMatrix, q: float) -> float:
     return top * total ** (1.0 / q)
 
 
-def regular_graph_entropy(g: Graph, d: int | None = None) -> float:
+def regular_graph_entropy(g: Graph) -> float:
     """Entropy of the state of a d-regular graph from adjacency eigenvalues.
 
     Uses -(1/(dn)) sum m_i (d - mu_i) log2(d - mu_i) + log2(dn) over the
@@ -70,11 +70,7 @@ def regular_graph_entropy(g: Graph, d: int | None = None) -> float:
     degs = set(g.degrees())
     if len(degs) != 1:
         raise EntropyError("graph is not regular")
-    actual = degs.pop()
-    if d is None:
-        d = actual
-    elif d != actual:
-        raise EntropyError(f"graph is {actual}-regular, not {d}-regular")
+    d = degs.pop()
     if d == 0:
         raise EntropyError("regular graph of degree 0 has no state")
     if any(g.loops):

@@ -138,12 +138,10 @@ class HermitianMatrix:
         return np.array(self._complex)
 
     def to_real(self) -> np.ndarray:
-        if self.exact_real:
-            return self.num / self.den
-        c = self._complex
-        if np.abs(c.imag).max() > 1e-12:
-            raise LinalgError("matrix has non-real entries")
-        return c.real.copy()
+        """num / den, correctly rounded; an inexact matrix raises."""
+        if not self.exact_real:
+            raise LinalgError("only an exact matrix has a real view; read to_complex")
+        return self.num / self.den
 
     def trace(self):
         if self.exact_real:
@@ -259,10 +257,11 @@ def _eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def eigensystem(h: HermitianMatrix, group_tol: float = GROUP_TOL) -> SpectrumResult:
-    """Full spectral decomposition via the symmetric/Hermitian eigensolver."""
+def eigensystem(h: HermitianMatrix) -> SpectrumResult:
+    """Full spectral decomposition via the symmetric/Hermitian eigensolver;
+    eigenvalues whose steps stay within GROUP_TOL share a multiplicity."""
     vals, vecs = _eigh(h)
-    return SpectrumResult(tuple(vals.tolist()), _group(vals, group_tol), vecs)
+    return SpectrumResult(tuple(vals.tolist()), _group(vals, GROUP_TOL), vecs)
 
 
 def diagonally_dominant(num: np.ndarray) -> bool:
@@ -282,11 +281,11 @@ def diagonally_dominant(num: np.ndarray) -> bool:
     return bool((2 * diag >= np.abs(num).sum(axis=-1)).all())
 
 
-def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """(matrix is positive semidefinite within tol, smallest eigenvalue)."""
+def is_psd(h: HermitianMatrix) -> tuple[bool, float]:
+    """(matrix is positive semidefinite within PSD_TOL, smallest eigenvalue)."""
     vals = np.linalg.eigvalsh(h.to_real() if h.exact_real else h.data)
     low = float(vals[0])
-    return low >= -tol, low
+    return low >= -PSD_TOL, low
 
 
 def psd_sqrt(h: HermitianMatrix) -> HermitianMatrix:

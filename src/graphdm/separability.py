@@ -203,16 +203,16 @@ def _min_eig_for_assignment(sigma: np.ndarray, assign, p: int, q: int) -> float:
 
 
 def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMatrix:
-    """Transpose the second tensor factor only; exact when the input is.
+    """Transpose the second tensor factor of an exact state, exactly.
 
     The result is expressed in the same vertex basis as the input, so
     printed matrices line up with the labeled examples.
     """
     if rho.dim != lab.n:
         raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
-    if rho.mat.exact_real:
-        return HermitianMatrix(_pt_indexed(rho.mat.num, lab), den=rho.mat.den)
-    return HermitianMatrix(_pt_indexed(rho.mat.data, lab))
+    if not rho.mat.exact_real:
+        raise SeparabilityError("the partial transpose needs an exact state")
+    return HermitianMatrix(_pt_indexed(rho.mat.num, lab), den=rho.mat.den)
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, lab: BipartiteLabeling) -> float:
@@ -296,10 +296,6 @@ class TallyMark:
 
     columns: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.columns) - 1
-
 
 def canonicalize_pe_matching(g: Graph, lab: BipartiteLabeling):
     """Relabel columns so a two-row pe-matching becomes stacked tally-marks.
@@ -362,17 +358,17 @@ def _tally_states(cycle_columns, q: int, weight: float) -> list[ProductState]:
     return states
 
 
-def tally_mark_decomposition(g: Graph, lab: BipartiteLabeling | None = None) -> list[ProductState]:
+def tally_mark_decomposition(g: Graph) -> list[ProductState]:
     """Separable decomposition of a single tally-mark spanning its graph.
 
-    The graph must be a two-row pe-matching whose column map is one cycle
-    visiting its columns in increasing order.  Returns k+1 product states
-    with uniform weights whose mixture reconstructs the state.
+    Under the default two-row labeling the graph must be a pe-matching whose
+    column map is one cycle visiting its columns in increasing order.
+    Returns k+1 product states with uniform weights whose mixture
+    reconstructs the state.
     """
-    if lab is None:
-        if g.n % 2:
-            raise SeparabilityError("tally-mark graph needs an even vertex count")
-        lab = BipartiteLabeling.default(2, g.n // 2)
+    if g.n % 2:
+        raise SeparabilityError("tally-mark graph needs an even vertex count")
+    lab = BipartiteLabeling.default(2, g.n // 2)
     if classify_matching(g, lab) != "pe-matching":
         raise SeparabilityError("graph is not a pe-matching under this labeling")
     q = lab.q
@@ -381,7 +377,7 @@ def tally_mark_decomposition(g: Graph, lab: BipartiteLabeling | None = None) -> 
         raise SeparabilityError("pe-matching is not a single increasing chain")
     states = _tally_states(list(range(q)), q, 1.0 / q)
     rho = density_of_graph(g)
-    if not verify_separable_decomposition(rho, states, RECONSTRUCTION_TOL, lab):
+    if not verify_separable_decomposition(rho, states):
         raise SeparabilityError("tally-mark decomposition failed to reconstruct")
     return states
 
@@ -390,9 +386,10 @@ def tally_mark_decomposition(g: Graph, lab: BipartiteLabeling | None = None) -> 
 # decompositions and their verification
 
 
-def verify_separable_decomposition(rho: DensityMatrix, states, tol: float = RECONSTRUCTION_TOL,
+def verify_separable_decomposition(rho: DensityMatrix, states,
                                    lab: BipartiteLabeling | None = None) -> bool:
-    """True iff the weighted product mixture matches rho entrywise within tol.
+    """True iff the weighted product mixture matches rho entrywise within
+    RECONSTRUCTION_TOL.
 
     Product vectors live on cells; `lab` translates them to the vertex basis
     (omit it for the default labeling).
@@ -411,7 +408,7 @@ def verify_separable_decomposition(rho: DensityMatrix, states, tol: float = RECO
         # cell-basis mixture -> vertex basis
         fl = [lab.flat(v) for v in range(n)]
         mix = mix[np.ix_(fl, fl)]
-    return bool(np.abs(mix - rho.mat.to_complex()).max() <= tol)
+    return bool(np.abs(mix - rho.mat.to_complex()).max() <= RECONSTRUCTION_TOL)
 
 
 def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
@@ -449,7 +446,7 @@ def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
         states.append(ProductState(basis(p, s, 1.0, s2), basis(q, t, -1.0, t2), w))
         states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t, 1.0, t2), w))
     rho = density_of_graph(complete_graph(n))
-    if not verify_separable_decomposition(rho, states, RECONSTRUCTION_TOL):
+    if not verify_separable_decomposition(rho, states):
         raise SeparabilityError("complete-graph decomposition failed to reconstruct")
     return states
 
@@ -498,7 +495,7 @@ def pe_matching_separability(g: Graph, lab: BipartiteLabeling):
             right[t] = 1.0
         states.append(ProductState(left, right, w))
     rho = density_of_graph(g)
-    if not verify_separable_decomposition(rho, states, RECONSTRUCTION_TOL, lab):
+    if not verify_separable_decomposition(rho, states, lab):
         raise SeparabilityError("matching decomposition failed to reconstruct")
     low = min_pt_eigenvalue(rho, lab)
     return SeparabilityVerdict(SEPARABLE, low, (lab.p, lab.q)), states
@@ -615,6 +612,8 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         raise SeparabilityError("exhaustive search needs n <= 8; pass a sample budget")
     if sample is not None and sample < 1:
         raise SeparabilityError("sample budget must be positive")
+    if seed is not None and seed < 0:
+        raise SeparabilityError(f"seed must be non-negative, got {seed}")
     sigma = density_of_graph(g).mat.to_complex().real  # rejects an edgeless graph
 
     if sample is None:

@@ -305,10 +305,10 @@ def test_criterion_09_separable_decompositions_reconstruct():
     complete_ok = (
         verify_separable_decomposition(
             density_of_graph(complete_graph(4)),
-            complete_graph_decomposition(4, 2, 2), 1e-10, LAB22)
+            complete_graph_decomposition(4, 2, 2), LAB22)
         and verify_separable_decomposition(
             density_of_graph(complete_graph(6)),
-            complete_graph_decomposition(6, 2, 3), 1e-10, lab23))
+            complete_graph_decomposition(6, 2, 3), lab23))
 
     tally_ok = True
     for k in range(1, 5):
@@ -318,7 +318,7 @@ def test_criterion_09_separable_decompositions_reconstruct():
         states = tally_mark_decomposition(chain)
         lab = BipartiteLabeling.default(2, cols)
         if not verify_separable_decomposition(
-                density_of_graph(chain), states, 1e-10, lab):
+                density_of_graph(chain), states, lab):
             tally_ok = False
 
     factors = [build_graph(2, [(0, 1)])] + nonisomorphic_graphs(3, min_edges=1)

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 
 import graphdm.channels as channels_mod
 from graphdm import (
+    BipartiteLabeling,
     ChannelError,
+    DensityError,
     DensityMatrix,
     HermitianMatrix,
+    LinalgError,
     MeasurePrepareChannel,
+    SeparabilityError,
     add_edge,
     add_vertex_report,
     add_isolated_vertex,
@@ -30,9 +34,12 @@ from graphdm import (
     edge_addition_channel,
     edge_deletion_channel,
     exact_projector,
+    is_pure,
     measurement_probabilities,
     nonisomorphic_graphs,
+    partial_transpose,
     path_graph,
+    purity,
     star_graph,
 )
 
@@ -359,3 +366,18 @@ def test_probabilities_at_every_pair_are_quadratic_forms():
                       h * (np.eye(n)[i] - np.eye(n)[j])] + [np.eye(n)[k] for k in off]
                 for o, x in zip(outs, xs):
                     assert abs(o.probability - x @ sigma @ x) < 1e-12
+
+
+def test_exact_only_functions_refuse_a_channel_output():
+    # a channel output is a float state, so each exact-only function refuses it
+    g = path_graph(4)
+    rho = apply_channel(edge_deletion_channel(g, (1, 2)), density_of_graph(g))
+    assert not rho.mat.exact_real
+    with pytest.raises(DensityError, match="purity needs an exact state"):
+        purity(rho)
+    with pytest.raises(DensityError, match="purity needs an exact state"):
+        is_pure(rho)
+    with pytest.raises(SeparabilityError, match="needs an exact state"):
+        partial_transpose(rho, BipartiteLabeling.default(2, 2))
+    with pytest.raises(LinalgError, match="only an exact matrix has a real view"):
+        rho.mat.to_real()

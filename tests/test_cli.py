@@ -1,9 +1,12 @@
 """End-to-end tests of the command line interface via its main() entry."""
 
+import argparse
 import hashlib
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +318,17 @@ def test_search_sampled_output_is_reproducible(capsys, graph_file):
     assert blob["seed"] == 99
 
 
+def test_search_sampled_without_seed_uses_the_documented_default(capsys, graph_file):
+    path = graph_file("petersen.graph", PETERSEN_TEXT)
+    argv = ["search", path, "--p", "2", "--q", "5", "--budget", "50"]
+    blob = run_json(capsys, argv + ["--json"])
+    assert blob["mode"] == "sampled" and blob["seed"] == 20060111
+    seeded = run_json(capsys, argv + ["--seed", "20060111", "--json"])
+    assert blob == seeded
+    assert main(argv) == 0
+    assert "(sampled, total 50, seed 20060111)" in capsys.readouterr().out
+
+
 def test_search_rejects_nonpositive_workers(capsys, graph_file):
     path = graph_file("petersen.graph", PETERSEN_TEXT)
     assert main(["search", path, "--p", "2", "--q", "5", "--budget", "10",
@@ -422,6 +436,7 @@ def run_text(capsys, argv):
 INTERLEAVED = "1=0.0,2=1.0,3=0.1,4=1.1"
 PINNED_FILES = {
     "p4.graph": P4_TEXT,
+    "k4.graph": K4_TEXT,
     "k6.graph": "n 6\n" + "".join(
         f"e {u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)),
     "cross8.graph": "n 8\ne 1 6\ne 2 5\ne 3 8\ne 4 7\n",  # two criss-crosses at 2x4
@@ -638,7 +653,12 @@ def labeling(spec):
     (["channel", "p4.graph", "add-vertex 3"], "'add-vertex' takes no arguments"),
     (["channel", "p4.graph", "add-edge 2 2"], "an edge needs two distinct vertices"),
     (["channel", "p4.graph"], "no edits given"),
-    (["probe", "--p", "2", "--q", "2", "--max-n", "9"], "probe is limited to max-n <= 8"),
+    (["probe", "--p", "3", "--q", "3"], "probe is limited to p*q <= 8, got 9"),
+    (["probe", "--p", "2", "--q", "4", "--budget", "0"], "budget must be at least 1, got 0"),
+    (["probe", "--p", "2", "--q", "4", "--budget", "-5"], "budget must be at least 1, got -5"),
+    (["probe", "--p", "2", "--q", "4", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["search", "p4.graph", "--p", "2", "--q", "2", "--budget", "5", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
 ])
 def test_misuse_exits_2_with_one_error_line(capsys, graph_file, argv, message):
     assert_one_line_error(capsys, pinned_argv(graph_file, argv), message)
@@ -665,6 +685,10 @@ def test_unexpected_exception_exits_1_with_one_line(capsys, graph_file, monkeypa
      ["labelings as 2x3 (exhaustive, total 720)", "complete graph: an explicit",
       "certified counts: ENTANGLED_NPT=0 SEPARABLE=720"]),
     (["entropy", "c5.graph", "--order", "2"], ["graph: 5 vertices, 5 edges", "q-entropy (q=2): "]),
+    # a certified decomposition is named on its own line
+    (["analyze", "k4.graph", "--p", "2", "--q", "2"],
+     ["graph: 4 vertices, 6 edges", "verdict: SEPARABLE",
+      "decomposition: 6 product states via complete-graph"]),
 ])
 def test_default_text_output(capsys, graph_file, argv, lines):
     out, err = run_text(capsys, pinned_argv(graph_file, argv))
@@ -673,3 +697,15 @@ def test_default_text_output(capsys, graph_file, argv, lines):
     assert got[0].startswith(lines[0])
     for line in lines[1:]:
         assert any(g.startswith(line) for g in got), line
+
+
+def test_readme_flags_match_the_parser():
+    """README's command-line section names exactly the options the parser has."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {opt for parser in sub.choices.values() for action in parser._actions
+               for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+    assert documented == options

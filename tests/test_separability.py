@@ -196,7 +196,7 @@ def test_pe_matching_separability_decomposes():
     assert verdict.status == SEPARABLE
     assert len(states) == 2
     assert verify_separable_decomposition(
-        density_of_graph(crossing), states, 1e-10, LAB22)
+        density_of_graph(crossing), states, LAB22)
     with pytest.raises(SeparabilityError):
         pe_matching_separability(path_graph(4), LAB22)
 
@@ -217,7 +217,7 @@ def test_tally_mark_decompositions():
         assert len(states) == cols
         assert abs(sum(s.weight for s in states) - 1.0) < 1e-12
         assert verify_separable_decomposition(
-            density_of_graph(g), states, 1e-10, BipartiteLabeling.default(2, cols))
+            density_of_graph(g), states, BipartiteLabeling.default(2, cols))
         # the right factors are discrete Fourier vectors: pairwise orthonormal
         rights = np.array([s.right for s in states])
         np.testing.assert_allclose(
@@ -234,7 +234,7 @@ def test_complete_graph_decomposition():
         assert len(states) == n * (n - 1) // 2
         assert verify_separable_decomposition(
             density_of_graph(complete_graph(n)), states,
-            1e-10, BipartiteLabeling.default(p, q))
+            BipartiteLabeling.default(p, q))
     with pytest.raises(SeparabilityError):
         complete_graph_decomposition(5, 2, 2)  # dimensions must match n
 
@@ -242,8 +242,8 @@ def test_complete_graph_decomposition():
 def test_verify_separable_decomposition_rejects_wrong_mixture():
     rho = density_of_graph(path_graph(4))  # entangled under default labeling
     states = complete_graph_decomposition(4, 2, 2)
-    assert not verify_separable_decomposition(rho, states, 1e-10, LAB22)
-    assert not verify_separable_decomposition(rho, [], 1e-10, LAB22)
+    assert not verify_separable_decomposition(rho, states, LAB22)
+    assert not verify_separable_decomposition(rho, [], LAB22)
 
 
 def test_star_projection_witness_formula():
