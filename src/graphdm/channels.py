@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence
-from .density import DensityMatrix, density_of_graph, density_with_loops, graph_states
+from .density import DensityMatrix, density_of_graph, density_with_loops
 from .graphs import (
     Graph,
     add_isolated_vertex,
@@ -29,7 +29,7 @@ from .graphs import (
     delete_vertex,
     tensor_product,
 )
-from .linalg import HermitianMatrix, exact_projector, kron
+from .linalg import exact_projector, kron
 from .separability import BipartiteLabeling, pe_matching_separability, ppt_test, ppt_verdicts
 
 CHANNEL_TOL = 1e-10
@@ -83,6 +83,9 @@ class MeasurePrepareChannel:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """sum_x <x|state|x> times the prepared mixture."""
+        if state.shape[0] != self.input_dim:
+            raise ChannelError(
+                f"channel acts on dimension {self.input_dim}, state has {state.shape[0]}")
         weight = np.einsum("ij,jk,ik->", self.basis, state, self.basis).real
         return (weight / len(self.targets)) * (self.targets.T @ self.targets)
 
@@ -102,19 +105,6 @@ class MeasurementOutcome:
         if self.probability == 0:
             return None
         return DensityMatrix(exact_projector(self.vector))
-
-
-@dataclass(frozen=True, eq=False)
-class VertexEditReport:
-    """Final state of a vertex edit plus the acceptance probability.
-
-    click_probability is the probability of the complement projector that
-    keeps the state; the construction makes it 1 up to roundoff.
-    """
-
-    state: DensityMatrix
-    click_probability: float
-    steps: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +154,18 @@ def complete_to_unitary(source, target) -> np.ndarray:
 # edge channels
 
 
+def _check_vertex(g: Graph, v: int) -> None:
+    if not 0 <= v < g.n:
+        raise ChannelError(f"vertex {v + 1} out of range 1..{g.n}")
+
+
 def _normalize_edge(g: Graph, edge) -> tuple[int, int]:
+    """A pair of distinct vertices of g, ascending; errors name them 1-based."""
     u, v = edge
-    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-        raise ChannelError(f"({u}, {v}) is not a valid vertex pair")
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    if u == v:
+        raise ChannelError("an edge needs two distinct vertices")
     return (u, v) if u < v else (v, u)
 
 
@@ -194,31 +192,33 @@ def _edit_channel(n: int, pair, target_edges, label: str) -> MeasurePrepareChann
 
 def edge_deletion_channel(g: Graph, edge) -> MeasurePrepareChannel:
     """Channel with apply(sigma(g)) = sigma(g - edge)."""
-    edge = _normalize_edge(g, edge)
-    if not g.has_edge(*edge):
-        raise ChannelError(f"edge {edge} not in the graph")
+    pair = _normalize_edge(g, edge)
+    if not g.has_edge(*pair):
+        raise ChannelError(f"edge {edge[0] + 1}-{edge[1] + 1} is not in the graph")
     if g.m < 2:
         raise ChannelError("deleting the last edge leaves no graph state")
-    remaining = [e for e in g.edges if e != edge]
-    return _edit_channel(g.n, edge, remaining, f"delete edge {edge[0] + 1}-{edge[1] + 1}")
+    remaining = [e for e in g.edges if e != pair]
+    return _edit_channel(g.n, pair, remaining, f"delete edge {pair[0] + 1}-{pair[1] + 1}")
 
 
 def edge_addition_channel(g: Graph, edge) -> MeasurePrepareChannel:
     """Channel with apply(sigma(g)) = sigma(g + edge)."""
-    edge = _normalize_edge(g, edge)
-    if g.has_edge(*edge):
-        raise ChannelError(f"edge {edge} already in the graph")
+    pair = _normalize_edge(g, edge)
+    if g.has_edge(*pair):
+        raise ChannelError(f"edge {edge[0] + 1}-{edge[1] + 1} is already in the graph")
     if g.m == 0:
         raise ChannelError("source graph has no state to start from")
-    target_edges = sorted(g.edges + (edge,))
-    return _edit_channel(g.n, edge, target_edges, f"add edge {edge[0] + 1}-{edge[1] + 1}")
+    target_edges = sorted(g.edges + (pair,))
+    return _edit_channel(g.n, pair, target_edges, f"add edge {pair[0] + 1}-{pair[1] + 1}")
 
 
-def apply_channel(ch: MeasurePrepareChannel, rho: DensityMatrix) -> DensityMatrix:
-    if ch.input_dim != rho.dim:
-        raise ChannelError(
-            f"channel acts on dimension {ch.input_dim}, state has {rho.dim}")
-    return DensityMatrix(HermitianMatrix(ch.apply(rho.to_complex())))
+def check_landing(state: np.ndarray, target: np.ndarray, what: str) -> float:
+    """The largest entrywise distance of a channel output from the graph
+    state it should land on; beyond LANDING_TOL the edit is refused."""
+    err = float(np.max(np.abs(state - target)))
+    if err > LANDING_TOL:
+        raise ChannelError(f"state after '{what}' missed the graph state by {err:g}")
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -266,35 +266,26 @@ class VertexEdit:
     graphs[-1], the edited graph.
     """
 
-    steps: tuple[str, ...]  # what happens before the measurement
     channels: tuple[MeasurePrepareChannel, ...]
     graphs: tuple[Graph, ...]
     dropped: tuple[int, ...]
-    measurement: str
     missed: str  # the error when the measured state misses graphs[-1]
 
     def run(self, states) -> tuple[np.ndarray, float, float]:
         """(final state, keep probability, its landing error); reads the
-        float states of self.graphs, in order, from the iterator states."""
+        float states of self.graphs, in order, from the iterator states,
+        such as iter(graph_states(self.graphs))."""
         state = next(states)
         for ch in self.channels:
             state = ch.apply(state)
-            if np.max(np.abs(state - next(states))) > LANDING_TOL:
-                raise ChannelError(f"state after '{ch.label}' missed the graph state")
+            check_landing(state, next(states), ch.label)
         keep_prob = 1.0 - sum(state[i, i] for i in self.dropped)
         kept = [i for i in range(len(state)) if i not in self.dropped]
         reduced = state[np.ix_(kept, kept)] / keep_prob
-        err = float(np.max(np.abs(reduced - next(states))))
-        if err > LANDING_TOL:
-            raise ChannelError(self.missed)
-        return reduced, keep_prob, err
-
-    def report(self) -> VertexEditReport:
-        """The edit run on its own graph states, with every step described."""
-        state, keep_prob, _ = self.run(iter(graph_states(self.graphs)))
-        steps = self.steps + (f"{self.measurement} (keep probability {keep_prob:.15f})",)
-        return VertexEditReport(
-            DensityMatrix(HermitianMatrix(state)), keep_prob, steps)
+        try:
+            return reduced, keep_prob, check_landing(reduced, next(states), "the measurement")
+        except ChannelError as exc:
+            raise ChannelError(f"{self.missed}: {exc}") from None
 
 
 def _edge_deletions(start: Graph, edges):
@@ -308,13 +299,13 @@ def _edge_deletions(start: Graph, edges):
 
 def vertex_deletion(g: Graph, v: int) -> VertexEdit:
     """Edge deletions at v, then the projective measurement that removes it."""
-    residual = delete_vertex(g, v)  # validates v
+    _check_vertex(g, v)
+    residual = delete_vertex(g, v)
     if residual.m == 0:
         raise ChannelError("vertex deletion leaves an edgeless graph")
     channels, graphs = _edge_deletions(g, [e for e in g.edges if v in e])
-    return VertexEdit(
-        tuple(ch.label for ch in channels), tuple(channels), (*graphs, residual), (v,),
-        f"measure away vertex {v + 1}", "vertex deletion did not land on the residual state")
+    return VertexEdit(tuple(channels), (*graphs, residual), (v,),
+                      "vertex deletion did not land on the residual state")
 
 
 def vertex_addition(g: Graph) -> VertexEdit:
@@ -335,23 +326,9 @@ def vertex_addition(g: Graph) -> VertexEdit:
     if not rho.exact_equal(density_of_graph(product).mat):
         raise ChannelError("product state does not match the product graph state")
     channels, graphs = _edge_deletions(product, [e for e in product.edges if e[0] >= n])
-    drop = tuple(range(n + 1, 2 * n))
-    return VertexEdit(
-        (f"prepare helper product state on {2 * n} vertices ({product.m} edges)",
-         *(ch.label for ch in channels)),
-        tuple(channels), (*graphs, add_isolated_vertex(g)), drop,
-        f"measure away {len(drop)} spare vertices",
-        "vertex addition did not land on the padded state")
-
-
-def delete_vertex_report(g: Graph, v: int) -> VertexEditReport:
-    """vertex_deletion(g, v), run from g's state: the state of g - v."""
-    return vertex_deletion(g, v).report()
-
-
-def add_vertex_report(g: Graph) -> VertexEditReport:
-    """vertex_addition(g), run: g's state padded with an isolated vertex."""
-    return vertex_addition(g).report()
+    return VertexEdit(tuple(channels), (*graphs, add_isolated_vertex(g)),
+                      tuple(range(n + 1, 2 * n)),
+                      "vertex addition did not land on the padded state")
 
 
 # ---------------------------------------------------------------------------

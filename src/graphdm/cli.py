@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from .channels import (
-    LANDING_TOL,
     ChannelError,
     VertexEdit,
+    check_landing,
     edge_addition_channel,
     edge_deletion_channel,
     measurement_probabilities,
@@ -363,58 +363,31 @@ def cmd_census4(args) -> None:
 # channel
 
 
+# each edit's vertex count and the usage text for a wrong count
+_EDITS = {"del-edge": (2, "needs two vertex numbers"), "add-edge": (2, "needs two vertex numbers"),
+          "del-vertex": (1, "needs one vertex number"), "add-vertex": (0, "takes no arguments")}
+
+
 def _parse_edit(token: str):
+    """(kind, 0-based vertices...) of an edit as typed."""
     parts = token.split()
     if not parts:
         raise ChannelError("empty edit")
     kind = parts[0]
-    if kind in ("del-edge", "add-edge"):
-        if len(parts) != 3:
-            raise ChannelError(f"'{kind}' needs two vertex numbers")
-        try:
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-        except ValueError as exc:
-            raise ChannelError(f"bad vertex number in {token!r}") from exc
-        return (kind, u, v)
-    if kind == "del-vertex":
-        if len(parts) != 2:
-            raise ChannelError("'del-vertex' needs one vertex number")
-        try:
-            return (kind, int(parts[1]) - 1)
-        except ValueError as exc:
-            raise ChannelError(f"bad vertex number in {token!r}") from exc
-    if kind == "add-vertex":
-        if len(parts) != 1:
-            raise ChannelError("'add-vertex' takes no arguments")
-        return (kind,)
-    raise ChannelError(f"unknown edit {kind!r}")
+    if kind not in _EDITS:
+        raise ChannelError(f"unknown edit {kind!r}")
+    arity, usage = _EDITS[kind]
+    if len(parts) != arity + 1:
+        raise ChannelError(f"'{kind}' {usage}")
+    try:
+        return (kind, *(int(x) - 1 for x in parts[1:]))
+    except ValueError as exc:
+        raise ChannelError(f"bad vertex number in {token!r}") from exc
 
 
 def _edit_text(edit) -> str:
     """An edit as typed: its kind and 1-based vertex numbers."""
     return " ".join(str(x + 1) if isinstance(x, int) else x for x in edit)
-
-
-def _check_edit(g: Graph, edit) -> None:
-    """Reject an edit that does not fit g, naming its vertices 1-based."""
-    kind, *verts = edit
-    text = _edit_text(edit)
-    for x in verts:
-        if not 0 <= x < g.n:
-            raise ChannelError(f"{text!r}: vertex {x + 1} out of range 1..{g.n}")
-    if kind in ("del-edge", "add-edge"):
-        u, v = verts
-        if u == v:
-            raise ChannelError(f"{text!r}: an edge needs two distinct vertices")
-        if kind == "del-edge" and not g.has_edge(u, v):
-            raise ChannelError(f"{text!r}: edge {u + 1}-{v + 1} is not in the graph")
-        if kind == "add-edge" and g.has_edge(u, v):
-            raise ChannelError(f"{text!r}: edge {u + 1}-{v + 1} is already in the graph")
-
-
-def _operator_payload(ch) -> list:
-    return [[[ [float(z.real), float(z.imag)] for z in row] for row in op]
-            for op in ch.operators]
 
 
 def cmd_channel(args) -> None:
@@ -432,15 +405,17 @@ def cmd_channel(args) -> None:
     # count builds every state a landing is checked against
     cur, graphs, walk = g, [g], []
     for edit in parsed:
-        _check_edit(cur, edit)
         kind = edit[0]
-        if kind == "del-edge":
-            op, nxt = edge_deletion_channel(cur, edit[1:]), delete_edge(cur, *edit[1:])
-        elif kind == "add-edge":
-            op, nxt = edge_addition_channel(cur, edit[1:]), add_edge(cur, *edit[1:])
-        else:
-            op = vertex_deletion(cur, edit[1]) if kind == "del-vertex" else vertex_addition(cur)
-            nxt = op.graphs[-1]
+        try:
+            if kind == "del-edge":
+                op, nxt = edge_deletion_channel(cur, edit[1:]), delete_edge(cur, *edit[1:])
+            elif kind == "add-edge":
+                op, nxt = edge_addition_channel(cur, edit[1:]), add_edge(cur, *edit[1:])
+            else:
+                op = vertex_deletion(cur, edit[1]) if kind == "del-vertex" else vertex_addition(cur)
+                nxt = op.graphs[-1]
+        except ChannelError as exc:
+            raise ChannelError(f"{_edit_text(edit)!r}: {exc}") from None
         graphs.extend(op.graphs if isinstance(op, VertexEdit) else [nxt])
         walk.append((edit, cur, op, nxt))
         cur = nxt
@@ -457,12 +432,9 @@ def cmd_channel(args) -> None:
                 {"projector": o.projector, "probability": o.probability}
                 for o in measurement_probabilities(before, edit[1:])]
             state = op.apply(state)
-            err = float(np.max(np.abs(state - next(states))))
-            if err > LANDING_TOL:
-                raise ChannelError(
-                    f"state after {record['edit']!r} missed the graph state by {err:g}")
+            err = check_landing(state, next(states), record["edit"])
             if args.dump_operators:
-                record["operators"] = _operator_payload(op)
+                record["operators"] = [[_complex_list(row) for row in k] for k in op.operators]
         record["graph"] = _graph_summary(after)
         record["trace"] = float(state.trace())
         record["max_error_vs_graph_state"] = err
@@ -500,6 +472,12 @@ def cmd_search(args) -> None:
         raise SeparabilityError(f"workers must be at least 1, got {args.workers}")
     census = labeling_search(g, p, q, tol=args.tol, sample=args.budget, seed=args.seed)
     _warn_disagreements(census.float_disagreements, args.tol)
+    if args.budget is None and args.seed is not None:
+        print("warning: exhaustive search ignores --seed; pass --budget to sample",
+              file=sys.stderr)
+    if args.workers > 1:
+        print(f"warning: search ignores --workers {args.workers}; every verdict runs "
+              "in this process", file=sys.stderr)
     payload = {
         "p": p,
         "q": q,
@@ -579,17 +557,24 @@ def cmd_probe(args) -> None:
     n = p * q
     if n > 8:
         raise SeparabilityError(f"probe is limited to p*q <= 8, got {n}")
-    if args.budget < 1:
-        raise SeparabilityError(f"budget must be at least 1, got {args.budget}")
-    if args.seed < 0:
-        raise SeparabilityError(f"seed must be non-negative, got {args.seed}")
+    budget = 20000 if args.budget is None else args.budget
+    seed = 20060111 if args.seed is None else args.seed
+    if budget < 1:
+        raise SeparabilityError(f"budget must be at least 1, got {budget}")
+    if seed < 0:
+        raise SeparabilityError(f"seed must be non-negative, got {seed}")
     pairs = list(itertools.combinations(range(n), 2))
     cells = [divmod(v, q) for v in range(n)]
     ent_pairs = [idx for idx, (u, v) in enumerate(pairs)
                  if cells[u][0] != cells[v][0] and cells[u][1] != cells[v][1]]
     mode = "exhaustive" if len(pairs) <= 16 else "sampled"
     present, single = (_probe_exhaustive(pairs, ent_pairs, n) if mode == "exhaustive" else
-                       _probe_sampled(pairs, ent_pairs, n, args.budget, args.seed))
+                       _probe_sampled(pairs, ent_pairs, n, budget, seed))
+    ignored = [flag for flag, value in (("--budget", args.budget), ("--seed", args.seed))
+               if value is not None]
+    if mode == "exhaustive" and ignored:
+        print(f"warning: exhaustive probe at {p}x{q} ignores {' and '.join(ignored)}",
+              file=sys.stderr)
     ppt = ppt_verdicts(pairs, np.arange(n), p, q, present)
 
     payload = {"p": p, "q": q, "n": n, "mode": mode, "tol": args.tol}
@@ -617,8 +602,8 @@ def cmd_probe(args) -> None:
         }
     _warn_disagreements(off, args.tol)
     if mode == "sampled":
-        payload["seed"] = args.seed
-        payload["budget"] = args.budget
+        payload["seed"] = seed
+        payload["budget"] = budget
     if args.json:
         _print_json(payload)
         return
@@ -732,10 +717,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan graphs whose entangled edges are one edge "
                              "or concentrated at one vertex")
     common(sp)
-    sp.add_argument("--budget", type=int, default=20000,
-                    help="samples when the pair count is too large to exhaust")
-    sp.add_argument("--seed", type=int, default=20060111,
-                    help="seed for sampled mode")
+    sp.add_argument("--budget", type=int, default=None,
+                    help="samples when the pair count is too large to exhaust "
+                         "(default 20000)")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed for sampled mode (default 20060111)")
 
     sp = sub.add_parser("entropy", help="spectrum and entropy of one graph")
     sp.add_argument("graph", help="edge-list file")

@@ -28,7 +28,6 @@ from graphdm import (
     BipartiteLabeling,
     DensityMatrix,
     HermitianMatrix,
-    apply_channel,
     build_graph,
     cayley_circulant,
     complete_graph,
@@ -37,12 +36,12 @@ from graphdm import (
     concurrence,
     circulant_entropy_exact,
     delete_edge,
-    delete_vertex_report,
     density_of_graph,
     edge_addition_channel,
     edge_deletion_channel,
     eigensystem,
     four_vertex_census,
+    graph_states,
     is_pure,
     kron,
     labeling_search,
@@ -60,8 +59,11 @@ from graphdm import (
     tensor_product,
     tensor_separable_decomposition,
     verify_separable_decomposition,
+    vertex_deletion,
     von_neumann_entropy,
 )
+from graphdm.density import TRACE_TOL
+from graphdm.linalg import PSD_TOL
 from graphdm.separability import DEFAULT_SEARCH_SEED
 
 F = Fraction
@@ -373,6 +375,16 @@ def test_criterion_10_grid_matchings_distinguish_ppt():
     assert ok
 
 
+def state_defect(states) -> float:
+    """How far same-size float states come from being states, as a multiple
+    of the tolerance DensityMatrix allows (at most 1 passes): Hermiticity,
+    unit trace and PSD, with one batched eigvalsh."""
+    stack = np.array(states)
+    return max(np.abs(stack - stack.conj().transpose(0, 2, 1)).max() / 1e-10,
+               np.abs(np.trace(stack, axis1=1, axis2=2) - 1).max() / TRACE_TOL,
+               -np.linalg.eigvalsh(stack).min() / PSD_TOL)
+
+
 def test_criterion_11_edit_channels():
     """Channel sweep over isomorphism class representatives.
 
@@ -383,54 +395,59 @@ def test_criterion_11_edit_channels():
     worst_landing = 0.0
     worst_trip = 0.0
     worst_prob = 0.0
+    worst_state = 0.0
     pairs = 0
     for n in range(3, 7):
-        for g in nonisomorphic_graphs(n, min_edges=2):
-            sigma = density_of_graph(g)
-            sigma_c = sigma.mat.to_complex()
-            for edge in g.edges:
-                ch = edge_deletion_channel(g, edge)
-                total = np.zeros((n, n), dtype=complex)
-                for op in ch.operators:
-                    total += op.conj().T @ op
-                worst_complete = max(worst_complete,
-                                     np.abs(total - np.eye(n)).max())
-                out = apply_channel(ch, sigma)
-                reduced = delete_edge(g, *edge)
-                worst_landing = max(
-                    worst_landing,
-                    out.mat.max_abs_diff(density_of_graph(reduced).mat))
-                back = apply_channel(edge_addition_channel(reduced, edge), out)
-                worst_trip = max(worst_trip, back.mat.max_abs_diff(sigma.mat))
+        cases = [(g, edge) for g in nonisomorphic_graphs(n, min_edges=2) for edge in g.edges]
+        reduced = [delete_edge(g, *edge) for g, edge in cases]
+        sources = graph_states([g for g, _ in cases])
+        targets = graph_states(reduced)
+        outs = []
+        for (g, edge), smaller, sigma, target in zip(cases, reduced, sources, targets):
+            ch = edge_deletion_channel(g, edge)
+            total = np.zeros((n, n), dtype=complex)
+            for op in ch.operators:
+                total += op.conj().T @ op
+            worst_complete = max(worst_complete,
+                                 np.abs(total - np.eye(n)).max())
+            out = ch.apply(sigma)
+            worst_landing = max(worst_landing, np.abs(out - target).max())
+            back = edge_addition_channel(smaller, edge).apply(out)
+            worst_trip = max(worst_trip, np.abs(back - sigma).max())
+            outs += [out, back]
 
-                u, v = edge
-                unit = 1 / math.sqrt(2)
-                for o in measurement_probabilities(g, edge):
-                    vec = np.zeros(n)
-                    if o.projector.startswith("plus"):
-                        vec[u], vec[v] = unit, unit
-                    elif o.projector.startswith("minus"):
-                        vec[u], vec[v] = unit, -unit
-                    else:
-                        k = int(o.projector[len("vertex("):-1]) - 1
-                        vec[k] = 1.0
-                    direct = float(np.real(vec @ sigma_c @ vec))
-                    worst_prob = max(worst_prob, abs(o.probability - direct))
-                pairs += 1
+            u, v = edge
+            unit = 1 / math.sqrt(2)
+            for o in measurement_probabilities(g, edge):
+                vec = np.zeros(n)
+                if o.projector.startswith("plus"):
+                    vec[u], vec[v] = unit, unit
+                elif o.projector.startswith("minus"):
+                    vec[u], vec[v] = unit, -unit
+                else:
+                    k = int(o.projector[len("vertex("):-1]) - 1
+                    vec[k] = 1.0
+                direct = float(vec @ sigma @ vec)
+                worst_prob = max(worst_prob, abs(o.probability - direct))
+            pairs += 1
+        worst_state = max(worst_state, state_defect(outs))
 
-    tri = delete_vertex_report(complete_graph(3), 2)
-    star = delete_vertex_report(star_graph(4), 3)
-    vertex_ok = (
-        tri.state.mat.max_abs_diff(density_of_graph(path_graph(2)).mat) < 1e-10
-        and star.state.mat.max_abs_diff(density_of_graph(star_graph(3)).mat) < 1e-10
-        and tri.click_probability == 1.0 and star.click_probability == 1.0)
+    vertex_ok = True
+    for g, v, residual in ((complete_graph(3), 2, path_graph(2)),
+                           (star_graph(4), 3, star_graph(3))):
+        edit = vertex_deletion(g, v)
+        state, click, _ = edit.run(iter(graph_states(edit.graphs)))
+        worst_state = max(worst_state, state_defect([state]))
+        vertex_ok &= (np.abs(state - graph_states([residual])[0]).max() < 1e-10
+                      and click == 1.0)
 
     ok = note(11, worst_complete < 1e-10 and worst_landing < 1e-10
-              and worst_trip < 1e-10 and worst_prob < 1e-12 and vertex_ok,
+              and worst_trip < 1e-10 and worst_prob < 1e-12 and worst_state <= 1
+              and vertex_ok,
               f"{pairs} graph/edge cases: completeness {worst_complete:.1e}, "
               f"landing {worst_landing:.1e}, round trip {worst_trip:.1e}, "
-              f"probabilities {worst_prob:.1e}; vertex deletions reproduce "
-              f"the reduced states")
+              f"probabilities {worst_prob:.1e}, state defect {worst_state:.1e} of "
+              f"tolerance; vertex deletions reproduce the reduced states")
     assert ok
 
 

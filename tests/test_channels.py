@@ -20,20 +20,18 @@ from graphdm import (
     MeasurePrepareChannel,
     SeparabilityError,
     add_edge,
-    add_vertex_report,
     add_isolated_vertex,
-    apply_channel,
     build_graph,
     complete_graph,
     complete_to_unitary,
     cycle_graph,
     delete_edge,
     delete_vertex,
-    delete_vertex_report,
     density_of_graph,
     edge_addition_channel,
     edge_deletion_channel,
     exact_projector,
+    graph_states,
     is_pure,
     measurement_probabilities,
     nonisomorphic_graphs,
@@ -41,9 +39,35 @@ from graphdm import (
     path_graph,
     purity,
     star_graph,
+    vertex_addition,
+    vertex_deletion,
 )
+from graphdm.density import TRACE_TOL
+from graphdm.linalg import PSD_TOL
 
 F = Fraction
+
+
+def state_of(g):
+    return graph_states([g])[0]
+
+
+def assert_states(outs):
+    """Every channel output is a state: Hermitian, unit trace and PSD at the
+    tolerances DensityMatrix applies, with one eigvalsh per vertex count."""
+    for n in {len(out) for out in outs}:
+        stack = np.array([out for out in outs if len(out) == n])
+        assert np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= 1e-10
+        assert np.abs(np.trace(stack, axis1=1, axis2=2) - 1).max() <= TRACE_TOL
+        assert np.linalg.eigvalsh(stack).min() >= -PSD_TOL
+
+
+def run(edit):
+    """A VertexEdit run on its own graph states: (state, keep probability,
+    landing error), with the state checked."""
+    state, keep_prob, err = edit.run(iter(graph_states(edit.graphs)))
+    assert_states([state])
+    return state, keep_prob, err
 
 
 def completeness_defect(ch):
@@ -78,51 +102,60 @@ def test_channels_land_on_target_state():
         (cycle_graph(5), (2, 3)),
         (star_graph(5), (0, 4)),
     ]
+    outs = []
     for g, edge in cases:
         ch = edge_deletion_channel(g, edge)
-        out = apply_channel(ch, density_of_graph(g))
-        target = density_of_graph(delete_edge(g, *edge))
-        assert out.mat.max_abs_diff(target.mat) < 1e-10
+        outs.append(ch.apply(state_of(g)))
+        assert np.abs(outs[-1] - state_of(delete_edge(g, *edge))).max() < 1e-10
     g = path_graph(4)
     ch = edge_addition_channel(g, (0, 3))
-    out = apply_channel(ch, density_of_graph(g))
-    target = density_of_graph(add_edge(g, 0, 3))
-    assert out.mat.max_abs_diff(target.mat) < 1e-10
+    outs.append(ch.apply(state_of(g)))
+    assert np.abs(outs[-1] - state_of(add_edge(g, 0, 3))).max() < 1e-10
+    assert_states(outs)
 
 
 def test_channel_output_ignores_input_state():
     """The editing channels are constant maps: any input lands on the target."""
     g = cycle_graph(4)
     ch = edge_deletion_channel(g, (0, 1))
-    target = density_of_graph(delete_edge(g, 0, 1)).mat
-    eye = HermitianMatrix.identity(4).scale(F(1, 4))
-    out = apply_channel(ch, DensityMatrix(eye))
-    assert out.mat.max_abs_diff(target) < 1e-10
-    other = density_of_graph(star_graph(4))
-    out = apply_channel(ch, other)
-    assert out.mat.max_abs_diff(target) < 1e-10
+    target = state_of(delete_edge(g, 0, 1))
+    outs = [ch.apply(np.eye(4) / 4), ch.apply(state_of(star_graph(4)))]
+    for out in outs:
+        assert np.abs(out - target).max() < 1e-10
+    assert_states(outs)
 
 
 def test_delete_then_add_round_trip():
     for g in [path_graph(4), cycle_graph(5), complete_graph(4)]:
         edge = g.edges[1]
-        down = apply_channel(edge_deletion_channel(g, edge), density_of_graph(g))
+        down = edge_deletion_channel(g, edge).apply(state_of(g))
         reduced = delete_edge(g, *edge)
-        up = apply_channel(edge_addition_channel(reduced, edge), down)
-        assert up.mat.max_abs_diff(density_of_graph(g).mat) < 1e-10
+        up = edge_addition_channel(reduced, edge).apply(down)
+        assert np.abs(up - state_of(g)).max() < 1e-10
+        assert_states([down, up])
 
 
 def test_channel_error_paths():
+    # the constructors name vertices 1-based, in the order given
     g = path_graph(4)
-    with pytest.raises(ChannelError):
-        edge_deletion_channel(g, (0, 2))  # not an edge
-    with pytest.raises(ChannelError):
-        edge_deletion_channel(path_graph(2), (0, 1))  # would empty the graph
-    with pytest.raises(ChannelError):
-        edge_addition_channel(g, (1, 2))  # already present
+    with pytest.raises(ChannelError, match="^edge 1-3 is not in the graph$"):
+        edge_deletion_channel(g, (0, 2))
+    with pytest.raises(ChannelError, match="^deleting the last edge leaves no graph state$"):
+        edge_deletion_channel(path_graph(2), (0, 1))
+    with pytest.raises(ChannelError, match="^edge 3-2 is already in the graph$"):
+        edge_addition_channel(g, (2, 1))
+    with pytest.raises(ChannelError, match=r"^vertex 5 out of range 1\.\.4$"):
+        edge_addition_channel(g, (1, 4))
+    with pytest.raises(ChannelError, match="^an edge needs two distinct vertices$"):
+        edge_deletion_channel(g, (1, 1))
+    with pytest.raises(ChannelError, match=r"^vertex 0 out of range 1\.\.4$"):
+        measurement_probabilities(g, (-1, 2))
+    for v in (-1, 4):
+        with pytest.raises(ChannelError, match=rf"^vertex {v + 1} out of range 1\.\.4$"):
+            vertex_deletion(g, v)
     ch = edge_deletion_channel(g, (1, 2))
-    with pytest.raises(ChannelError):
-        apply_channel(ch, density_of_graph(path_graph(3)))  # dimension mismatch
+    with pytest.raises(ChannelError, match="^channel acts on dimension 4, state has 3$"):
+        ch.apply(state_of(path_graph(3)))
 
 
 def test_complete_to_unitary_maps_source_to_target():
@@ -188,33 +221,31 @@ def test_measurement_post_states():
 
 
 def test_vertex_deletion_on_triangle():
-    rep = delete_vertex_report(complete_graph(3), 2)
-    assert rep.click_probability == 1.0
-    assert rep.state.dim == 2
-    assert rep.state.mat.max_abs_diff(density_of_graph(path_graph(2)).mat) < 1e-10
-    assert any("measure away vertex 3" in s for s in rep.steps)
+    state, click, err = run(vertex_deletion(complete_graph(3), 2))
+    assert click == 1.0
+    assert state.shape == (2, 2)
+    assert np.abs(state - state_of(path_graph(2))).max() == err < 1e-10
 
 
 def test_vertex_deletion_on_star_leaf():
-    rep = delete_vertex_report(star_graph(4), 3)
-    assert rep.click_probability == 1.0
-    assert rep.state.mat.max_abs_diff(density_of_graph(star_graph(3)).mat) < 1e-10
+    state, click, _ = run(vertex_deletion(star_graph(4), 3))
+    assert click == 1.0
+    assert np.abs(state - state_of(star_graph(3))).max() < 1e-10
 
 
 def test_vertex_deletion_rejects_emptying():
     with pytest.raises(ChannelError):
-        delete_vertex_report(path_graph(2), 0)
+        vertex_deletion(path_graph(2), 0)
     with pytest.raises(ChannelError):
-        delete_vertex_report(star_graph(4), 0)  # removing the hub empties it
+        vertex_deletion(star_graph(4), 0)  # removing the hub empties it
 
 
 def test_vertex_addition_appends_isolated_vertex():
     for g in [path_graph(2), path_graph(3), star_graph(4), cycle_graph(5)]:
-        rep = add_vertex_report(g)
-        assert rep.click_probability == 1.0
-        assert rep.state.dim == g.n + 1
-        target = density_of_graph(add_isolated_vertex(g))
-        assert rep.state.mat.max_abs_diff(target.mat) < 1e-10
+        state, click, _ = run(vertex_addition(g))
+        assert click == 1.0
+        assert state.shape == (g.n + 1, g.n + 1)
+        assert np.abs(state - state_of(add_isolated_vertex(g))).max() < 1e-10
 
 
 
@@ -231,10 +262,12 @@ def drifting_apply(monkeypatch):
 
 def test_vertex_edits_check_each_edge_landing(drifting_apply):
     # C5's vertex 4 (1-based) loses edge 3-4 first; P3's copy drains 4-5 first
-    with pytest.raises(ChannelError, match="state after 'delete edge 3-4' missed"):
-        delete_vertex_report(cycle_graph(5), 3)
-    with pytest.raises(ChannelError, match="state after 'delete edge 4-5' missed"):
-        add_vertex_report(path_graph(3))
+    with pytest.raises(ChannelError,
+                       match="^state after 'delete edge 3-4' missed the graph state by 1e-06$"):
+        run(vertex_deletion(cycle_graph(5), 3))
+    with pytest.raises(ChannelError,
+                       match="^state after 'delete edge 4-5' missed the graph state by 1e-06$"):
+        run(vertex_addition(path_graph(3)))
 
 
 def test_vertex_edits_check_the_final_landing(monkeypatch):
@@ -243,10 +276,11 @@ def test_vertex_edits_check_the_final_landing(monkeypatch):
                         lambda g, v: add_edge(delete_vertex(g, v), 0, 2))
     monkeypatch.setattr(channels_mod, "add_isolated_vertex",
                         lambda g: add_edge(add_isolated_vertex(g), 0, g.n))
-    with pytest.raises(ChannelError, match="vertex deletion did not land"):
-        delete_vertex_report(cycle_graph(5), 4)
-    with pytest.raises(ChannelError, match="vertex addition did not land"):
-        add_vertex_report(path_graph(3))
+    with pytest.raises(ChannelError, match="^vertex deletion did not land on the residual state: "
+                                           "state after 'the measurement' missed the graph state by "):
+        run(vertex_deletion(cycle_graph(5), 4))
+    with pytest.raises(ChannelError, match="^vertex addition did not land on the padded state: "):
+        run(vertex_addition(path_graph(3)))
 
 
 def test_locc_examples_report():
@@ -371,7 +405,7 @@ def test_probabilities_at_every_pair_are_quadratic_forms():
 def test_exact_only_functions_refuse_a_channel_output():
     # a channel output is a float state, so each exact-only function refuses it
     g = path_graph(4)
-    rho = apply_channel(edge_deletion_channel(g, (1, 2)), density_of_graph(g))
+    rho = DensityMatrix(HermitianMatrix(edge_deletion_channel(g, (1, 2)).apply(state_of(g))))
     assert not rho.mat.exact_real
     with pytest.raises(DensityError, match="purity needs an exact state"):
         purity(rho)

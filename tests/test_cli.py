@@ -188,6 +188,9 @@ def test_channel_edit_errors_name_vertices_as_typed(capsys, graph_file):
         (["add-edge 3 2"], "edge 3-2 is already in the graph"),
         # checked against the graph as edited so far
         (["del-vertex 1", "del-vertex 4"], "vertex 4 out of range 1..3"),
+        # every error from building an edit names the edit
+        (["del-edge 1 2", "del-edge 2 3", "del-edge 3 4"],
+         "'del-edge 3 4': deleting the last edge leaves no graph state"),
     ]
     for edits, message in cases:
         assert main(["channel", path, *edits]) == 2
@@ -336,6 +339,56 @@ def test_search_rejects_nonpositive_workers(capsys, graph_file):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "workers" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,quiet,warning", [
+    (["search", "p4.graph", "--p", "2", "--q", "2", "--seed", "7"], 2,
+     "exhaustive search ignores --seed; pass --budget to sample"),
+    (["search", "p4.graph", "--p", "2", "--q", "2", "--workers", "3"], 2,
+     "search ignores --workers 3; every verdict runs in this process"),
+    (["probe", "--p", "2", "--q", "3", "--budget", "5"], 2,
+     "exhaustive probe at 2x3 ignores --budget"),
+    (["probe", "--p", "2", "--q", "2", "--seed", "5"], 2,
+     "exhaustive probe at 2x2 ignores --seed"),
+    (["probe", "--p", "2", "--q", "3", "--seed", "5", "--budget", "5"], 4,
+     "exhaustive probe at 2x3 ignores --budget and --seed"),
+])
+def test_ignored_inputs_warn_once(capsys, graph_file, argv, quiet, warning):
+    """One stderr line names what the run ignored; the JSON is the one the
+    run gives without those options (the last `quiet` arguments)."""
+    argv = pinned_argv(graph_file, argv)
+    out, err = run_text(capsys, argv + ["--json"])
+    assert err == f"warning: {warning}\n"
+    assert run_text(capsys, argv[:-quiet] + ["--json"]) == (out, "")
+
+
+def test_used_inputs_do_not_warn(capsys, graph_file):
+    path = graph_file("petersen.graph", PETERSEN_TEXT)
+    for argv in (["search", path, "--p", "2", "--q", "5", "--budget", "20", "--seed", "3",
+                  "--workers", "1"],
+                 ["probe", "--p", "2", "--q", "4", "--budget", "20", "--seed", "3"]):
+        assert run_text(capsys, argv)[1] == ""
+
+
+@pytest.mark.parametrize("text,p,q,status", [
+    # the entangled edges 1-5 and 2-4 span no pe-matching; PPT suffices at 2x3
+    ("n 6\ne 1 3\ne 1 5\ne 2 3\ne 2 4\n", 2, 3, "SEPARABLE"),
+    # a criss-cross pair is PPT, and no constructive route covers three rows
+    ("n 9\ne 1 5\ne 2 4\n", 3, 3, "PPT_INCONCLUSIVE"),
+])
+def test_analyze_without_a_constructive_route(capsys, graph_file, text, p, q, status):
+    blob = run_json(capsys, ["analyze", graph_file("g.graph", text),
+                             "--p", str(p), "--q", str(q), "--json"])
+    assert blob["verdict"]["status"] == status and blob["decomposition"] is None
+    # the partial transpose of L/2m in the default labeling's vertex basis, by hand
+    n = p * q
+    lap = np.zeros((n, n))
+    for u, v in blob["graph"]["edges"]:
+        lap[[u - 1, v - 1], [u - 1, v - 1]] += 1
+        lap[[u - 1, v - 1], [v - 1, u - 1]] -= 1
+    pt = (lap / np.trace(lap)).reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)
+    low = np.linalg.eigvalsh(pt).min()
+    assert abs(low) < 1e-12 and abs(blob["verdict"]["min_pt_eigenvalue"] - low) < 1e-12
 
 
 def test_linalg_error_is_precondition_failure(capsys, graph_file, monkeypatch):

@@ -1,5 +1,6 @@
 """Every name a graphdm module imports is used in that module, no module
-imports another's _private names, and no module builds an object array."""
+imports another's _private names, no module builds an object array, and one
+function reads the channel landing tolerance."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,26 @@ def object_arrays(path: Path) -> list[str]:
     return found
 
 
+def readers(path: Path, name: str) -> list[str]:
+    """The innermost function around each read of name (as a bare name or an
+    attribute), or "<module>" for a read outside every function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            named = (isinstance(child, ast.Name) and child.id == name
+                     or isinstance(child, ast.Attribute) and child.attr == name)
+            if named and isinstance(child.ctx, ast.Load):
+                found.append(f"{path.name}:{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
 def test_no_unused_imports():
     # __init__.py imports are the package's public names, not uses
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -98,3 +119,23 @@ def test_scan_sees_unused_and_kept_names(tmp_path):
                      "print(used, osp, _exit, _helper)\n")
     assert unused_imports(probe) == ["Fraction", "os"]
     assert private_imports(probe) == ["_helper"]
+
+
+def test_one_function_checks_a_channel_landing():
+    found = sorted({r for p in SRC.glob("*.py") for r in readers(p, "LANDING_TOL")})
+    assert found == ["channels.py:check_landing"]
+
+
+def test_reader_scan_sees_each_form(tmp_path):
+    probe = tmp_path / "cli.py"
+    probe.write_text("from .channels import LANDING_TOL\n"
+                     "import graphdm.channels as ch\n"
+                     "LANDING_TOL = 1e-8\n"
+                     "X = LANDING_TOL\n"
+                     "def a(err):\n"
+                     "    return err > LANDING_TOL\n"
+                     "def b(err):\n"
+                     "    def inner():\n"
+                     "        return ch.LANDING_TOL\n"
+                     "    return inner\n")
+    assert readers(probe, "LANDING_TOL") == ["cli.py:<module>", "cli.py:a", "cli.py:inner"]

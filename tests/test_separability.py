@@ -522,3 +522,64 @@ def test_tol_only_governs_the_cross_check():
     loose = labeling_search(g, 2, 2, tol=0.1)
     assert (loose.counts, loose.witnesses) == (exact.counts, exact.witnesses)
     assert exact.float_disagreements == 0 and loose.float_disagreements == 1
+
+
+# ---------------------------------------------------------------------------
+# the matching decomposition under any two-row labeling, checked against the
+# mixture rebuilt in the vertex basis without graphdm
+
+
+def vertex_mixture(states, lab):
+    """sum of weight |x><x| with x = left (x) right read at vertex v's cell
+    (s, t), entry s*q + t."""
+    cells = [s * lab.q + t for s, t in lab.cells]
+    mix = np.zeros((lab.n, lab.n), dtype=complex)
+    for prod in states:
+        x = np.kron(prod.left, prod.right)[cells]
+        mix += prod.weight * np.outer(x, x.conj())
+    return mix
+
+
+def laplacian_state(n, edges):
+    lap = np.zeros((n, n))
+    for u, v in edges:
+        lap[[u, v], [u, v]] += 1
+        lap[[u, v], [v, u]] -= 1
+    return lap / (2 * len(edges))
+
+
+def test_matching_decomposition_reads_any_labeling():
+    # vertex 1 sits in row 1, so the entangled edge 1-2 (1-based) is read from
+    # row 1 first; edges 1-3 (one column) and 2-3 (one row) are separable
+    lab = BipartiteLabeling(2, 2, ((1, 0), (0, 1), (0, 0), (1, 1)))
+    assert not lab.is_default()
+    g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 2)])
+    assert entangled_edges(g, lab) == [(0, 1), (2, 3)]
+    verdict, states = pe_matching_separability(g, lab)
+    assert verdict.status == SEPARABLE and len(states) == 2 + 2
+    assert np.abs(vertex_mixture(states, lab) - laplacian_state(4, g.edges)).max() < 1e-15
+    # the verification reads the labeling: under the default one the mixture misses
+    rho = density_of_graph(g)
+    assert verify_separable_decomposition(rho, states, lab)
+    assert not verify_separable_decomposition(rho, states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), density=st.floats(0, 1))
+def test_matching_decomposition_on_random_labelings(q, seed, density):
+    """A random 2 x q labeling, an entangled pe-matching (a column
+    derangement) and each separable pair with probability `density`."""
+    rng = np.random.default_rng(seed)
+    n = 2 * q
+    lab = BipartiteLabeling.from_assignment(2, q, rng.permutation(n))
+    vertex_at = {cell: v for v, cell in enumerate(lab.cells)}
+    perm = rng.permutation(q)
+    while (perm == np.arange(q)).any():
+        perm = rng.permutation(q)
+    matching = [(vertex_at[(0, t)], vertex_at[(1, int(perm[t]))]) for t in range(q)]
+    separable = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if lab.cells[u][0] == lab.cells[v][0] or lab.cells[u][1] == lab.cells[v][1]]
+    g = build_graph(n, matching + [e for e in separable if rng.random() < density])
+    verdict, states = pe_matching_separability(g, lab)
+    assert verdict.status == SEPARABLE
+    assert np.abs(vertex_mixture(states, lab) - laplacian_state(n, g.edges)).max() < 1e-12
