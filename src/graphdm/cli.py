@@ -37,7 +37,6 @@ from .concurrence import (
 )
 from .density import (
     DensityError,
-    DensityMatrix,
     density_of_graph,
     graph_states,
     laplacian_states,
@@ -67,11 +66,10 @@ from .separability import (
     labeling_search,
     min_pt_eigenvalues,
     partial_transpose,
-    pe_matching_separability,
     ppt_status,
     ppt_test,
     ppt_verdicts,
-    verify_separable_decomposition,
+    separable_decomposition,
 )
 
 _PRECONDITION_ERRORS = (
@@ -226,28 +224,6 @@ def _require_dims(args, n: int | None = None) -> tuple[int, int]:
     return p, q
 
 
-def _try_decomposition(g: Graph, lab: BipartiteLabeling, rho: DensityMatrix):
-    """Explicit separable decomposition when a constructive route applies.
-
-    Complete graphs decompose for any labeling; with a 2-row labeling the
-    entangled edges may form a decomposable criss-cross matching.
-    """
-    if not any(g.loops) and g.m == g.n * (g.n - 1) // 2:
-        states = complete_graph_decomposition(g.n, lab.p, lab.q)
-        if not verify_separable_decomposition(rho, states, lab=lab):
-            raise SeparabilityError(
-                "complete-graph decomposition does not reconstruct the state "
-                "under this labeling")
-        return "complete-graph", states
-    if lab.p == 2:
-        try:
-            _, states = pe_matching_separability(g, lab)
-            return "criss-cross-matching", states
-        except SeparabilityError:
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -270,10 +246,9 @@ def cmd_analyze(args) -> None:
     decomposition = None
     route = None
     if status != ENTANGLED_NPT:
-        found = _try_decomposition(g, lab, rho)
+        found = separable_decomposition(g, lab)
         if found is not None:
-            route, states = found
-            decomposition = states
+            route, decomposition = found
             status = SEPARABLE
 
     conc = None

@@ -104,10 +104,6 @@ class ProductState:
         if self.weight < 0:
             raise SeparabilityError("product-state weight must be nonnegative")
 
-    def vector(self) -> np.ndarray:
-        return np.kron(np.asarray(self.left, dtype=complex),
-                       np.asarray(self.right, dtype=complex))
-
 
 # ---------------------------------------------------------------------------
 # partial transpose and PPT testing
@@ -364,22 +360,17 @@ def tally_mark_decomposition(g: Graph) -> list[ProductState]:
     Under the default two-row labeling the graph must be a pe-matching whose
     column map is one cycle visiting its columns in increasing order.
     Returns k+1 product states with uniform weights whose mixture
-    reconstructs the state.
+    reconstructs the state, built and verified by the matching route.
     """
     if g.n % 2:
         raise SeparabilityError("tally-mark graph needs an even vertex count")
     lab = BipartiteLabeling.default(2, g.n // 2)
     if classify_matching(g, lab) != "pe-matching":
         raise SeparabilityError("graph is not a pe-matching under this labeling")
-    q = lab.q
     pi = _row_derangement(g, lab)
-    if any(pi[c] != (c + 1) % q for c in range(q)):
+    if any(pi[c] != (c + 1) % lab.q for c in range(lab.q)):
         raise SeparabilityError("pe-matching is not a single increasing chain")
-    states = _tally_states(list(range(q)), q, 1.0 / q)
-    rho = density_of_graph(g)
-    if not verify_separable_decomposition(rho, states):
-        raise SeparabilityError("tally-mark decomposition failed to reconstruct")
-    return states
+    return pe_matching_separability(g, lab)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +383,34 @@ def verify_separable_decomposition(rho: DensityMatrix, states,
     RECONSTRUCTION_TOL.
 
     Product vectors live on cells; `lab` translates them to the vertex basis
-    (omit it for the default labeling).
+    (omit it for the default labeling).  The K product vectors are stacked
+    as the rows of V, so the mixture is one product V^T diag(w) conj(V).
     """
     if not states:
         return False
-    total = sum(s.weight for s in states)
+    weights = [s.weight for s in states]
+    total = sum(weights)
     if abs(total - 1.0) > 1e-10:
         raise SeparabilityError(f"weights sum to {total}, not 1")
-    n = rho.dim
-    mix = np.zeros((n, n), dtype=complex)
-    for s in states:
-        vec = s.vector()
-        mix += s.weight * np.outer(vec, vec.conj())
+    left = np.array([s.left for s in states], dtype=complex)
+    right = np.array([s.right for s in states], dtype=complex)
+    vecs = (left[:, :, None] * right[:, None, :]).reshape(len(states), -1)
+    mix = (vecs.T * np.array(weights)) @ vecs.conj()
     if lab is not None and not lab.is_default():
         # cell-basis mixture -> vertex basis
-        fl = [lab.flat(v) for v in range(n)]
+        fl = [lab.flat(v) for v in range(rho.dim)]
         mix = mix[np.ix_(fl, fl)]
     return bool(np.abs(mix - rho.mat.to_complex()).max() <= RECONSTRUCTION_TOL)
+
+
+def _basis(dim: int, i: int, sign_j: float | None = None, j: int | None = None) -> np.ndarray:
+    """|i>, or (|i> + sign_j |j>)/sqrt(2), in dimension dim."""
+    vec = np.zeros(dim)
+    vec[i] = 1.0
+    if j is not None:
+        vec[j] = sign_j
+        vec /= math.sqrt(2)
+    return vec
 
 
 def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
@@ -416,7 +418,9 @@ def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
 
     Separable edges keep their own projectors; each criss-crossing pair of
     entangled edges is rewritten as two product projectors on (|u_s> +/-
-    |u_s'>)/sqrt(2) tensor (|w_t> -/+ |w_t'>)/sqrt(2).
+    |u_s'>)/sqrt(2) tensor (|w_t> -/+ |w_t'>)/sqrt(2).  Relabeling leaves
+    the complete graph's state unchanged, so the check under the default
+    labeling holds, with the same residual, under every labeling.
     """
     if p * q != n:
         raise SeparabilityError("n must equal p*q")
@@ -425,48 +429,39 @@ def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
     m = n * (n - 1) // 2
     w = 1.0 / m
     states = []
-
-    def basis(dim, i, sign_j=None, j=None):
-        vec = np.zeros(dim)
-        vec[i] = 1.0
-        if j is not None:
-            vec[j] = sign_j
-            vec /= math.sqrt(2)
-        return vec
-
     row_pairs = list(itertools.combinations(range(p), 2))
     col_pairs = list(itertools.combinations(range(q), 2))
     # separable edges: same row (column pair) or same column (row pair)
     for s, (t, t2) in itertools.product(range(p), col_pairs):
-        states.append(ProductState(basis(p, s), basis(q, t, -1.0, t2), w))
+        states.append(ProductState(_basis(p, s), _basis(q, t, -1.0, t2), w))
     for t, (s, s2) in itertools.product(range(q), row_pairs):
-        states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t), w))
+        states.append(ProductState(_basis(p, s, -1.0, s2), _basis(q, t), w))
     # entangled edges, handled as criss-crossing pairs
     for (s, s2), (t, t2) in itertools.product(row_pairs, col_pairs):
-        states.append(ProductState(basis(p, s, 1.0, s2), basis(q, t, -1.0, t2), w))
-        states.append(ProductState(basis(p, s, -1.0, s2), basis(q, t, 1.0, t2), w))
+        states.append(ProductState(_basis(p, s, 1.0, s2), _basis(q, t, -1.0, t2), w))
+        states.append(ProductState(_basis(p, s, -1.0, s2), _basis(q, t, 1.0, t2), w))
     rho = density_of_graph(complete_graph(n))
     if not verify_separable_decomposition(rho, states):
         raise SeparabilityError("complete-graph decomposition failed to reconstruct")
     return states
 
 
-def pe_matching_separability(g: Graph, lab: BipartiteLabeling):
-    """Separability by the matching theorem for two-row labelings.
+def pe_matching_separability(g: Graph, lab: BipartiteLabeling) -> list[ProductState]:
+    """Verified product states of g's state, by the matching theorem.
 
     Requires every entangled edge of g to lie in one pe-matching H (so the
     entangled edges are vertex-disjoint and span the graph, or there are
-    none at all).  The state splits as a mixture of H's tally-mark product
-    states and the remaining separable edge states; the verified
-    decomposition certifies SEPARABLE at any q.
+    none at all); entangled edges need a two-row labeling, while a graph
+    without them decomposes at any p.  The state splits as a mixture of
+    H's tally-mark product states and the remaining separable edge states,
+    each a product vector; the decomposition is checked against the state
+    before it is returned, so it certifies SEPARABLE at any q.
     """
-    if lab.p != 2:
+    ent = entangled_edges(g, lab)  # rejects a labeling of the wrong size
+    if ent and lab.p != 2:
         raise SeparabilityError("matching separability is stated for two rows")
-    if g.n != lab.n:
-        raise SeparabilityError("labeling size does not match the graph")
     if g.m == 0:
         raise SeparabilityError("graph has no edges")
-    ent = entangled_edges(g, lab)
     states = []
     w = 1.0 / g.m
     if ent:
@@ -481,24 +476,37 @@ def pe_matching_separability(g: Graph, lab: BipartiteLabeling):
                 states.append(ProductState(st.left, right, w))
     for (u, v) in g.edges:
         (s, t), (s2, t2) = lab.cells[u], lab.cells[v]
-        if s != s2 and t != t2:
-            continue
         if s == s2:
-            left = np.zeros(2)
-            left[s] = 1.0
-            right = np.zeros(lab.q)
-            right[t], right[t2] = 1.0, -1.0
-            right /= math.sqrt(2)
-        else:
-            left = np.array([1.0, -1.0]) / math.sqrt(2)
-            right = np.zeros(lab.q)
-            right[t] = 1.0
-        states.append(ProductState(left, right, w))
-    rho = density_of_graph(g)
-    if not verify_separable_decomposition(rho, states, lab):
+            states.append(ProductState(_basis(lab.p, s), _basis(lab.q, t, -1.0, t2), w))
+        elif t == t2:
+            states.append(ProductState(_basis(lab.p, min(s, s2), -1.0, max(s, s2)),
+                                       _basis(lab.q, t), w))
+    if not verify_separable_decomposition(density_of_graph(g), states, lab):
         raise SeparabilityError("matching decomposition failed to reconstruct")
-    low = min_pt_eigenvalue(rho, lab)
-    return SeparabilityVerdict(SEPARABLE, low, (lab.p, lab.q)), states
+    return states
+
+
+def separable_decomposition(g: Graph, lab: BipartiteLabeling):
+    """(route, verified product states) when a constructive route certifies
+    g's state separable under lab, else None.
+
+    A complete graph decomposes under every labeling ("complete-graph").
+    Under a two-row labeling the entangled edges may form one criss-cross
+    pe-matching ("criss-cross-matching"); with more rows, a graph with no
+    entangled edge is a mixture of product edge states ("product-edges").
+    """
+    if not any(g.loops) and g.m == g.n * (g.n - 1) // 2:
+        return "complete-graph", complete_graph_decomposition(g.n, lab.p, lab.q)
+    if lab.p == 2:
+        route = "criss-cross-matching"
+    elif not entangled_edges(g, lab):
+        route = "product-edges"
+    else:
+        return None
+    try:
+        return route, pe_matching_separability(g, lab)
+    except SeparabilityError:
+        return None
 
 
 # ---------------------------------------------------------------------------

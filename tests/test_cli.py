@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import graphdm.channels as channels
 import graphdm.cli as cli
 import graphdm.density as density
+import graphdm.separability as separability
 from graphdm.channels import MeasurePrepareChannel
 from graphdm.cli import main
 from graphdm.graphs import add_edge, add_isolated_vertex, delete_vertex
@@ -391,6 +393,72 @@ def test_analyze_without_a_constructive_route(capsys, graph_file, text, p, q, st
     assert abs(low) < 1e-12 and abs(blob["verdict"]["min_pt_eigenvalue"] - low) < 1e-12
 
 
+@pytest.mark.parametrize("text,p,q,labeling", [
+    # one row edge and one column edge on the 3x3 grid
+    ("n 9\ne 1 2\ne 1 4\n", 3, 3, None),
+    # column edges 1-7 (rows 0, 3) and 2-5 (rows 2, 0: read from the lower row
+    # first), and the row edge 2-6, under a labeling that is not the default
+    ("n 8\ne 1 7\ne 2 5\ne 2 6\n", 4, 2, "1=0.0,2=2.1,3=1.0,4=1.1,5=0.1,6=2.0,7=3.0,8=3.1"),
+], ids=["3x3", "4x2"])
+def test_analyze_certifies_graphs_without_entangled_edges(capsys, graph_file, text, p, q,
+                                                          labeling):
+    argv = ["analyze", graph_file("g.graph", text), "--p", str(p), "--q", str(q), "--json"]
+    blob = run_json(capsys, argv + (["--labeling", labeling] if labeling else []))
+    assert blob["entangled_edges"] == []
+    assert blob["verdict"]["ppt_status"] == "PPT_INCONCLUSIVE"
+    assert blob["verdict"]["status"] == "SEPARABLE"
+    dec = blob["decomposition"]
+    assert dec["route"] == "product-edges" and dec["terms"] == len(blob["graph"]["edges"])
+    # sum of weight |x><x|, x = left (x) right read at each vertex's cell, against L/2m
+    n = p * q
+    cells = [s * q + t for s, t in blob["labeling"]["cells"]]
+    mix = np.zeros((n, n), dtype=complex)
+    for prod in dec["states"]:
+        left, right = (np.array([complex(*z) for z in prod[k]]) for k in ("left", "right"))
+        x = np.kron(left, right)[cells]
+        mix += prod["weight"] * np.outer(x, x.conj())
+    lap = np.zeros((n, n))
+    for u, v in blob["graph"]["edges"]:
+        lap[[u - 1, v - 1], [u - 1, v - 1]] += 1
+        lap[[u - 1, v - 1], [v - 1, u - 1]] -= 1
+    assert np.abs(mix - lap / np.trace(lap)).max() < 1e-15
+
+
+def traced_calls(argv, names):
+    """Run main(argv) under a profile hook: the (event, function name) of
+    each call into and return from a Python function named in names."""
+    events = []
+
+    def hook(frame, event, arg):
+        if event in ("call", "return") and frame.f_code.co_name in names:
+            events.append((event, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        rc = main(argv)
+    finally:
+        sys.setprofile(None)
+    assert rc == 0
+    return events
+
+
+def test_analyze_builds_and_checks_each_decomposition_once(capsys, graph_file):
+    k6 = "n 6\n" + "".join(f"e {u} {v}\n" for u, v in itertools.combinations(range(1, 7), 2))
+    # 1-5, 2-6 and 3-4 cross the rows as one pe-matching; 1-2 is a row edge
+    matching = "n 6\ne 1 5\ne 2 6\ne 3 4\ne 1 2\n"
+    names = {"verify_separable_decomposition", "pe_matching_separability", "eigvalsh"}
+    for text, route in ((k6, "complete-graph"), (matching, "criss-cross-matching")):
+        argv = ["analyze", graph_file("g.graph", text), "--p", "2", "--q", "3", "--json"]
+        events = traced_calls(argv, names)
+        assert json.loads(capsys.readouterr().out)["decomposition"]["route"] == route
+        assert events.count(("call", "verify_separable_decomposition")) == 1
+    # the matching route builds and checks its states without an eigensolve
+    start = events.index(("call", "pe_matching_separability"))
+    end = events.index(("return", "pe_matching_separability"))
+    assert ("call", "eigvalsh") in events[:start]  # the PPT verdict's own eigenvalue
+    assert ("call", "eigvalsh") not in events[start:end]
+
+
 def test_linalg_error_is_precondition_failure(capsys, graph_file, monkeypatch):
     def broken(_):
         raise LinalgError("matrix is not Hermitian")
@@ -402,10 +470,10 @@ def test_linalg_error_is_precondition_failure(capsys, graph_file, monkeypatch):
 
 
 def test_complete_graph_decomposition_must_verify(capsys, graph_file, monkeypatch):
-    monkeypatch.setattr(cli, "verify_separable_decomposition", lambda *a, **k: False)
+    monkeypatch.setattr(separability, "verify_separable_decomposition", lambda *a, **k: False)
     path = graph_file("k4.graph", K4_TEXT)
-    assert main(["analyze", path, "--p", "2", "--q", "2"]) == 2
-    assert "does not reconstruct" in capsys.readouterr().err
+    assert_one_line_error(capsys, ["analyze", path, "--p", "2", "--q", "2"],
+                          "complete-graph decomposition failed to reconstruct")
 
 
 def test_probe_small_dimensions_exhaustive(capsys):
@@ -417,11 +485,6 @@ def test_probe_small_dimensions_exhaustive(capsys):
     conc = blob["entangled_edges_at_one_vertex"]
     assert conc["conclusion"] == "no counterexample found"
     assert conc["counterexamples"] == []
-
-
-def test_probe_rejects_oversized_request(capsys):
-    assert main(["probe", "--p", "3", "--q", "3"]) == 2
-    capsys.readouterr()
 
 
 def test_entropy_json_with_order(capsys, graph_file):

@@ -1,6 +1,8 @@
 """Every name a graphdm module imports is used in that module, no module
-imports another's _private names, no module builds an object array, and one
-function reads the channel landing tolerance."""
+imports another's _private names, no module builds an object array, one
+function reads the channel landing tolerance, one reads the reconstruction
+tolerance, and the CLI reaches separable decompositions through one route
+chooser."""
 
 import ast
 from pathlib import Path
@@ -139,3 +141,27 @@ def test_reader_scan_sees_each_form(tmp_path):
                      "        return ch.LANDING_TOL\n"
                      "    return inner\n")
     assert readers(probe, "LANDING_TOL") == ["cli.py:<module>", "cli.py:a", "cli.py:inner"]
+
+
+def test_one_function_checks_a_decomposition():
+    found = sorted({r for p in SRC.glob("*.py") for r in readers(p, "RECONSTRUCTION_TOL")})
+    assert found == ["separability.py:verify_separable_decomposition"]
+
+
+def test_cli_leaves_the_route_choice_to_separability():
+    cli = SRC / "cli.py"
+    assert readers(cli, "separable_decomposition") == ["cli.py:cmd_analyze"]
+    for name in ("verify_separable_decomposition", "pe_matching_separability"):
+        assert readers(cli, name) == []
+
+
+def test_reader_scan_sees_route_names(tmp_path):
+    probe = tmp_path / "cli.py"
+    probe.write_text("from .separability import pe_matching_separability\n"
+                     "import graphdm.separability as sep\n"
+                     "def route(g, lab):\n"
+                     "    return pe_matching_separability(g, lab)\n"
+                     "def check(rho, states):\n"
+                     "    return sep.verify_separable_decomposition(rho, states)\n")
+    assert readers(probe, "pe_matching_separability") == ["cli.py:route"]
+    assert readers(probe, "verify_separable_decomposition") == ["cli.py:check"]

@@ -15,6 +15,7 @@ from graphdm import (
     SEPARABLE,
     BipartiteLabeling,
     DensityError,
+    ProductState,
     SeparabilityError,
     build_graph,
     canonicalize_pe_matching,
@@ -44,6 +45,7 @@ from graphdm import (
     tally_mark_decomposition,
     verify_separable_decomposition,
 )
+from graphdm.separability import RECONSTRUCTION_TOL
 
 F = Fraction
 LAB22 = BipartiteLabeling.default(2, 2)
@@ -192,8 +194,7 @@ def test_canonicalize_longer_chain():
 
 def test_pe_matching_separability_decomposes():
     crossing = build_graph(4, [(0, 3), (1, 2)])
-    verdict, states = pe_matching_separability(crossing, LAB22)
-    assert verdict.status == SEPARABLE
+    states = pe_matching_separability(crossing, LAB22)
     assert len(states) == 2
     assert verify_separable_decomposition(
         density_of_graph(crossing), states, LAB22)
@@ -244,6 +245,77 @@ def test_verify_separable_decomposition_rejects_wrong_mixture():
     states = complete_graph_decomposition(4, 2, 2)
     assert not verify_separable_decomposition(rho, states, LAB22)
     assert not verify_separable_decomposition(rho, [], LAB22)
+
+
+def looped_check(rho, states, lab=None):
+    """verify_separable_decomposition with one np.kron and one np.outer per
+    product state: the reference for the stacked product."""
+    if not states:
+        return False
+    total = sum(s.weight for s in states)
+    if abs(total - 1.0) > 1e-10:
+        raise SeparabilityError(f"weights sum to {total}, not 1")
+    n = rho.dim
+    mix = np.zeros((n, n), dtype=complex)
+    for s in states:
+        vec = np.kron(np.asarray(s.left, dtype=complex), np.asarray(s.right, dtype=complex))
+        mix += s.weight * np.outer(vec, vec.conj())
+    if lab is not None and not lab.is_default():
+        fl = [lab.flat(v) for v in range(n)]
+        mix = mix[np.ix_(fl, fl)]
+    return bool(np.abs(mix - rho.mat.to_complex()).max() <= RECONSTRUCTION_TOL)
+
+
+def random_unit(rng, dim):
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vec / np.linalg.norm(vec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.integers(2, 3), q=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       labeled=st.booleans(),
+       kind=st.sampled_from(["verified", "relabeled", "dropped", "random", "weights", "empty"]))
+def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
+    """A random graph with a verified decomposition under a random or the
+    default labeling, then that decomposition, the same states read under
+    another labeling, one term dropped, random product states, weights that
+    do not sum to 1, or no states at all."""
+    rng = np.random.default_rng(seed)
+    n = p * q
+    lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n)) if labeled else None
+    read = lab or BipartiteLabeling.default(p, q)
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if read.cells[u][0] == read.cells[v][0] or read.cells[u][1] == read.cells[v][1]]
+    edges = [e for e in pairs if rng.random() < 0.5] or pairs[:1]
+    if p == 2 and rng.random() < 0.5:  # an entangled pe-matching brings complex factors
+        vertex_at = {cell: v for v, cell in enumerate(read.cells)}
+        shift = int(rng.integers(1, q))
+        edges += [(vertex_at[(0, t)], vertex_at[(1, (t + shift) % q)]) for t in range(q)]
+    g = build_graph(n, edges)
+    rho = density_of_graph(g)
+    states = pe_matching_separability(g, read)
+    if kind == "relabeled":
+        lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n))
+    elif kind == "dropped":
+        states = [ProductState(s.left, s.right, s.weight / (1 - states[0].weight))
+                  for s in states[1:]]
+    elif kind == "random":
+        weights = rng.dirichlet(np.ones(len(states)))
+        states = [ProductState(random_unit(rng, p), random_unit(rng, q), w) for w in weights]
+    elif kind == "weights":
+        states = [ProductState(s.left, s.right, 1.5 * s.weight) for s in states]
+    elif kind == "empty":
+        states = []
+
+    def outcome(check):
+        try:
+            return check(rho, states, lab)
+        except SeparabilityError as exc:
+            return str(exc)
+
+    assert outcome(verify_separable_decomposition) == outcome(looped_check)
+    if kind == "verified":
+        assert outcome(verify_separable_decomposition) is True
 
 
 def test_star_projection_witness_formula():
@@ -555,8 +627,8 @@ def test_matching_decomposition_reads_any_labeling():
     assert not lab.is_default()
     g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 2)])
     assert entangled_edges(g, lab) == [(0, 1), (2, 3)]
-    verdict, states = pe_matching_separability(g, lab)
-    assert verdict.status == SEPARABLE and len(states) == 2 + 2
+    states = pe_matching_separability(g, lab)
+    assert len(states) == 2 + 2
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(4, g.edges)).max() < 1e-15
     # the verification reads the labeling: under the default one the mixture misses
     rho = density_of_graph(g)
@@ -580,6 +652,5 @@ def test_matching_decomposition_on_random_labelings(q, seed, density):
     separable = [(u, v) for u, v in itertools.combinations(range(n), 2)
                  if lab.cells[u][0] == lab.cells[v][0] or lab.cells[u][1] == lab.cells[v][1]]
     g = build_graph(n, matching + [e for e in separable if rng.random() < density])
-    verdict, states = pe_matching_separability(g, lab)
-    assert verdict.status == SEPARABLE
+    states = pe_matching_separability(g, lab)
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(n, g.edges)).max() < 1e-12
