@@ -54,6 +54,7 @@ from .graphs import (
 )
 from .linalg import LinalgError, eigensystem
 from .separability import (
+    DEFAULT_SEARCH_SEED,
     ENTANGLED_NPT,
     NPT_TOL,
     PPT_INCONCLUSIVE,
@@ -61,7 +62,6 @@ from .separability import (
     BipartiteLabeling,
     SeparabilityError,
     _min_eig_for_assignment,  # noqa: F401 - perfbench's tracer test rebinds it here
-    complete_graph_decomposition,
     entangled_edges,
     labeling_search,
     min_pt_eigenvalues,
@@ -254,7 +254,7 @@ def cmd_analyze(args) -> None:
     conc = None
     if (p, q) == (2, 2):
         pos = np.argsort([lab.flat(v) for v in range(4)])  # vertex at each cell
-        cell_mat = rho.mat.to_complex()[np.ix_(pos, pos)]
+        cell_mat = rho.to_real()[np.ix_(pos, pos)]
         conc = float(concurrences(cell_mat[None])[0][0])
 
     payload = {
@@ -463,8 +463,8 @@ def cmd_search(args) -> None:
                       for status, assign in sorted(census.witnesses.items())},
         "seed": census.seed,
     }
-    if not any(g.loops) and g.m == g.n * (g.n - 1) // 2:
-        complete_graph_decomposition(g.n, p, q)  # raises if it would not verify
+    found = separable_decomposition(g, BipartiteLabeling.default(p, q))
+    if found is not None and found[0] == "complete-graph":
         certified = dict(payload["counts"])
         moved = certified.pop(PPT_INCONCLUSIVE, 0)
         certified[SEPARABLE] = certified.get(SEPARABLE, 0) + moved
@@ -533,7 +533,7 @@ def cmd_probe(args) -> None:
     if n > 8:
         raise SeparabilityError(f"probe is limited to p*q <= 8, got {n}")
     budget = 20000 if args.budget is None else args.budget
-    seed = 20060111 if args.seed is None else args.seed
+    seed = DEFAULT_SEARCH_SEED if args.seed is None else args.seed
     if budget < 1:
         raise SeparabilityError(f"budget must be at least 1, got {budget}")
     if seed < 0:
@@ -696,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="samples when the pair count is too large to exhaust "
                          "(default 20000)")
     sp.add_argument("--seed", type=int, default=None,
-                    help="seed for sampled mode (default 20060111)")
+                    help=f"seed for sampled mode (default {DEFAULT_SEARCH_SEED})")
 
     sp = sub.add_parser("entropy", help="spectrum and entropy of one graph")
     sp.add_argument("graph", help="edge-list file")

@@ -43,10 +43,7 @@ def spin_flip(rho: DensityMatrix) -> HermitianMatrix:
     """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) for a 4x4 state."""
     if rho.dim != 4:
         raise ConcurrenceError("spin flip is defined on two-qubit states")
-    if rho.mat.exact_real:
-        return rho.mat.conjugate_by(_SPIN_FLIP)
-    flip = _SPIN_FLIP.astype(complex)
-    return HermitianMatrix(flip @ rho.mat.to_complex().conj() @ flip)
+    return rho.mat.conjugate_by(_SPIN_FLIP)
 
 
 def _check(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> None:
@@ -57,7 +54,7 @@ def _check(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> No
 
 
 def _hermitian(data: np.ndarray) -> np.ndarray:
-    """A complex HermitianMatrix per layer: checked, then symmetrized."""
+    """Each layer checked Hermitian within 1e-10 relative, then symmetrized."""
     adj = data.conj().swapaxes(1, 2)
     scale = np.maximum(1.0, np.abs(data).max(axis=(1, 2)))
     asym = np.abs(data - adj).max(axis=(1, 2))
@@ -66,7 +63,8 @@ def _hermitian(data: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrts(data: np.ndarray) -> np.ndarray:
-    """psd_sqrt per layer; a layer with no imaginary part is solved as real."""
+    """Principal square root of each PSD layer; a layer with no imaginary
+    part is solved as real."""
     real = np.abs(data.imag).max(axis=(1, 2)) < 1e-300
     err, low = np.zeros(len(data)), np.zeros(len(data))
     roots = np.empty_like(data)
@@ -89,14 +87,15 @@ def _psd_sqrts(data: np.ndarray) -> np.ndarray:
 def concurrences(states) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence values and descending lambdas of a (K, 4, 4) stack of states.
 
-    Each layer gets the checks DensityMatrix(HermitianMatrix(layer)) makes
-    of a complex layer (Hermitian within 1e-10 relative, then symmetrized;
-    unit trace; PSD) and the arithmetic of one concurrence: the lambdas are
-    the square roots of the eigenvalues of the symmetric matrix
-    sqrt(rho) rho~ sqrt(rho), which must be PSD up to 1e-8 roundoff, and the
-    value is max{0, l1 - l2 - l3 - l4}.  The stack goes through batched
-    eigensolvers, which solve each layer as a lone call would.  A failing
-    layer raises the error a lone state would, naming its index.
+    The stack may be real or complex.  Each layer is checked as a state
+    (Hermitian within 1e-10 relative, then symmetrized; unit trace within
+    TRACE_TOL; PSD within PSD_TOL) and gets the arithmetic of one
+    concurrence: the lambdas are the square roots of the eigenvalues of the
+    symmetric matrix sqrt(rho) rho~ sqrt(rho), which must be PSD up to 1e-8
+    roundoff, and the value is max{0, l1 - l2 - l3 - l4}.  The stack goes
+    through batched eigensolvers, which solve each layer as a lone call
+    would.  A failing layer raises the error a lone state would, naming its
+    index.
     """
     data = np.asarray(states, dtype=complex)
     if data.ndim != 3 or data.shape[1:] != (4, 4):
@@ -125,7 +124,7 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceResult:
 
     The one-state case of `concurrences`.
     """
-    values, lams = concurrences(rho.to_complex()[None])
+    values, lams = concurrences(rho.to_real()[None])
     return ConcurrenceResult(float(values[0]), tuple(lams[0].tolist()))
 
 

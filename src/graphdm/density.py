@@ -30,8 +30,8 @@ class DensityMatrix:
 
     normalization records the divisor applied to the integer matrix when the
     state came from a graph; it is None for channel outputs and the like.
-    An exact state whose numerator is diagonally dominant (every Laplacian,
-    D + A) is PSD by that certificate; any other state needs an eigensolve.
+    A state whose numerator is diagonally dominant (every Laplacian, D + A)
+    is PSD by that certificate; any other state needs an eigensolve.
     """
 
     mat: HermitianMatrix
@@ -40,12 +40,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         tr = self.mat.trace()
-        if self.mat.exact_real:
-            if tr != 1:
-                raise DensityError(f"trace is {tr}, not 1")
-        elif abs(complex(tr) - 1) > TRACE_TOL:
+        if tr != 1:
             raise DensityError(f"trace is {tr}, not 1")
-        if self.mat.exact_real and diagonally_dominant(self.mat.num):
+        if diagonally_dominant(self.mat.num):
             return
         ok, low = is_psd(self.mat)
         if not ok:
@@ -55,8 +52,8 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.dim
 
-    def to_complex(self) -> np.ndarray:
-        return self.mat.to_complex()
+    def to_real(self) -> np.ndarray:
+        return self.mat.to_real()
 
 
 def density_of_graph(g: Graph) -> DensityMatrix:
@@ -72,7 +69,7 @@ def laplacian_states(n: int, edge_lists) -> np.ndarray:
     """Float states L(G)/2m, stacked, for loop-free edge lists on n vertices.
 
     Each entry is the correctly rounded value of the exact state's entry,
-    so a layer equals density_of_graph(g).to_complex().real bit for bit,
+    so a layer equals density_of_graph(g).to_real() bit for bit,
     whatever else is stacked with it.  The stack gets the checks
     DensityMatrix makes of an exact state: unit trace, and the diagonal
     dominance of its integer Laplacians, which certifies PSD.
@@ -117,9 +114,7 @@ def density_with_loops(g: Graph) -> DensityMatrix:
 
 
 def purity(rho: DensityMatrix) -> Fraction:
-    """tr(rho^2) as the exact Fraction sum(num^2) / den^2; an inexact state raises."""
-    if not rho.mat.exact_real:
-        raise DensityError("purity needs an exact state")
+    """tr(rho^2) as the exact Fraction sum(num^2) / den^2."""
     flat = rho.mat.num.ravel().tolist()
     return Fraction(sum(x * x for x in flat), rho.mat.den ** 2)
 

@@ -206,13 +206,11 @@ def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMa
     """
     if rho.dim != lab.n:
         raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
-    if not rho.mat.exact_real:
-        raise SeparabilityError("the partial transpose needs an exact state")
     return HermitianMatrix(_pt_indexed(rho.mat.num, lab), den=rho.mat.den)
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, lab: BipartiteLabeling) -> float:
-    return _min_eig_for_assignment(rho.mat.to_complex().real,
+    return _min_eig_for_assignment(rho.mat.to_real(),
                                    [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)
 
 
@@ -400,7 +398,7 @@ def verify_separable_decomposition(rho: DensityMatrix, states,
         # cell-basis mixture -> vertex basis
         fl = [lab.flat(v) for v in range(rho.dim)]
         mix = mix[np.ix_(fl, fl)]
-    return bool(np.abs(mix - rho.mat.to_complex()).max() <= RECONSTRUCTION_TOL)
+    return bool(np.abs(mix - rho.mat.to_real()).max() <= RECONSTRUCTION_TOL)
 
 
 def _basis(dim: int, i: int, sign_j: float | None = None, j: int | None = None) -> np.ndarray:
@@ -495,7 +493,7 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling):
     pe-matching ("criss-cross-matching"); with more rows, a graph with no
     entangled edge is a mixture of product edge states ("product-edges").
     """
-    if not any(g.loops) and g.m == g.n * (g.n - 1) // 2:
+    if g.m == g.n * (g.n - 1) // 2:
         return "complete-graph", complete_graph_decomposition(g.n, lab.p, lab.q)
     if lab.p == 2:
         route = "criss-cross-matching"
@@ -622,7 +620,7 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         raise SeparabilityError("sample budget must be positive")
     if seed is not None and seed < 0:
         raise SeparabilityError(f"seed must be non-negative, got {seed}")
-    sigma = density_of_graph(g).mat.to_complex().real  # rejects an edgeless graph
+    sigma = density_of_graph(g).mat.to_real()  # rejects an edgeless graph
 
     if sample is None:
         assigns = coset_representatives(p, q)

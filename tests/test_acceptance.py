@@ -352,7 +352,7 @@ def test_criterion_09_separable_decompositions_reconstruct():
     grid = build_graph(12, [(0, 5), (1, 11), (2, 8), (3, 6), (4, 10), (7, 9)])
     mix = sum(np.outer(v, v.conj()) for v in vecs) / 6
     six_state_ok = (orthonormal and
-                    np.abs(mix - density_of_graph(grid).mat.to_complex()).max() < 1e-10)
+                    np.abs(mix - density_of_graph(grid).mat.to_real()).max() < 1e-10)
 
     ok = note(9, complete_ok and tally_ok and tensor_ok and six_state_ok,
               "complete-graph, tally-mark, tensor-product and six-state "

@@ -11,14 +11,10 @@ from hypothesis import strategies as st
 
 import graphdm.channels as channels_mod
 from graphdm import (
-    BipartiteLabeling,
     ChannelError,
-    DensityError,
-    DensityMatrix,
     HermitianMatrix,
     LinalgError,
     MeasurePrepareChannel,
-    SeparabilityError,
     add_edge,
     add_isolated_vertex,
     build_graph,
@@ -32,12 +28,9 @@ from graphdm import (
     edge_deletion_channel,
     exact_projector,
     graph_states,
-    is_pure,
     measurement_probabilities,
     nonisomorphic_graphs,
-    partial_transpose,
     path_graph,
-    purity,
     star_graph,
     vertex_addition,
     vertex_deletion,
@@ -186,7 +179,7 @@ def test_measurement_probabilities_exact_and_ordered():
     assert names == ["plus(2-3)", "minus(2-3)", "vertex(1)", "vertex(4)"]
     assert abs(sum(o.probability for o in outs) - 1.0) < 1e-15
     # cross-check each probability against the direct trace tr(P sigma)
-    sigma = density_of_graph(g).mat.to_complex()
+    sigma = density_of_graph(g).mat.to_real()
     half = 1 / math.sqrt(2)
     vecs = {
         "plus(2-3)": np.array([0, half, half, 0]),
@@ -337,9 +330,9 @@ def edits_at(g, edge):
     and for adding it back to the reduced graph."""
     reduced = delete_edge(g, *edge)
     return [(edge_deletion_channel(g, edge), householder_operators(g.n, edge, reduced.edges),
-             density_of_graph(g).to_complex().real),
+             density_of_graph(g).to_real()),
             (edge_addition_channel(reduced, edge), householder_operators(g.n, edge, g.edges),
-             density_of_graph(reduced).to_complex().real)]
+             density_of_graph(reduced).to_real())]
 
 
 def test_measure_prepare_matches_householder_kraus_sum(small_graphs):
@@ -389,7 +382,7 @@ def test_probabilities_at_every_pair_are_quadratic_forms():
     h = 1 / math.sqrt(2)
     for n in range(3, 6):
         for g in nonisomorphic_graphs(n, min_edges=1):
-            sigma = density_of_graph(g).to_complex().real
+            sigma = density_of_graph(g).to_real()
             for i, j in itertools.combinations(range(n), 2):
                 outs = measurement_probabilities(g, (i, j))
                 off = [k for k in range(n) if k not in (i, j)]
@@ -403,15 +396,9 @@ def test_probabilities_at_every_pair_are_quadratic_forms():
 
 
 def test_exact_only_functions_refuse_a_channel_output():
-    # a channel output is a float state, so each exact-only function refuses it
+    # a channel output is a float state, so it never becomes an exact matrix
+    # and no exact-only function can be handed one
     g = path_graph(4)
-    rho = DensityMatrix(HermitianMatrix(edge_deletion_channel(g, (1, 2)).apply(state_of(g))))
-    assert not rho.mat.exact_real
-    with pytest.raises(DensityError, match="purity needs an exact state"):
-        purity(rho)
-    with pytest.raises(DensityError, match="purity needs an exact state"):
-        is_pure(rho)
-    with pytest.raises(SeparabilityError, match="needs an exact state"):
-        partial_transpose(rho, BipartiteLabeling.default(2, 2))
-    with pytest.raises(LinalgError, match="only an exact matrix has a real view"):
-        rho.mat.to_real()
+    out = edge_deletion_channel(g, (1, 2)).apply(state_of(g))
+    with pytest.raises(LinalgError, match="must be integers"):
+        HermitianMatrix(out)

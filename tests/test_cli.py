@@ -307,6 +307,29 @@ def test_search_complete_graph_certifies(capsys, graph_file):
     assert "certified" in blob["note"]
 
 
+def complete_text(n: int, loops=()) -> str:
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return (f"n {n}\n" + "".join(f"e {u} {v}\n" for u, v in pairs)
+            + "".join(f"e {v} {v}\n" for v in loops))
+
+
+def test_loops_do_not_block_the_complete_graph_route(capsys, graph_file):
+    # the state ignores loops, so a looped K_n has K_n's decomposition
+    argv = ["--p", "3", "--q", "3", "--json"]
+    plain = run_json(capsys, ["analyze", graph_file("k9.graph", complete_text(9))] + argv)
+    looped = run_json(capsys, ["analyze", graph_file("k9l.graph", complete_text(9, [1]))] + argv)
+    assert looped["verdict"]["status"] == "SEPARABLE"
+    assert looped["decomposition"]["route"] == "complete-graph"
+    assert looped["decomposition"] == plain["decomposition"]
+    argv = ["--p", "2", "--q", "4", "--json"]
+    plain = run_json(capsys, ["search", graph_file("k8.graph", complete_text(8))] + argv)
+    looped = run_json(capsys, ["search", graph_file("k8l.graph", complete_text(8, [1, 8]))]
+                      + argv)
+    assert looped["certified_counts"] == plain["certified_counts"] == {
+        "ENTANGLED_NPT": 0, "SEPARABLE": 40320}
+    assert looped["note"] == plain["note"]
+
+
 def test_search_sampled_output_is_reproducible(capsys, graph_file):
     path = graph_file("petersen.graph", PETERSEN_TEXT)
     argv = ["search", path, "--p", "2", "--q", "5",

@@ -24,11 +24,12 @@ from graphdm import (
     nonisomorphic_graphs,
     path_graph,
     ppt_verdicts,
-    psd_sqrt,
     pure_state_concurrence,
     spin_flip,
 )
 from graphdm.concurrence import census_to_csv_rows, census_to_json_dict
+from graphdm.density import TRACE_TOL
+from graphdm.linalg import PSD_TOL
 
 F = Fraction
 
@@ -55,7 +56,6 @@ def test_maximally_mixed_state():
 def test_spin_flip_is_exact_involution():
     rho = density_of_graph(path_graph(4))
     flipped = spin_flip(rho)
-    assert flipped.exact_real
     back = spin_flip(DensityMatrix(flipped))
     assert back.exact_equal(rho.mat)
 
@@ -83,13 +83,11 @@ def test_pure_state_concurrence_known_values():
 
 def test_pure_state_agrees_with_density_formula():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        rho = DensityMatrix(HermitianMatrix(np.outer(psi, psi.conj())))
-        a = pure_state_concurrence(psi)
-        b = concurrence(rho).value
-        assert abs(a - b) < 1e-8
+    psis = rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))
+    psis /= np.linalg.norm(psis, axis=1)[:, None]
+    values, _ = concurrences(psis[:, :, None] * psis[:, None, :].conj())
+    for psi, b in zip(psis, values):
+        assert abs(pure_state_concurrence(psi) - b) < 1e-8
 
 
 def test_census_class_counts():
@@ -161,13 +159,46 @@ def test_census_exports():
 # the stacked kernel against the scalar concurrence it replaced
 
 
-def scalar_concurrence(rho: DensityMatrix) -> ConcurrenceResult:
-    """The one-state concurrence the stacked kernel replaced, kept as its oracle."""
-    if rho.dim != 4:
-        raise ConcurrenceError("concurrence is defined on two-qubit states")
-    flipped = spin_flip(rho)
-    root = psd_sqrt(rho.mat).to_complex()
-    sym = root @ flipped.to_complex() @ root
+# sigma_y (x) sigma_y in the product basis
+FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+
+
+def hermitian(mat) -> np.ndarray:
+    """A float or complex matrix checked Hermitian within 1e-10 relative,
+    then symmetrized."""
+    data = np.asarray(mat, dtype=complex)
+    scale = max(1.0, np.abs(data).max())
+    if np.abs(data - data.conj().T).max() > 1e-10 * scale:
+        raise LinalgError("matrix is not Hermitian")
+    return (data + data.conj().T) / 2
+
+
+def psd_root(data: np.ndarray) -> np.ndarray:
+    """Principal square root, by eigh checked for its reconstruction."""
+    mat = data.real if np.abs(data.imag).max() < 1e-300 else data
+    vals, vecs = np.linalg.eigh(mat)
+    err = np.abs((vecs * vals) @ vecs.conj().T - mat).max()
+    if err > 1e-10 * 4:
+        raise LinalgError(f"eigendecomposition failed to reconstruct (err={err:g})")
+    if vals[0] < -1e-10:
+        raise LinalgError(f"matrix is not PSD (eigenvalue {vals[0]:g})")
+    return hermitian((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+
+
+def scalar_concurrence(state) -> ConcurrenceResult:
+    """The one-state concurrence the stacked kernel replaced, kept as its
+    oracle: a 4x4 array is checked as a state (Hermitian, unit trace, PSD),
+    then rho~ and sqrt(rho) are taken one matrix at a time."""
+    data = hermitian(state)
+    tr = data.trace()
+    if abs(tr - 1) > TRACE_TOL:
+        raise DensityError(f"trace is {tr}, not 1")
+    low = np.linalg.eigvalsh(data)[0]
+    if low < -PSD_TOL:
+        raise DensityError(f"matrix is not PSD (eigenvalue {low:g})")
+    flipped = hermitian(FLIP @ data.conj() @ FLIP)
+    root = psd_root(data)
+    sym = root @ flipped @ root
     vals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
     if vals[0] < -1e-8:
         raise ConcurrenceError(f"spin-flip product has eigenvalue {vals[0]:g}")
@@ -179,15 +210,11 @@ def scalar_concurrence(rho: DensityMatrix) -> ConcurrenceResult:
     return ConcurrenceResult(value, lams)
 
 
-def oracle(state) -> ConcurrenceResult:
-    return scalar_concurrence(DensityMatrix(HermitianMatrix(state)))
-
-
 def assert_matches_oracle(stack):
     values, lams = concurrences(stack)
     assert values.shape == (len(stack),) and lams.shape == (len(stack), 4)
     for k, state in enumerate(stack):
-        want = oracle(state)
+        want = scalar_concurrence(state)
         assert values[k] == want.value, k
         assert tuple(lams[k].tolist()) == want.lambdas, k
 
@@ -204,7 +231,7 @@ def census_cell_states() -> np.ndarray:
     """Every NPT 4-vertex graph state in the cell basis, one labeling at a time."""
     out = []
     for g in nonisomorphic_graphs(4, min_edges=1):
-        sigma = density_of_graph(g).to_complex().real
+        sigma = density_of_graph(g).to_real()
         for assign in itertools.permutations(range(4)):
             if not ppt_verdicts(g.edges, [assign], 2, 2)[0]:
                 pos = np.argsort(assign)
@@ -249,7 +276,7 @@ def test_stacked_kernel_names_the_failing_state(make_bad, error, index):
     stack = [random_state(rng, 2, k % 2 == 1) for k in range(5)]
     stack[index] = make_bad(rng)
     with pytest.raises(error):
-        oracle(stack[index])
+        scalar_concurrence(stack[index])
     with pytest.raises(error, match=rf"^state {index} of the stack: "):
         concurrences(np.array(stack))
 

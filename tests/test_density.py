@@ -177,10 +177,9 @@ def test_exact_dominant_states_skip_the_eigensolve(monkeypatch):
     sigma_plus(petersen_graph())
     density_with_loops(build_graph(3, [(0, 1)], loops=[0, 2, 1]))
     assert checked == []
-    # a projector onto (1, 1, 1) fails the certificate; a float state never takes it
+    # a projector onto (1, 1, 1) fails the certificate
     DensityMatrix(exact_projector([1, 1, 1]))
-    DensityMatrix(HermitianMatrix([[0.5, 0.0], [0.0, 0.5]]))
-    assert len(checked) == 2
+    assert len(checked) == 1
     with pytest.raises(DensityError, match=r"matrix is not PSD \(eigenvalue -1\)"):
         DensityMatrix(HermitianMatrix([[2, 0], [0, -1]]))
 
@@ -198,4 +197,4 @@ def test_graph_states_stack_once_per_order_without_an_eigensolve(monkeypatch):
     states = graph_states(graphs)
     assert sorted(orders) == [3, 5]
     for g, state in zip(graphs, states):
-        assert np.array_equal(state, density_of_graph(g).to_complex().real)
+        assert np.array_equal(state, density_of_graph(g).to_real())

@@ -1,8 +1,8 @@
 """Every name a graphdm module imports is used in that module, no module
 imports another's _private names, no module builds an object array, one
 function reads the channel landing tolerance, one reads the reconstruction
-tolerance, and the CLI reaches separable decompositions through one route
-chooser."""
+tolerance, the CLI reaches separable decompositions through one route
+chooser, and no module brings back an inexact matrix mode."""
 
 import ast
 from pathlib import Path
@@ -56,6 +56,20 @@ def object_arrays(path: Path) -> list[str]:
                     and node.args and is_object(node.args[0])):
                 found.append(f"{node.lineno}: astype(object)")
     return found
+
+
+def mentions(path: Path, name: str) -> list[int]:
+    """Lines that name `name`: a bare name, an attribute, a definition or an
+    imported name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.lineno for a in node.names if a.name == name]
+    return sorted(found)
 
 
 def readers(path: Path, name: str) -> list[str]:
@@ -150,8 +164,10 @@ def test_one_function_checks_a_decomposition():
 
 def test_cli_leaves_the_route_choice_to_separability():
     cli = SRC / "cli.py"
-    assert readers(cli, "separable_decomposition") == ["cli.py:cmd_analyze"]
-    for name in ("verify_separable_decomposition", "pe_matching_separability"):
+    assert readers(cli, "separable_decomposition") == ["cli.py:cmd_analyze",
+                                                        "cli.py:cmd_search"]
+    for name in ("verify_separable_decomposition", "pe_matching_separability",
+                 "complete_graph_decomposition"):
         assert readers(cli, name) == []
 
 
@@ -165,3 +181,26 @@ def test_reader_scan_sees_route_names(tmp_path):
                      "    return sep.verify_separable_decomposition(rho, states)\n")
     assert readers(probe, "pe_matching_separability") == ["cli.py:route"]
     assert readers(probe, "verify_separable_decomposition") == ["cli.py:check"]
+
+
+def test_one_matrix_mode():
+    # HermitianMatrix is exact only: exact_real is a constant that only
+    # linalg may read, and the float view and root of the inexact mode are gone
+    modules = sorted(SRC.glob("*.py"))
+    assert {"linalg.py", "density.py", "concurrence.py"} <= {p.name for p in modules}
+    found = sorted({r for p in modules if p.name != "linalg.py" for r in readers(p, "exact_real")})
+    assert found == []
+    found = {f"{p.name}:{name}": lines for p in modules for name in ("to_complex", "psd_sqrt")
+             if (lines := mentions(p, name))}
+    assert found == {}
+
+
+def test_mention_scan_sees_each_form(tmp_path):
+    probe = tmp_path / "density.py"
+    probe.write_text("from .linalg import psd_sqrt\n"
+                     "def to_complex(rho):\n"
+                     "    return rho.mat.to_complex()\n"
+                     "root = psd_sqrt\n"
+                     "name = 'psd_sqrt'\n")
+    assert mentions(probe, "psd_sqrt") == [1, 4]
+    assert mentions(probe, "to_complex") == [2, 3]

@@ -6,7 +6,7 @@ operands are given to graphdm as integer numerators over one denominator,
 since an object array is no input form.  A result must match the reference
 exactly, in canonical form (the denominator is the lcm of the reduced
 entries' denominators), and its floats must be the correctly rounded
-entries, as complex(Fraction) gives them.
+entries, as float(Fraction) gives them.
 """
 
 import math
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import graphdm.linalg as linalg
 from graphdm import (
     BipartiteLabeling,
     DensityMatrix,
@@ -26,7 +25,6 @@ from graphdm import (
     exact_projector,
     kron,
     partial_transpose,
-    psd_sqrt,
     purity,
 )
 
@@ -56,19 +54,17 @@ def rectangular(draw, rows, cols):
 
 def assert_matches(h: HermitianMatrix, ref: np.ndarray) -> None:
     ref = fraction_array(ref.tolist())
-    assert h.exact_real and h.dim == len(ref)
+    assert h.dim == len(ref)
     assert h.num.dtype == np.int64 and not h.num.flags.writeable
     den = math.lcm(*(x.denominator for x in ref.flat))
     assert h.den == den
     assert h.num.tolist() == [[int(x * den) for x in row] for row in ref]
-    with pytest.raises(LinalgError):
-        h.data  # an exact matrix has no Fraction view
     assert h.trace() == sum(ref.diagonal())
     for i in range(h.dim):
         for j in range(h.dim):
             assert isinstance(h.entry(i, j), Fraction) and h.entry(i, j) == ref[i, j]
-    floats = np.array([[complex(x) for x in row] for row in ref])
-    assert np.array_equal(h.to_complex(), floats)
+    floats = np.array([[float(x) for x in row] for row in ref])
+    assert np.array_equal(h.to_real(), floats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,18 +301,6 @@ def test_refusals_follow_the_documented_rule(data, n):
               np.outer(v, v) / sum(x * x for x in v), lambda: exact_projector(v_num[0]))
 
 
-def test_psd_sqrt_squares_back_without_grouping(monkeypatch):
-    def no_grouping(*args):
-        raise AssertionError("psd_sqrt grouped eigenvalues")
-
-    monkeypatch.setattr(linalg, "_group", no_grouping)
-    h = HermitianMatrix(np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), den=6)
-    root = psd_sqrt(h).to_complex()
-    assert np.abs(root @ root - h.to_complex()).max() < 1e-14
-    with pytest.raises(LinalgError):
-        psd_sqrt(HermitianMatrix(np.array([[1, 2], [2, 1]])))
-
-
 def test_object_and_float_operands_are_refused():
     # none becomes a float matrix, and astype(np.int64) would truncate each
     # Fraction: the vector (3/2, -1/3) would give the projector onto (1, 0)
@@ -331,10 +315,9 @@ def test_object_and_float_operands_are_refused():
     for vec in ([F(3, 2), F(-1, 3)], [1.5, -1.0]):
         with pytest.raises(LinalgError):
             exact_projector(vec)
-    inexact = HermitianMatrix(h.to_real())
-    for op in (lambda: h + inexact, lambda: inexact - h, lambda: h.scale(0.5),
-               lambda: inexact.scale(2), lambda: kron(h, inexact),
-               lambda: inexact.conjugate_by(np.eye(2, dtype=np.int64)),
-               lambda: h.exact_equal(inexact)):
-        with pytest.raises(LinalgError):
-            op()
+    # a float matrix is refused at construction, so no operand is inexact
+    for rows in (h.to_real(), h.to_real().astype(complex)):
+        with pytest.raises(LinalgError, match="must be integers"):
+            HermitianMatrix(rows)
+    with pytest.raises(LinalgError):
+        h.scale(0.5)

@@ -16,7 +16,6 @@ from graphdm import (
     exact_projector,
     is_psd,
     kron,
-    psd_sqrt,
 )
 
 F = Fraction
@@ -24,14 +23,13 @@ F = Fraction
 
 def test_exact_construction_and_entries():
     h = HermitianMatrix([[1, -1], [-1, 1]], den=2)
-    assert h.exact_real
     assert h.dim == 2
     assert h.trace() == 1
     assert h.entry(0, 1) == F(-1, 2)
     assert isinstance(h.entry(0, 0), Fraction)
     # integer input is exact, over den 1 by default
     g = HermitianMatrix([[1, 0], [0, 2]])
-    assert g.exact_real and g.entry(1, 1) == 2
+    assert g.entry(1, 1) == 2
 
 
 def test_construction_rejects_bad_shapes_and_asymmetry():
@@ -40,31 +38,24 @@ def test_construction_rejects_bad_shapes_and_asymmetry():
     with pytest.raises(LinalgError):
         HermitianMatrix([[0, 1], [2, 0]])
     with pytest.raises(LinalgError):
-        HermitianMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(LinalgError):
-        HermitianMatrix([[0.5]], den=2)  # floats are not exact-rational
-    # float input just takes the inexact path
-    assert not HermitianMatrix([[0.5]]).exact_real
-    with pytest.raises(LinalgError):
         HermitianMatrix([[F(0), F(1)], [F(1), F(0)]])  # Fractions are no input form
 
 
-def test_complex_path_symmetrizes():
-    h = HermitianMatrix(np.array([[1.0, 1j], [-1j, 2.0]]))
-    assert not h.exact_real
-    assert h.entry(0, 1) == 1j
-    np.testing.assert_allclose(h.to_complex(), h.to_complex().conj().T)
-    with pytest.raises(LinalgError):
-        h.to_real()  # imaginary parts present
-    with pytest.raises(LinalgError):
-        h.exact_equal(h)
+def test_float_and_complex_input_is_refused():
+    # an integer array is the only input: float states are plain arrays
+    for rows in (np.array([[0.5]]), [[1.0, 0.0], [0.0, 1.0]],
+                 np.array([[1.0, 1j], [-1j, 2.0]]), np.eye(2, dtype=complex)):
+        with pytest.raises(LinalgError, match="must be integers"):
+            HermitianMatrix(rows)
+        with pytest.raises(LinalgError, match="must be integers"):
+            HermitianMatrix(rows, den=2)
 
 
 def test_arithmetic_stays_exact():
     a = HermitianMatrix([[1, 2], [2, 0]])
     b = HermitianMatrix([[0, 1], [1, 3]], den=3)
     s = a + b
-    assert s.exact_real and s.entry(0, 1) == F(7, 3)
+    assert s.entry(0, 1) == F(7, 3)
     d = a - b
     assert d.entry(1, 1) == -1
     scaled = a.scale(F(1, 4))
@@ -78,7 +69,6 @@ def test_conjugate_by_exact_permutation():
     h = HermitianMatrix([[1, 2], [2, 3]])
     swap = np.array([[0, 1], [1, 0]])
     g = h.conjugate_by(swap)
-    assert g.exact_real
     assert g.entry(0, 0) == 3 and g.entry(1, 1) == 1
     with pytest.raises(LinalgError):
         h.conjugate_by(swap.astype(object))  # an object conjugator is refused
@@ -101,16 +91,16 @@ def test_kron_block_structure():
     a = HermitianMatrix([[1, 0], [0, 2]])
     b = HermitianMatrix([[0, 1], [1, 0]])
     k = kron(a, b)
-    assert k.dim == 4 and k.exact_real
+    assert k.dim == 4
     assert k.entry(0, 1) == 1 and k.entry(2, 3) == 2 and k.entry(0, 2) == 0
 
 
 def test_eigensystem_matches_numpy_on_random_symmetric():
     rng = np.random.default_rng(7)
     for dim in [2, 3, 5, 8]:
-        raw = rng.standard_normal((dim, dim))
-        sym = (raw + raw.T) / 2
-        h = HermitianMatrix(sym)
+        raw = rng.integers(-9, 10, size=(dim, dim))
+        h = HermitianMatrix(raw + raw.T, den=6)
+        sym = (raw + raw.T) / 6
         spec = eigensystem(h)
         np.testing.assert_allclose(
             spec.eigenvalues, np.linalg.eigvalsh(sym), atol=1e-10)
@@ -173,22 +163,9 @@ def test_diagonal_dominance_matches_rows_and_certifies_psd(draw):
         assert np.linalg.eigvalsh(mat.astype(float))[0] >= -1e-9
 
 
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(11)
-    for dim in [2, 4, 6]:
-        raw = rng.standard_normal((dim, dim))
-        psd = raw @ raw.T  # Gram matrix, PSD by construction
-        h = HermitianMatrix(psd)
-        r = psd_sqrt(h)
-        sq = r.to_complex() @ r.to_complex()
-        np.testing.assert_allclose(sq, psd, atol=1e-9)
-    with pytest.raises(LinalgError):
-        psd_sqrt(HermitianMatrix([[-1]]))
-
-
 def test_identity_and_zeros():
     i3 = HermitianMatrix.identity(3)
-    assert i3.exact_real and i3.trace() == 3
+    assert i3.trace() == 3
     z = HermitianMatrix.zeros(2)
     assert z.trace() == 0
     assert math.isclose(i3.max_abs_diff(i3), 0.0)
