@@ -52,7 +52,7 @@ from .graphs import (
     delete_edge,
     parse_graph,
 )
-from .linalg import LinalgError, eigensystem
+from .linalg import LinalgError
 from .separability import (
     DEFAULT_SEARCH_SEED,
     ENTANGLED_NPT,
@@ -65,7 +65,6 @@ from .separability import (
     entangled_edges,
     labeling_search,
     min_pt_eigenvalues,
-    partial_transpose,
     ppt_status,
     ppt_test,
     ppt_verdicts,
@@ -238,8 +237,6 @@ def cmd_analyze(args) -> None:
     verdict = ppt_test(rho, lab)
     _warn_disagreements(int((verdict.min_pt_eigenvalue < -args.tol)
                             != (verdict.status == ENTANGLED_NPT)), args.tol)
-    pt = partial_transpose(rho, lab)
-    pt_spectrum = [float(v) for v in eigensystem(pt).eigenvalues]
     edges_cross = entangled_edges(g, lab)
 
     status = verdict.status
@@ -274,7 +271,7 @@ def cmd_analyze(args) -> None:
             "p": p,
             "q": q,
         },
-        "pt_spectrum": pt_spectrum,
+        "pt_spectrum": list(verdict.pt_spectrum),
         "concurrence": conc,
         "decomposition": None if decomposition is None else {
             "route": route,
@@ -613,7 +610,7 @@ def cmd_entropy(args) -> None:
     }
     if args.order is not None:
         payload["q_entropy"] = {"order": args.order,
-                                "value": q_entropy(rho, args.order)}
+                                "value": q_entropy(report.spectrum.eigenvalues, args.order)}
     if args.json:
         _print_json(payload)
         return

@@ -47,17 +47,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
     return EntropyReport(ent, spec, bound)
 
 
-def q_entropy(rho: DensityMatrix, q: float) -> float:
-    """(sum lambda^q)^(1/q); tends to the largest eigenvalue as q grows.
+def q_entropy(eigenvalues, q: float) -> float:
+    """(sum lambda^q)^(1/q) of an ascending spectrum; tends to the largest
+    eigenvalue as q grows.
 
     Computed as lmax * (sum (lambda/lmax)^q)^(1/q), whose terms lie in
     [0, 1] and whose sum is at least 1, so no order underflows to 0.
     """
     if not 1 < q < math.inf:
         raise EntropyError(f"q must be a finite number above 1, got {q}")
-    spec = eigensystem(rho.mat)
-    top = spec.eigenvalues[-1]
-    total = sum((lam / top) ** q for lam in spec.eigenvalues if lam > 0)
+    top = eigenvalues[-1]
+    total = sum((lam / top) ** q for lam in eigenvalues if lam > 0)
     return top * total ** (1.0 / q)
 
 

@@ -185,9 +185,6 @@ class SpectrumResult:
     multiplicities: tuple[tuple[float, int], ...]
     eigenvectors: np.ndarray
 
-    def distinct(self) -> tuple[float, ...]:
-        return tuple(v for (v, _) in self.multiplicities)
-
 
 def _group(values: np.ndarray, tol: float):
     """(mean, size) of each run of ascending values whose steps stay within tol."""

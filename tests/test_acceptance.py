@@ -46,7 +46,6 @@ from graphdm import (
     kron,
     labeling_search,
     measurement_probabilities,
-    min_pt_eigenvalue,
     nonisomorphic_graphs,
     partial_transpose,
     path_graph,
@@ -105,7 +104,7 @@ def ph_concurrence_agreement(tol=1e-9):
         rho = density_of_graph(g)
         for assign in itertools.permutations(range(4)):
             lab = BipartiteLabeling.from_assignment(2, 2, assign)
-            negative = min_pt_eigenvalue(rho, lab) < -tol
+            negative = ppt_test(rho, lab).min_pt_eigenvalue < -tol
             tangled = concurrence(cell_basis_density(rho, assign)).value > tol
             if negative != tangled:
                 return False, checked
@@ -367,7 +366,7 @@ def test_criterion_10_grid_matchings_distinguish_ppt():
     npt_ok = verdict.status == ENTANGLED_NPT
 
     ppt_grid = build_graph(12, [(0, 5), (1, 11), (2, 8), (3, 6), (4, 10), (7, 9)])
-    low = min_pt_eigenvalue(density_of_graph(ppt_grid), lab34)
+    low = ppt_test(density_of_graph(ppt_grid), lab34).min_pt_eigenvalue
     ppt_ok = low >= -1e-9
     ok = note(10, npt_ok and ppt_ok,
               f"3x4 matchings: one NPT (min eig {verdict.min_pt_eigenvalue:.4f}), "
@@ -485,7 +484,7 @@ def test_criterion_13_structural_properties():
     for g, h in itertools.product(factors, repeat=2):
         rho = density_of_graph(tensor_product(g, h))
         lab = BipartiteLabeling.default(g.n, h.n)
-        low = min_pt_eigenvalue(rho, lab)
+        low = ppt_test(rho, lab).min_pt_eigenvalue
         lowest = min(lowest, low)
         if low < -1e-9:
             product_ok = False

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import graphdm.channels as channels
 import graphdm.cli as cli
 import graphdm.density as density
+import graphdm.entropy as entropy
 import graphdm.separability as separability
 from graphdm.channels import MeasurePrepareChannel
 from graphdm.cli import main
@@ -482,11 +483,24 @@ def test_analyze_builds_and_checks_each_decomposition_once(capsys, graph_file):
     assert ("call", "eigvalsh") not in events[start:end]
 
 
+def test_each_job_solves_each_matrix_once(capsys, graph_file):
+    """analyze solves the state (eigh) and its partial transpose (eigvalsh)
+    once each; entropy --order reuses the state's one spectrum."""
+    path = graph_file("k6.graph", PINNED_FILES["k6.graph"])
+    names = {"eigh", "eigvalsh"}
+    events = traced_calls(["analyze", path, "--p", "2", "--q", "3", "--json"], names)
+    assert sorted(e for e in events if e[0] == "call") == [("call", "eigh"),
+                                                           ("call", "eigvalsh")]
+    events = traced_calls(["entropy", path, "--order", "2", "--json"], names)
+    assert [e for e in events if e[0] == "call"] == [("call", "eigh")]
+    capsys.readouterr()
+
+
 def test_linalg_error_is_precondition_failure(capsys, graph_file, monkeypatch):
     def broken(_):
         raise LinalgError("matrix is not Hermitian")
 
-    monkeypatch.setattr(cli, "eigensystem", broken)
+    monkeypatch.setattr(entropy, "eigensystem", broken)
     path = graph_file("p4.graph", P4_TEXT)
     assert main(["analyze", path, "--p", "2", "--q", "2"]) == 2
     assert capsys.readouterr().err == "error: matrix is not Hermitian\n"
@@ -594,8 +608,8 @@ def pinned_argv(graph_file, argv):
     (["probe", "--p", "2", "--q", "4"], "748dff10af907928"),
     (["census4"], "824c9aeb2406c0cc"),
     (["analyze", "p4.graph", "--p", "2", "--q", "2", "--labeling", INTERLEAVED],
-     "eef4258d1e439c0a"),
-    (["analyze", "k6.graph", "--p", "2", "--q", "3"], "79a20eacf1beec7a"),
+     "9d90f9de89561dd3"),
+    (["analyze", "k6.graph", "--p", "2", "--q", "3"], "398f7aa035263a64"),
     (["analyze", "cross8.graph", "--p", "2", "--q", "4"], "6d657eb4825ce122"),
     (["channel", "c5.graph", "--script", "edits.txt"], "d2bef6bc6501ab26"),
     (["census4", "--csv", "-"], "fcf89dc12cd1bdea"),  # the CSV wins over --json
@@ -605,6 +619,36 @@ def test_census_json_is_pinned(capsys, graph_file, argv, digest):
     out, err = run_text(capsys, pinned_argv(graph_file, argv) + ["--json"])
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
     assert err == ""
+
+
+@pytest.mark.parametrize("name,p,q,labeling", [
+    ("p4.graph", 2, 2, INTERLEAVED),
+    ("k6.graph", 2, 3, None),
+], ids=["p4-interleaved", "k6-2x3"])
+def test_pinned_pt_spectrum_is_one_eigvalsh(capsys, graph_file, name, p, q, labeling):
+    """The pinned analyze outputs' pt_spectrum is numpy's eigvalsh of the
+    partial transpose of L/2m, built here from the graph file and the
+    labeling's cells, bit for bit."""
+    argv = ["analyze", name, "--p", str(p), "--q", str(q), "--json"]
+    blob = run_json(capsys, pinned_argv(graph_file, argv + (["--labeling", labeling]
+                                                            if labeling else [])))
+    n = p * q
+    cells = list(range(n))  # the default labeling puts vertex v in cell v
+    if labeling:
+        for item in labeling.split(","):
+            v, st = item.split("=")
+            s, t = st.split(".")
+            cells[int(v) - 1] = int(s) * q + int(t)
+    lap = np.zeros((n, n))
+    for line in PINNED_FILES[name].splitlines()[1:]:
+        u, v = (int(w) - 1 for w in line.split()[1:])
+        lap[[u, v], [u, v]] += 1
+        lap[[u, v], [v, u]] -= 1
+    by_cell = np.zeros((n, n))
+    by_cell[np.ix_(cells, cells)] = lap / np.trace(lap)
+    pt = by_cell.reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)[np.ix_(cells, cells)]
+    assert blob["pt_spectrum"] == np.linalg.eigvalsh(pt).tolist()
+    assert blob["verdict"]["min_pt_eigenvalue"] == blob["pt_spectrum"][0]
 
 
 # sampled at seed 3, the eigenvalue test at --tol 1e-3 used to call 13 of

@@ -117,7 +117,6 @@ def test_eigensystem_groups_multiplicities():
                          [0, 0, 3]])
     spec = eigensystem(h)
     assert spec.multiplicities == ((1.0, 2), (3.0, 1))
-    assert spec.distinct() == (1.0, 3.0)
 
 
 def test_is_psd_boundary():
