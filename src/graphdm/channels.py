@@ -6,12 +6,21 @@ orthonormal basis and prepares an edge state of the target graph: its
 Kraus operators are |y><x| / sqrt(m'), x over the basis and y over the m'
 unit edge vectors of the target.  Each equals the paper's unitary that
 relocates x onto y (complete_to_unitary) after the projector onto x.
-Applying the edit channel to the state of the source graph lands exactly on
-the state of the edited graph.
+
+Whatever the outcome, an edge edit prepares the same mixture, so the map is
+trace-and-replace, rho -> tr(rho) sigma, and whether sigma is the edited
+graph's state is a fact about integers: the prepared vectors e_u - e_v sum
+their outer products to L(G') exactly when they are the edges of G'.
+EdgeEdit.certify and VertexEdit.certify check each landing that way, so a
+certified edit's output is the edited graph's state, with error 0 by
+construction.  The float basis, targets and Kraus operators are built only
+when operators or apply asks for them; apply, VertexEdit.run and
+check_landing are the float pass that the tests hold the certificates to.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +31,7 @@ from .concurrence import concurrence
 from .density import DensityMatrix, density_of_graph, density_with_loops
 from .graphs import (
     Graph,
+    add_edge,
     add_isolated_vertex,
     build_graph,
     complete_graph,
@@ -42,7 +52,6 @@ class ChannelError(ValueError):
     """Invalid channel construction or application."""
 
 
-@dataclass(frozen=True, eq=False)
 class MeasurePrepareChannel:
     """Measure in the orthonormal rows of basis, prepare a uniform mixture of
     the unit rows of targets.
@@ -54,18 +63,15 @@ class MeasurePrepareChannel:
     over the state, whatever the operator count.
     """
 
-    basis: np.ndarray
-    targets: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        n = self.basis.shape[0]
-        if self.basis.shape != (n, n) or self.targets.ndim != 2 or not len(self.targets):
+    def __init__(self, basis: np.ndarray, targets: np.ndarray, label: str):
+        n = basis.shape[0]
+        if basis.shape != (n, n) or targets.ndim != 2 or not len(targets):
             raise ChannelError("channel needs a square basis and at least one target")
-        if np.abs(self.basis.T @ self.basis - np.eye(n)).max() > CHANNEL_TOL:
+        if np.abs(basis.T @ basis - np.eye(n)).max() > CHANNEL_TOL:
             raise ChannelError("measurement basis is not orthonormal")
-        if np.abs(np.linalg.norm(self.targets, axis=1) - 1.0).max() > CHANNEL_TOL:
+        if np.abs(np.linalg.norm(targets, axis=1) - 1.0).max() > CHANNEL_TOL:
             raise ChannelError("prepared states are not unit vectors")
+        self.basis, self.targets, self.label = basis, targets, label
 
     @property
     def input_dim(self) -> int:
@@ -89,6 +95,65 @@ class MeasurePrepareChannel:
                 f"channel acts on dimension {self.input_dim}, state has {state.shape[0]}")
         weight = np.einsum("ij,jk,ik->", self.basis, state, self.basis).real
         return (weight / len(self.targets)) * (self.targets.T @ self.targets)
+
+
+class EdgeEdit(MeasurePrepareChannel):
+    """An edge deletion or addition at pair, held as integers.
+
+    It measures e_i + e_j, e_i - e_j and each e_k off the pair (i, j), in
+    that order, and prepares e_u - e_v for each (u, v) of target_edges, every
+    vector normalized; result is the edited graph.  certify checks exactly
+    that the map sends the state of source to the state of result.  basis
+    and targets, the float form that operators and apply read, are built on
+    first use.
+    """
+
+    def __init__(self, source: Graph, pair: tuple[int, int], target_edges, result: Graph,
+                 label: str):
+        self.source, self.pair, self.result, self.label = source, pair, result, label
+        self.target_edges = tuple(target_edges)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        n, (i, j) = self.source.n, self.pair
+        h = 1.0 / math.sqrt(2)
+        basis = np.zeros((n, n))
+        basis[0, [i, j]] = h, h
+        basis[1, [i, j]] = h, -h
+        basis[range(2, n), [k for k in range(n) if k not in self.pair]] = 1.0
+        return basis
+
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        h = 1.0 / math.sqrt(2)
+        ends = np.array(self.target_edges).T
+        targets = np.zeros((len(self.target_edges), self.source.n))
+        rows = np.arange(len(self.target_edges))
+        targets[rows, ends[0]] = h
+        targets[rows, ends[1]] = -h
+        return targets
+
+    def certify(self) -> None:
+        """Check in integers that the edit lands on the state of result.
+
+        The measured rows e_i + e_j, e_i - e_j and e_k for k off the pair
+        have Gram matrix diag(2, 2, 1, ..., 1), as (1, 1) . (1, -1) = 0 on
+        {i, j}, exactly when i != j are vertices of source.  Then the
+        normalized basis is orthonormal and the map is rho -> tr(rho) sigma
+        with sigma = T^T T / 2|T| for the integer target rows T.  T^T T has
+        each vertex's target count on its diagonal and -1 at each target
+        pair, so it is L(result) when the target pairs are result's edges,
+        each once.  With at least one target, tr T^T T = 2|T| = 2m', and
+        sigma = L(result) / 2m' has trace exactly 1.
+        """
+        n, (i, j) = self.source.n, self.pair
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ChannelError(f"{self.label}: the measured pair is not two distinct vertices")
+        if self.result.n != n or sorted(self.target_edges) != list(self.result.edges):
+            raise ChannelError(f"{self.label}: the prepared edge states are not "
+                               "those of the edited graph")
+        if not self.target_edges:
+            raise ChannelError(f"{self.label}: no edge state is prepared")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,47 +235,33 @@ def _normalize_edge(g: Graph, edge) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edit_channel(n: int, pair, target_edges, label: str) -> MeasurePrepareChannel:
-    """The measure-and-prepare map shared by edge deletion and addition.
+def edge_deletion_channel(g: Graph, edge) -> EdgeEdit:
+    """Channel with apply(sigma(g)) = sigma(g - edge).
 
     It measures (e_i + e_j)/sqrt(2), (e_i - e_j)/sqrt(2) and the vertices
     off the pair, in that order, and prepares (e_u - e_v)/sqrt(2) for each
-    target edge (u, v).
+    remaining edge (u, v).
     """
-    i, j = pair
-    h = 1.0 / math.sqrt(2)
-    basis = np.zeros((n, n))
-    basis[0, [i, j]] = h, h
-    basis[1, [i, j]] = h, -h
-    basis[range(2, n), [k for k in range(n) if k not in pair]] = 1.0
-    ends = np.array(target_edges).T
-    targets = np.zeros((len(target_edges), n))
-    rows = np.arange(len(target_edges))
-    targets[rows, ends[0]] = h
-    targets[rows, ends[1]] = -h
-    return MeasurePrepareChannel(basis, targets, label)
-
-
-def edge_deletion_channel(g: Graph, edge) -> MeasurePrepareChannel:
-    """Channel with apply(sigma(g)) = sigma(g - edge)."""
     pair = _normalize_edge(g, edge)
     if not g.has_edge(*pair):
         raise ChannelError(f"edge {edge[0] + 1}-{edge[1] + 1} is not in the graph")
     if g.m < 2:
         raise ChannelError("deleting the last edge leaves no graph state")
     remaining = [e for e in g.edges if e != pair]
-    return _edit_channel(g.n, pair, remaining, f"delete edge {pair[0] + 1}-{pair[1] + 1}")
+    return EdgeEdit(g, pair, remaining, delete_edge(g, *pair),
+                    f"delete edge {pair[0] + 1}-{pair[1] + 1}")
 
 
-def edge_addition_channel(g: Graph, edge) -> MeasurePrepareChannel:
-    """Channel with apply(sigma(g)) = sigma(g + edge)."""
+def edge_addition_channel(g: Graph, edge) -> EdgeEdit:
+    """Channel with apply(sigma(g)) = sigma(g + edge), measuring at the pair
+    as edge_deletion_channel does and preparing every edge of g + edge."""
     pair = _normalize_edge(g, edge)
     if g.has_edge(*pair):
         raise ChannelError(f"edge {edge[0] + 1}-{edge[1] + 1} is already in the graph")
     if g.m == 0:
         raise ChannelError("source graph has no state to start from")
-    target_edges = sorted(g.edges + (pair,))
-    return _edit_channel(g.n, pair, target_edges, f"add edge {pair[0] + 1}-{pair[1] + 1}")
+    return EdgeEdit(g, pair, sorted(g.edges + (pair,)), add_edge(g, *pair),
+                    f"add edge {pair[0] + 1}-{pair[1] + 1}")
 
 
 def check_landing(state: np.ndarray, target: np.ndarray, what: str) -> float:
@@ -260,17 +311,45 @@ class VertexEdit:
     """A vertex edit as a walk through graph states, laid out before any
     state is built.
 
-    The float pass starts from the state of graphs[0].  Channel k deletes
-    one edge and must land on the state of graphs[k + 1].  A projective
-    measurement then drops the `dropped` rows and columns and renormalizes
-    by its keep probability, and the result must land on the state of
-    graphs[-1], the edited graph.
+    Channel k deletes one edge of graphs[k] and lands on the state of
+    graphs[k + 1].  A projective measurement then drops the `dropped` rows
+    and columns and renormalizes by its keep probability, which lands on the
+    state of graphs[-1], the edited graph.  certify checks that walk
+    exactly; run takes it in floats.
     """
 
-    channels: tuple[MeasurePrepareChannel, ...]
+    channels: tuple[EdgeEdit, ...]
     graphs: tuple[Graph, ...]
     dropped: tuple[int, ...]
     missed: str  # the error when the measured state misses graphs[-1]
+
+    @property
+    def result(self) -> Graph:
+        return self.graphs[-1]
+
+    def certify(self) -> None:
+        """Check in integers that the edit lands on the state of graphs[-1].
+
+        Each channel must be a certified deletion from graphs[k] to
+        graphs[k + 1].  Every dropped vertex must have degree 0 in
+        graphs[-2], so the measurement keeps the state with probability
+        exactly 1, and the kept block of L(graphs[-2]) must be
+        L(graphs[-1]): with no edge at a dropped vertex, graphs[-2]'s edges
+        renumbered over the kept vertices must be graphs[-1]'s.
+        """
+        for ch, before, after in zip(self.channels, self.graphs, self.graphs[1:]):
+            if ch.source != before or ch.result != after:
+                raise ChannelError(f"{ch.label} is not a step of the edit")
+            ch.certify()
+        last = self.graphs[-2]
+        degrees = last.degrees()
+        if any(degrees[v] for v in self.dropped):
+            raise ChannelError(f"{self.missed}: the measurement drops a vertex with an edge")
+        index = {v: k for k, v in enumerate(v for v in range(last.n) if v not in self.dropped)}
+        block = sorted((index[u], index[v]) for u, v in last.edges)
+        if self.result.n != len(index) or block != list(self.result.edges):
+            raise ChannelError(f"{self.missed}: the kept block is not the edited graph's "
+                               "Laplacian")
 
     def run(self, states) -> tuple[np.ndarray, float, float]:
         """(final state, keep probability, its landing error); reads the
@@ -294,7 +373,7 @@ def _edge_deletions(start: Graph, edges):
     channels, graphs = [], [start]
     for e in edges:
         channels.append(edge_deletion_channel(graphs[-1], e))
-        graphs.append(delete_edge(graphs[-1], *e))
+        graphs.append(channels[-1].result)
     return channels, graphs
 
 

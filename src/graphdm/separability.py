@@ -484,7 +484,7 @@ def pe_matching_separability(g: Graph, lab: BipartiteLabeling) -> list[ProductSt
     return states
 
 
-def separable_decomposition(g: Graph, lab: BipartiteLabeling):
+def separable_decomposition(g: Graph, lab: BipartiteLabeling, *, every_labeling=False):
     """(route, verified product states) when a constructive route certifies
     g's state separable under lab, else None.
 
@@ -492,9 +492,13 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling):
     Under a two-row labeling the entangled edges may form one criss-cross
     pe-matching ("criss-cross-matching"); with more rows, a graph with no
     entangled edge is a mixture of product edge states ("product-edges").
+    With every_labeling, only a route that certifies g under every labeling
+    of its p x q grid counts, so no other route's decomposition is built.
     """
     if g.m == g.n * (g.n - 1) // 2:
         return "complete-graph", complete_graph_decomposition(g.n, lab.p, lab.q)
+    if every_labeling:
+        return None
     if lab.p == 2:
         route = "criss-cross-matching"
     elif not entangled_edges(g, lab):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import graphdm.channels as channels_mod
 from graphdm import (
     ChannelError,
+    EdgeEdit,
     HermitianMatrix,
     LinalgError,
     MeasurePrepareChannel,
@@ -32,9 +33,11 @@ from graphdm import (
     nonisomorphic_graphs,
     path_graph,
     star_graph,
+    VertexEdit,
     vertex_addition,
     vertex_deletion,
 )
+from graphdm.channels import check_landing
 from graphdm.density import TRACE_TOL
 from graphdm.linalg import PSD_TOL
 
@@ -402,3 +405,87 @@ def test_exact_only_functions_refuse_a_channel_output():
     out = edge_deletion_channel(g, (1, 2)).apply(state_of(g))
     with pytest.raises(LinalgError, match="must be integers"):
         HermitianMatrix(out)
+
+
+# ---------------------------------------------------------------------------
+# exact certificates against the float pass they replace on the CLI path
+
+
+def other_graph(g):
+    """g with one vertex pair toggled, keeping an edge: a state g's is not.
+    None for the one edge on two vertices, the only graph there with a state."""
+    absent = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
+    if absent:
+        return add_edge(g, *absent[0])
+    return delete_edge(g, *g.edges[0]) if g.m > 1 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certificates_agree_with_the_float_pass(data):
+    n = data.draw(st.integers(3, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = build_graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=2, unique=True)))
+    kinds = ["del-edge", "add-vertex"] + ["add-edge"] * (g.m < len(pairs))
+    kinds += ["del-vertex"] * any(delete_vertex(g, v).m for v in range(n))
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "del-edge":
+        edit = edge_deletion_channel(g, data.draw(st.sampled_from(g.edges)))
+    elif kind == "add-edge":
+        edit = edge_addition_channel(g, data.draw(st.sampled_from(
+            [e for e in pairs if not g.has_edge(*e)])))
+    elif kind == "del-vertex":
+        edit = vertex_deletion(g, data.draw(st.sampled_from(
+            [v for v in range(n) if delete_vertex(g, v).m])))
+    else:
+        edit = vertex_addition(g)
+    wrong = other_graph(edit.result)
+
+    def float_pass(edit):
+        """Apply the edit to the state of g and compare with edit.result's."""
+        if isinstance(edit, VertexEdit):
+            edit.run(iter(graph_states(edit.graphs)))
+        else:
+            check_landing(edit.apply(state_of(g)), state_of(edit.result), edit.label)
+
+    # a certified edit lands under the float pass ...
+    edit.certify()
+    float_pass(edit)
+    # ... and one whose target is another graph is refused by both: a vertex
+    # edit that claims to reach it, an edge edit that prepares its edges
+    if wrong is None:
+        return
+    if isinstance(edit, VertexEdit):
+        off = VertexEdit(edit.channels, (*edit.graphs[:-1], wrong), edit.dropped, edit.missed)
+    else:
+        off = EdgeEdit(g, edit.pair, wrong.edges, edit.result, edit.label)
+    with pytest.raises(ChannelError):
+        off.certify()
+    with pytest.raises(ChannelError, match="missed the graph state"):
+        float_pass(off)
+
+
+def test_edit_certificates_refuse_malformed_edits():
+    # edits no constructor makes: the certificates still refuse them
+    g = cycle_graph(5)
+    edit = edge_deletion_channel(g, (0, 1))
+    with pytest.raises(ChannelError, match="^delete edge 1-2: the measured pair is not two "
+                                           "distinct vertices$"):
+        EdgeEdit(g, (1, 1), edit.target_edges, edit.result, edit.label).certify()
+    with pytest.raises(ChannelError, match="^delete edge 1-2: no edge state is prepared$"):
+        EdgeEdit(g, (0, 1), [], build_graph(5, []), edit.label).certify()
+    # a vertex edit that skips its last edge deletion measures a vertex that
+    # still has an edge: refused exactly, and missed by the float pass
+    edit = vertex_deletion(g, 3)
+    short = VertexEdit(edit.channels[:-1], (*edit.graphs[:-2], edit.result), edit.dropped,
+                       edit.missed)
+    with pytest.raises(ChannelError, match="drops a vertex with an edge"):
+        short.certify()
+    with pytest.raises(ChannelError, match="missed the graph state"):
+        short.run(iter(graph_states(short.graphs)))
+    # its two deletions, swapped, are each certified but do not chain
+    swapped = VertexEdit(edit.channels[::-1], edit.graphs, edit.dropped, edit.missed)
+    with pytest.raises(ChannelError, match="^delete edge 4-5 is not a step of the edit$"):
+        swapped.certify()
+    with pytest.raises(ChannelError, match="missed the graph state"):
+        swapped.run(iter(graph_states(swapped.graphs)))

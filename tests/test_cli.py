@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ import graphdm.channels as channels
 import graphdm.cli as cli
 import graphdm.density as density
 import graphdm.entropy as entropy
+import graphdm.graphs as graphs
 import graphdm.separability as separability
-from graphdm.channels import MeasurePrepareChannel
+from graphdm.channels import EdgeEdit, MeasurePrepareChannel, VertexEdit
 from graphdm.cli import main
 from graphdm.graphs import add_edge, add_isolated_vertex, delete_vertex
 from graphdm.linalg import LinalgError
@@ -218,15 +220,26 @@ def assert_one_line_error(capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
-@pytest.mark.parametrize("edit,message", [
-    ("del-edge 1 2", "state after 'del-edge 1 2' missed the graph state by "),
-    ("del-vertex 4", "state after 'delete edge 3-4' missed the graph state"),
-    ("add-vertex", "state after 'delete edge 6-7' missed the graph state"),
-])
-def test_channel_refuses_a_drifting_landing(capsys, graph_file, monkeypatch, edit, message):
-    apply = MeasurePrepareChannel.apply
-    monkeypatch.setattr(MeasurePrepareChannel, "apply",
-                        lambda self, state: apply(self, state) + 1e-6)
+def with_extra_edge(g):
+    """g plus its first absent vertex pair: a graph an edit must not land on."""
+    pair = next(e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e))
+    return add_edge(g, *pair)
+
+
+@pytest.mark.parametrize("edit,name,message", [
+    ("del-edge 1 2", "delete_edge", "'del-edge 1 2': delete edge 1-2: the prepared edge "
+                                    "states are not those of the edited graph"),
+    ("add-edge 1 3", "add_edge", "'add-edge 1 3': add edge 1-3: the prepared edge "
+                                 "states are not those of the edited graph"),
+    ("del-vertex 4", "delete_edge", "'del-vertex 4': delete edge 3-4: the prepared"),
+    ("add-vertex", "delete_edge", "'add-vertex': delete edge 6-7: the prepared"),
+], ids=["del-edge", "add-edge", "del-vertex", "add-vertex"])
+def test_channel_refuses_an_edge_edit_off_its_graph(capsys, graph_file, monkeypatch,
+                                                    edit, name, message):
+    # the edited graph comes from graphs.delete_edge or add_edge, and each
+    # landing on it, inside a vertex edit too, is certified exactly
+    edited = getattr(channels, name)
+    monkeypatch.setattr(channels, name, lambda g, u, v: with_extra_edge(edited(g, u, v)))
     path = graph_file("c5.graph", C5_TEXT)
     assert_one_line_error(capsys, ["channel", path, edit, "--json"], message)
 
@@ -245,23 +258,29 @@ def test_channel_refuses_a_vertex_edit_off_its_target(capsys, graph_file, monkey
 
 
 def test_channel_checks_every_channel_output(capsys, graph_file, monkeypatch):
+    # every edge edit, the drains of add-vertex and the deletions at vertex 5
+    # among them, is certified against the graph it claims to reach
     path = graph_file("c5.graph", C5_TEXT)
-    apply = MeasurePrepareChannel.apply
     calls = []
-    monkeypatch.setattr(MeasurePrepareChannel, "apply",
-                        lambda self, state: calls.append(1) or apply(self, state))
+    for name in ("delete_edge", "add_edge"):
+        edited = getattr(graphs, name)
+        monkeypatch.setattr(channels, name, lambda g, u, v, edited=edited:
+                            calls.append(1) or edited(g, u, v))
     run_json(capsys, ["channel", path, *C5_SCRIPT, "--json"])
     assert len(calls) == 2 + 5 + 2  # two edge edits, five drains, two at vertex 5
     for k in range(len(calls)):
         calls.clear()
+        for name in ("delete_edge", "add_edge"):
+            edited = getattr(graphs, name)
 
-        def drift_kth(self, state, k=k):
-            calls.append(1)
-            return apply(self, state) + (1e-6 if len(calls) == k + 1 else 0.0)
+            def wrong_kth(g, u, v, edited=edited, k=k):
+                calls.append(1)
+                out = edited(g, u, v)
+                return with_extra_edge(out) if len(calls) == k + 1 else out
 
-        monkeypatch.setattr(MeasurePrepareChannel, "apply", drift_kth)
+            monkeypatch.setattr(channels, name, wrong_kth)
         assert_one_line_error(capsys, ["channel", path, *C5_SCRIPT, "--json"],
-                              "missed the graph state")
+                              "the prepared edge states are not those of the edited graph")
 
 
 def test_channel_builds_states_once_per_vertex_count(capsys, graph_file, monkeypatch):
@@ -277,7 +296,33 @@ def test_channel_builds_states_once_per_vertex_count(capsys, graph_file, monkeyp
             monkeypatch.setattr(module, "laplacian_states", counted)
     path = graph_file("c5.graph", C5_TEXT)
     run_json(capsys, ["channel", path, *C5_SCRIPT, "--json"])
-    assert sorted(sizes) == [5, 6, 10]
+    # one state per step, the edited graph's: 5, 5, 6 and 5 vertices
+    assert sorted(sizes) == [5, 6]
+    sizes.clear()
+    run_text(capsys, ["channel", path, *C5_SCRIPT])  # text prints no state
+    assert sizes == []
+
+
+def test_channel_builds_no_float_channel_without_dump_operators(capsys, graph_file):
+    float_pass = {f.__code__: f.__qualname__ for f in (
+        MeasurePrepareChannel.__init__, MeasurePrepareChannel.apply, EdgeEdit.basis.func,
+        EdgeEdit.targets.func, VertexEdit.run, channels.check_landing)}
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in float_pass:
+            seen.append(float_pass[frame.f_code])
+
+    path = graph_file("c5.graph", C5_TEXT)
+    for extra, want in (([], []), (["--dump-operators"], ["EdgeEdit.basis", "EdgeEdit.targets"])):
+        seen.clear()
+        sys.setprofile(hook)
+        try:
+            run_json(capsys, ["channel", path, *C5_SCRIPT, "--json", *extra])
+        finally:
+            sys.setprofile(None)
+        # the operators of the two edge edits, built once each
+        assert sorted(set(seen)) == want and len(seen) == 2 * len(want)
 
 
 def test_non_utf8_input_is_precondition_error(capsys, graph_file, tmp_path):
@@ -483,6 +528,22 @@ def test_analyze_builds_and_checks_each_decomposition_once(capsys, graph_file):
     assert ("call", "eigvalsh") not in events[start:end]
 
 
+def test_search_builds_no_decomposition_for_a_non_complete_graph(capsys, graph_file):
+    # analyze certifies this 2x3 graph by its criss-cross pe-matching, but
+    # only the complete-graph route certifies every labeling, which is all
+    # search reports
+    matching = graph_file("g.graph", "n 6\ne 1 5\ne 2 6\ne 3 4\ne 1 2\n")
+    names = {"pe_matching_separability", "complete_graph_decomposition",
+             "verify_separable_decomposition"}
+    events = traced_calls(["search", matching, "--p", "2", "--q", "3", "--json"], names)
+    assert events == []
+    assert "certified_counts" not in json.loads(capsys.readouterr().out)
+    k6 = graph_file("k6.graph", PINNED_FILES["k6.graph"])
+    events = traced_calls(["search", k6, "--p", "2", "--q", "3", "--json"], names)
+    assert ("call", "complete_graph_decomposition") in events
+    assert "certified_counts" in json.loads(capsys.readouterr().out)
+
+
 def test_each_job_solves_each_matrix_once(capsys, graph_file):
     """analyze solves the state (eigh) and its partial transpose (eigvalsh)
     once each; entropy --order reuses the state's one spectrum."""
@@ -611,7 +672,8 @@ def pinned_argv(graph_file, argv):
      "9d90f9de89561dd3"),
     (["analyze", "k6.graph", "--p", "2", "--q", "3"], "398f7aa035263a64"),
     (["analyze", "cross8.graph", "--p", "2", "--q", "4"], "6d657eb4825ce122"),
-    (["channel", "c5.graph", "--script", "edits.txt"], "d2bef6bc6501ab26"),
+    # certified edits report the edited graph's own state (see below)
+    (["channel", "c5.graph", "--script", "edits.txt"], "c1c2594f500fbce8"),
     (["census4", "--csv", "-"], "fcf89dc12cd1bdea"),  # the CSV wins over --json
 ])
 def test_census_json_is_pinned(capsys, graph_file, argv, digest):
@@ -619,6 +681,35 @@ def test_census_json_is_pinned(capsys, graph_file, argv, digest):
     out, err = run_text(capsys, pinned_argv(graph_file, argv) + ["--json"])
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
     assert err == ""
+
+
+def test_pinned_channel_output_is_the_hand_built_states(capsys, graph_file):
+    """The pinned channel JSON reports, after each edit, L/2m of the edited
+    graph, each entry the correctly rounded Fraction, with trace 1.0, error
+    0.0 and click probability 1.0; the edited graphs are worked out by hand
+    from edits.txt on C5."""
+    argv = pinned_argv(graph_file, ["channel", "c5.graph", "--script", "edits.txt", "--json"])
+    out, _ = run_text(capsys, argv)
+    edited = [  # (vertex count, 1-based edges) after each edit
+        (5, [(2, 3), (3, 4), (4, 5), (1, 5)]),          # del-edge 1 2
+        (5, [(1, 3), (2, 3), (3, 4), (4, 5), (1, 5)]),  # add-edge 1 3
+        (4, [(1, 3), (2, 3), (3, 4)]),                  # del-vertex 5
+        (5, [(1, 3), (2, 3), (3, 4)]),                  # add-vertex
+    ]
+    steps = json.loads(out)["steps"]
+    assert len(steps) == len(edited)
+    for step, (n, edges) in zip(steps, edited):
+        lap = [[0] * n for _ in range(n)]
+        for u, v in edges:
+            lap[u - 1][u - 1] += 1
+            lap[v - 1][v - 1] += 1
+            lap[u - 1][v - 1] -= 1
+            lap[v - 1][u - 1] -= 1
+        want = [[float(Fraction(x, 2 * len(edges))) for x in row] for row in lap]
+        assert step["state"] == want
+        assert step["trace"] == 1.0 and step["max_error_vs_graph_state"] == 0.0
+        assert step.get("click_probability", 1.0) == 1.0
+    assert [("click_probability" in s) for s in steps] == [False, False, True, True]
 
 
 @pytest.mark.parametrize("name,p,q,labeling", [

@@ -1,6 +1,7 @@
 """Every name a graphdm module imports is used in that module, no module
 imports another's _private names, no module builds an object array, one
-function reads the channel landing tolerance, one reads the reconstruction
+function reads the channel landing tolerance and the CLI names neither it,
+the comparison nor the channel tolerance, one reads the reconstruction
 tolerance, the CLI reaches separable decompositions through one route
 chooser, and no module brings back an inexact matrix mode."""
 
@@ -160,6 +161,14 @@ def test_reader_scan_sees_each_form(tmp_path):
 def test_one_function_checks_a_decomposition():
     found = sorted({r for p in SRC.glob("*.py") for r in readers(p, "RECONSTRUCTION_TOL")})
     assert found == ["separability.py:verify_separable_decomposition"]
+
+
+def test_cli_compares_no_channel_output_with_a_graph_state():
+    # graphdm channel certifies each landing exactly; the float comparison
+    # and its tolerances are the library's test oracle
+    cli = SRC / "cli.py"
+    for name in ("check_landing", "LANDING_TOL", "CHANNEL_TOL"):
+        assert mentions(cli, name) == [], name
 
 
 def test_cli_leaves_the_route_choice_to_separability():
