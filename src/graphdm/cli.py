@@ -53,6 +53,7 @@ from .linalg import LinalgError
 from .separability import (
     DEFAULT_SEARCH_SEED,
     ENTANGLED_NPT,
+    MAX_SAMPLES,
     NPT_TOL,
     PPT_INCONCLUSIVE,
     SEPARABLE,
@@ -522,6 +523,8 @@ def cmd_probe(args) -> None:
     seed = DEFAULT_SEARCH_SEED if args.seed is None else args.seed
     if budget < 1:
         raise SeparabilityError(f"budget must be at least 1, got {budget}")
+    if budget > MAX_SAMPLES:
+        raise SeparabilityError(f"budget must be at most {MAX_SAMPLES}, got {budget}")
     if seed < 0:
         raise SeparabilityError(f"seed must be non-negative, got {seed}")
     pairs = list(itertools.combinations(range(n), 2))
@@ -666,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", help="edge-list file")
     common(sp)
     sp.add_argument("--budget", type=int, default=None,
-                    help="sample this many labelings instead of exhausting")
+                    help=f"sample this many labelings (at most {MAX_SAMPLES}) "
+                         "instead of exhausting")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed for sampled mode (a documented default is used "
                          "when omitted)")
@@ -680,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--budget", type=int, default=None,
                     help="samples when the pair count is too large to exhaust "
-                         "(default 20000)")
+                         f"(default 20000, at most {MAX_SAMPLES})")
     sp.add_argument("--seed", type=int, default=None,
                     help=f"seed for sampled mode (default {DEFAULT_SEARCH_SEED})")
 

@@ -187,9 +187,13 @@ class SpectrumResult:
 
 
 def _group(values: np.ndarray, tol: float):
-    """(mean, size) of each run of ascending values whose steps stay within tol."""
-    runs = np.split(values, np.flatnonzero(np.diff(values) > tol) + 1)
-    return tuple((float(np.mean(g)), len(g)) for g in runs)
+    """(mean, size) of each run of ascending values whose steps stay within tol.
+
+    A lone value is its own mean, so np.mean runs only on repeated ones."""
+    bounds = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    flat = values.tolist()
+    return tuple((flat[lo] if hi - lo == 1 else float(np.mean(values[lo:hi])), hi - lo)
+                 for lo, hi in zip(bounds, bounds[1:]))
 
 
 def eigensystem(h: HermitianMatrix) -> SpectrumResult:

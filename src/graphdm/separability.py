@@ -10,13 +10,14 @@ A labeling identifies the n = p*q vertices with the product basis
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, density_of_graph
+from .density import DensityMatrix, density_of_graph, laplacian_states
 from .graphs import Graph, build_graph, complete_graph
 from .linalg import HermitianMatrix
 
@@ -31,9 +32,11 @@ RECONSTRUCTION_TOL = 1e-10
 _PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 DEFAULT_SEARCH_SEED = 20060111
+# largest sample budget of `search` or `probe`: 96 MB of assignments at n = 12
+MAX_SAMPLES = 10 ** 6
 
 # labelings per batched eigensolve or verdict tally: bounds the memory of
-# one PT or index stack
+# one PT stack or pair-count block
 _EIG_BLOCK = 4096
 
 
@@ -160,6 +163,26 @@ def min_pt_eigenvalues(sigma: np.ndarray, assigns, p: int, q: int) -> np.ndarray
     return out
 
 
+@functools.cache
+def _pair_table(p: int, q: int) -> np.ndarray:
+    """Read-only (n*n + 1, n) degree tallies of one edge on a p x q grid.
+
+    Row a*n + b is the tally an edge between cells a and b adds: +1 at a
+    and b and -1 at the swapped cells (s_a, t_b) and (s_b, t_a) when the
+    edge is entangled, 0 otherwise.  The last row, n*n, is an absent edge.
+    It holds (n*n + 1) * n floats: 14 KB at n = 12, 8 MB at n = 100.
+    """
+    n = p * q
+    a, b = np.divmod(np.arange(n * n), n)
+    (sa, ta), (sb, tb) = np.divmod(a, q), np.divmod(b, q)
+    r = np.flatnonzero((sa != sb) & (ta != tb))  # the four cells are distinct
+    table = np.zeros((n * n + 1, n))
+    table[r, a[r]] = table[r, b[r]] = 1.0
+    table[r, sa[r] * q + tb[r]] = table[r, sb[r] * q + ta[r]] = -1.0
+    table.setflags(write=False)
+    return table
+
+
 def ppt_verdicts(edges, assigns, p: int, q: int, present=None) -> np.ndarray:
     """Exact PPT verdicts of graph states by the degree criterion.
 
@@ -167,7 +190,12 @@ def ppt_verdicts(edges, assigns, p: int, q: int, present=None) -> np.ndarray:
     t != t', to (s, t')-(s', t), so it is L(G') + D(G) - D(G'): PSD when
     every cell keeps its degree, NPT otherwise (Braunstein et al., PRA 73,
     012320 (2006); Hildebrand, Mancini and Severini, MSCS 18 (2008)).  Each
-    entangled edge adds +1 at its two cells and -1 at the swapped ones.
+    entangled edge adds +1 at its two cells and -1 at the swapped ones, and
+    that tally depends only on the edge's pair of cells (a, b): it is row
+    a*n + b of the grid's `_pair_table`.  So each instance counts its edges
+    per cell pair, in one bincount over the block, and its cell tally is
+    those counts times the table, one matmul.  The counts are integers at
+    most m, so the float64 product is exact.
 
     edges is an (m, 2) array of vertex pairs, assigns[k, v] the flat cell of
     vertex v under labeling k, and present[k] (optional) the edges instance
@@ -175,26 +203,25 @@ def ppt_verdicts(edges, assigns, p: int, q: int, present=None) -> np.ndarray:
     booleans, True where the state is PPT.
     """
     n = p * q
+    table = _pair_table(p, q)
     u, v = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
     assigns = np.asarray(assigns, dtype=np.intp).reshape(-1, n)
-    present = np.ones((1, len(u)), dtype=bool) if present is None else \
-        np.asarray(present, dtype=bool).reshape(-1, len(u))
-    total = max(len(assigns), len(present))
-    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    if present is not None:
+        present = np.atleast_2d(np.asarray(present, dtype=bool))
+    total = max(len(assigns), 1 if present is None else len(present))
     out = np.empty(total, dtype=bool)
     for lo in range(0, total, _EIG_BLOCK):
         k = min(_EIG_BLOCK, total - lo)
-        s, t = np.divmod(assigns[lo:lo + k] if len(assigns) > 1 else assigns, q)
-        mask = present[lo:lo + k] if len(present) > 1 else present
-        # any other edge's four terms cancel, so only entangled ones are tallied
-        i, e = np.nonzero((s[:, u] != s[:, v]) & (t[:, u] != t[:, v]) & mask)
-        j = i if len(s) > 1 else 0  # the labeling of each entangled edge
-        su, sv, tu, tv = s[j, u[e]], s[j, v[e]], t[j, u[e]], t[j, v[e]]
-        cells = np.stack([su * q + tu, sv * q + tv, su * q + tv, sv * q + tu], axis=1)
-        cells += n * i[:, None]
-        tally = np.bincount(cells.ravel(), np.broadcast_to(sign, cells.shape).ravel(),
-                            minlength=k * n)
-        out[lo:lo + k] = ~tally.reshape(k, n).any(axis=1)
+        a = assigns[lo:lo + k] if len(assigns) > 1 else assigns
+        pair = a[:, u] * n + a[:, v]
+        if present is not None:
+            pair = np.where(present[lo:lo + k] if len(present) > 1 else present, pair, n * n)
+        pair = pair + len(table) * np.arange(k)[:, None]  # instance k's own rows
+        # unit weights give the float64 counts the matmul takes, so the block
+        # makes one (k, n*n + 1) array, not an integer one and its copy
+        counts = np.bincount(pair.ravel(), np.ones(pair.size), minlength=k * len(table))
+        tally = counts.reshape(k, len(table)) @ table
+        out[lo:lo + k] = ~tally.any(axis=1)
     return out
 
 
@@ -569,6 +596,7 @@ class LabelingCensus:
     float_disagreements: int = 0  # witnesses the eigenvalues at tol call otherwise
 
 
+@functools.cache
 def coset_representatives(p: int, q: int) -> np.ndarray:
     """One cell assignment per coset of S_p x S_q, in lexicographic order.
 
@@ -579,6 +607,12 @@ def coset_representatives(p: int, q: int) -> np.ndarray:
     member: the assignment whose rows, and whose columns, first appear in
     increasing order along the vertices.  Returns a read-only (K, n) int8
     array, built one vertex at a time from every valid prefix.
+
+    The array is cached per grid, which pays off only in a process that
+    runs several exhaustive searches on one grid; a one-shot `search`
+    builds it once either way.  `labeling_search` reaches it only for
+    n <= 8, so the largest entry is 840 x 8 bytes; exhausting larger grids
+    would need the cosets streamed in blocks, not cached.
     """
     n = p * q
     s, t = np.divmod(np.arange(n), q)
@@ -622,9 +656,11 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         raise SeparabilityError("exhaustive search needs n <= 8; pass a sample budget")
     if sample is not None and sample < 1:
         raise SeparabilityError("sample budget must be positive")
+    if sample is not None and sample > MAX_SAMPLES:
+        raise SeparabilityError(f"sample budget must be at most {MAX_SAMPLES}, got {sample}")
     if seed is not None and seed < 0:
         raise SeparabilityError(f"seed must be non-negative, got {seed}")
-    sigma = density_of_graph(g).mat.to_real()  # rejects an edgeless graph
+    sigma = laplacian_states(n, [g.edges])[0]  # rejects an edgeless graph
 
     if sample is None:
         assigns = coset_representatives(p, q)

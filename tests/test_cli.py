@@ -656,6 +656,7 @@ PINNED_FILES = {
     "cross8.graph": "n 8\ne 1 6\ne 2 5\ne 3 8\ne 4 7\n",  # two criss-crosses at 2x4
     "c5.graph": "n 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
     "edits.txt": "del-edge 1 2\nadd-edge 1 3\ndel-vertex 5\nadd-vertex\n",
+    "empty4.graph": "n 4\n",
 }
 
 
@@ -933,6 +934,16 @@ def labeling(spec):
     (["probe", "--p", "2", "--q", "4", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["search", "p4.graph", "--p", "2", "--q", "2", "--budget", "5", "--seed", "-1"],
      "seed must be non-negative, got -1"),
+    # sample budgets are capped before anything is drawn or allocated
+    (["search", "p4.graph", "--p", "2", "--q", "2", "--budget", "1000001"],
+     "sample budget must be at most 1000000, got 1000001"),
+    (["search", "p4.graph", "--p", "2", "--q", "2", "--budget", str(10 ** 15)],
+     f"sample budget must be at most 1000000, got {10 ** 15}"),
+    (["probe", "--p", "2", "--q", "4", "--budget", "1000001"],
+     "budget must be at most 1000000, got 1000001"),
+    (["probe", "--p", "2", "--q", "4", "--budget", str(10 ** 15)],
+     f"budget must be at most 1000000, got {10 ** 15}"),
+    (["search", "empty4.graph", "--p", "2", "--q", "2"], "graph has no non-loop edge"),
 ])
 def test_misuse_exits_2_with_one_error_line(capsys, graph_file, argv, message):
     assert_one_line_error(capsys, pinned_argv(graph_file, argv), message)
@@ -983,3 +994,12 @@ def test_readme_flags_match_the_parser():
     options = {opt for parser in sub.choices.values() for action in parser._actions
                for opt in action.option_strings if opt.startswith("--")} - {"--help"}
     assert documented == options
+
+
+def test_help_states_the_sample_cap():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert separability.MAX_SAMPLES == 10 ** 6
+    for name in ("search", "probe"):
+        budget = next(a for a in sub.choices[name]._actions if "--budget" in a.option_strings)
+        assert f"at most {separability.MAX_SAMPLES}" in budget.help

@@ -17,6 +17,7 @@ from graphdm import (
     is_psd,
     kron,
 )
+from graphdm.linalg import GROUP_TOL, _group
 
 F = Fraction
 
@@ -117,6 +118,28 @@ def test_eigensystem_groups_multiplicities():
                          [0, 0, 3]])
     spec = eigensystem(h)
     assert spec.multiplicities == ((1.0, 2), (3.0, 1))
+
+
+def split_mean_groups(values, tol):
+    """The np.split + np.mean grouping `_group` replaced, kept as its reference."""
+    runs = np.split(values, np.flatnonzero(np.diff(values) > tol) + 1)
+    return tuple((float(np.mean(g)), len(g)) for g in runs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_group_matches_split_and_mean(sizes, seed):
+    """Planted runs of 1-12 values, steps within GROUP_TOL inside a run and
+    far beyond it between runs: the same groups, means to the last bit."""
+    rng = np.random.default_rng(seed)
+    centres = np.cumsum(rng.uniform(1e-6, 0.5, len(sizes))) - 0.3
+    values = np.concatenate([c + np.sort(rng.uniform(0, GROUP_TOL, k)) / 2
+                             for c, k in zip(centres, sizes)])
+    got = _group(values, GROUP_TOL)
+    assert repr(got) == repr(split_mean_groups(values, GROUP_TOL))
+    assert [size for _, size in got] == sizes
+    assert all(type(mean) is float for mean, _ in got)
 
 
 def test_is_psd_boundary():

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,8 @@ from graphdm import (
     tally_mark_decomposition,
     verify_separable_decomposition,
 )
-from graphdm.separability import RECONSTRUCTION_TOL
+from graphdm import separability
+from graphdm.separability import _EIG_BLOCK, RECONSTRUCTION_TOL, _pair_table
 
 F = Fraction
 LAB22 = BipartiteLabeling.default(2, 2)
@@ -559,6 +564,148 @@ def test_ppt_verdicts_on_known_states():
     crossing = ppt_verdicts([(0, 3), (1, 2)], np.tile(np.arange(4), (5000, 1)), 2, 2)
     assert crossing.shape == (5000,) and crossing.all()
     assert not ppt_verdicts([(0, 3)], np.arange(4), 2, 2).any()
+
+
+# ---------------------------------------------------------------------------
+# the pair-table kernel against the edge-by-edge tally it replaced
+
+TABLE_GRIDS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (3, 4)]
+
+
+def reference_ppt_verdicts(edges, assigns, p, q, present=None):
+    """The edge-by-edge tally `ppt_verdicts` used before its pair table, kept
+    as its reference: each entangled edge's four cells, gathered per edge
+    and bincounted with signs +1, +1, -1, -1."""
+    n = p * q
+    u, v = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+    assigns = np.asarray(assigns, dtype=np.intp).reshape(-1, n)
+    present = np.ones((1, len(u)), dtype=bool) if present is None else \
+        np.asarray(present, dtype=bool).reshape(-1, len(u))
+    total = max(len(assigns), len(present))
+    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    out = np.empty(total, dtype=bool)
+    for lo in range(0, total, _EIG_BLOCK):
+        k = min(_EIG_BLOCK, total - lo)
+        s, t = np.divmod(assigns[lo:lo + k] if len(assigns) > 1 else assigns, q)
+        mask = present[lo:lo + k] if len(present) > 1 else present
+        i, e = np.nonzero((s[:, u] != s[:, v]) & (t[:, u] != t[:, v]) & mask)
+        j = i if len(s) > 1 else 0
+        su, sv, tu, tv = s[j, u[e]], s[j, v[e]], t[j, u[e]], t[j, v[e]]
+        cells = np.stack([su * q + tu, sv * q + tv, su * q + tv, sv * q + tu], axis=1)
+        cells += n * i[:, None]
+        tally = np.bincount(cells.ravel(), np.broadcast_to(sign, cells.shape).ravel(),
+                            minlength=k * n)
+        out[lo:lo + k] = ~tally.reshape(k, n).any(axis=1)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.sampled_from(TABLE_GRIDS),
+       shape=st.sampled_from(["labelings", "masks", "paired"]),
+       k=st.sampled_from([1, 2, 9, 60, 5000]),
+       density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+       absent=st.sampled_from([0.0, 0.2, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_table_kernel_matches_the_edge_tally(dims, shape, k, density, absent, seed):
+    p, q = dims
+    n = p * q
+    rng = np.random.default_rng(seed)
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    edges = pairs[rng.random(len(pairs)) < density]  # empty at density 0
+    assigns = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+    present = rng.random((k, len(edges))) < 0.7
+    present[rng.random(k) < absent] = False  # rows with every edge absent
+    # many labelings x one edge set, one labeling x many masks, paired rows
+    args = {"labelings": (assigns, None), "masks": (assigns[0], present),
+            "paired": (assigns, present)}[shape]
+    got = ppt_verdicts(edges, args[0], p, q, args[1])
+    # the reference cannot shape masks of no edge; with no edge, all is PPT
+    want = (reference_ppt_verdicts(edges, args[0], p, q, args[1])
+            if len(edges) or args[1] is None else np.ones(k, dtype=bool))
+    assert got.shape == want.shape == (k,)
+    assert np.array_equal(got, want)
+    if not len(edges):
+        assert got.all()
+
+
+def test_pair_table_kernel_edge_cases():
+    n = 12
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    assigns = np.random.default_rng(4).permuted(np.tile(np.arange(n), (5000, 1)), axis=1)
+    # past the block size, both verdicts occur in both blocks
+    edges = [(0, 1), (2, 3), (4, 5)]
+    got = ppt_verdicts(edges, assigns, 3, 4)
+    assert np.array_equal(got, reference_ppt_verdicts(edges, assigns, 3, 4))
+    for block in (got[:_EIG_BLOCK], got[_EIG_BLOCK:]):
+        assert block.any() and not block.all()
+    # no edge, or every edge absent, leaves every cell its degree
+    assert ppt_verdicts(np.empty((0, 2), dtype=int), assigns[:3], 3, 4).tolist() == [True] * 3
+    assert ppt_verdicts(np.empty((0, 2), dtype=int), assigns[0], 3, 4,
+                        np.zeros((2, 0), dtype=bool)).tolist() == [True] * 2
+    assert ppt_verdicts(pairs, assigns[0], 3, 4,
+                        np.zeros((4, len(pairs)), dtype=bool)).tolist() == [True] * 4
+
+
+@pytest.mark.parametrize("p,q", TABLE_GRIDS)
+def test_pair_tables_are_cached_and_read_only(p, q):
+    n = p * q
+    table = _pair_table(p, q)
+    assert _pair_table(p, q) is table
+    assert table.shape == (n * n + 1, n) and table.dtype == np.float64
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # an absent edge, or one within a row or a column, adds nothing
+    s, t = np.divmod(np.arange(n), q)
+    a, b = np.divmod(np.arange(n * n), n)
+    kept = (s[a] == s[b]) | (t[a] == t[b])
+    assert not table[-1].any() and not table[:-1][kept].any()
+    assert (table[:-1][~kept] != 0).sum(axis=1).tolist() == [4] * int((~kept).sum())
+    assert not table.sum(axis=1).any()
+
+
+def test_coset_representatives_are_cached_and_read_only():
+    reps = coset_representatives(2, 3)
+    assert coset_representatives(2, 3) is reps
+    assert not reps.flags.writeable
+
+
+def test_importing_the_cli_fills_no_cache():
+    """Both per-grid caches fill on first use, so a cold start pays nothing."""
+    code = ("import graphdm.cli\n"
+            "from graphdm.separability import _pair_table, coset_representatives\n"
+            "print(_pair_table.cache_info().currsize, "
+            "coset_representatives.cache_info().currsize)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.split() == ["0", "0"]
+
+
+def test_witness_check_reads_the_rounded_exact_state(monkeypatch):
+    """labeling_search builds no exact state for its float cross-check; the
+    float state it reads equals the rounded exact one, bit for bit."""
+    seen = []
+    kernel = separability.min_pt_eigenvalues
+
+    def spy(sigma, *args):
+        seen.append(sigma)
+        return kernel(sigma, *args)
+
+    def refuse(g):
+        raise AssertionError("labeling_search built an exact state")
+
+    monkeypatch.setattr(separability, "min_pt_eigenvalues", spy)
+    monkeypatch.setattr(separability, "density_of_graph", refuse)
+    cases = [(path_graph(6), 2, 3, {}), (_random_graph(8, 5), 2, 4, {}),
+             (petersen_graph(), 2, 5, {"sample": 50, "seed": 1}),
+             (_random_graph(12, 6), 3, 4, {"sample": 30})]
+    for g, p, q, kw in cases:
+        labeling_search(g, p, q, **kw)
+        assert seen[-1].tobytes() == density_of_graph(g).to_real().tobytes()
+    assert len(seen) == len(cases)
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 10, 12])
