@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, density_of_graph, laplacian_states
+from .density import DensityMatrix, density_of_graph
 from .graphs import Graph, build_graph, complete_graph
 from .linalg import HermitianMatrix
 
@@ -36,7 +36,7 @@ DEFAULT_SEARCH_SEED = 20060111
 MAX_SAMPLES = 10 ** 6
 
 # labelings per batched eigensolve or verdict tally: bounds the memory of
-# one PT stack or pair-count block
+# one PT or index stack
 _EIG_BLOCK = 4096
 
 
@@ -163,22 +163,28 @@ def min_pt_eigenvalues(sigma: np.ndarray, assigns, p: int, q: int) -> np.ndarray
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _pair_table(p: int, q: int) -> np.ndarray:
-    """Read-only (n*n + 1, n) degree tallies of one edge on a p x q grid.
+    """Read-only (n*n + 1, 4) intp table of the cells one edge tallies on a
+    p x q grid.
 
-    Row a*n + b is the tally an edge between cells a and b adds: +1 at a
-    and b and -1 at the swapped cells (s_a, t_b) and (s_b, t_a) when the
-    edge is entangled, 0 otherwise.  The last row, n*n, is an absent edge.
-    It holds (n*n + 1) * n floats: 14 KB at n = 12, 8 MB at n = 100.
+    Row a*n + b lists the cells an edge between cells a and b tallies: a
+    and b, where it counts +1, then (s_a, t_b) and (s_b, t_a), where it
+    counts -1, shifted by n into the second half of a 2n-bin tally.  The
+    last row, n*n, is an absent edge: 0, 0, n, n, which cancel.  It takes
+    32 bytes per cell pair, 4.6 KB at n = 12 and 8 MB at n = 500, and the
+    16 most recent grids stay cached.
     """
     n = p * q
-    a, b = np.divmod(np.arange(n * n), n)
-    (sa, ta), (sb, tb) = np.divmod(a, q), np.divmod(b, q)
-    r = np.flatnonzero((sa != sb) & (ta != tb))  # the four cells are distinct
-    table = np.zeros((n * n + 1, n))
-    table[r, a[r]] = table[r, b[r]] = 1.0
-    table[r, sa[r] * q + tb[r]] = table[r, sb[r] * q + ta[r]] = -1.0
+    cell = np.arange(n)
+    s, t = np.divmod(cell, q)
+    table = np.empty((n * n + 1, 4), dtype=np.intp)
+    pairs = table[:-1].reshape(n, n, 4)  # pairs[a, b] is row a*n + b
+    pairs[..., 0] = cell[:, None]
+    pairs[..., 1] = cell
+    pairs[..., 2] = n + s[:, None] * q + t
+    pairs[..., 3] = n + s * q + t[:, None]
+    table[-1] = (0, 0, n, n)
     table.setflags(write=False)
     return table
 
@@ -190,12 +196,13 @@ def ppt_verdicts(edges, assigns, p: int, q: int, present=None) -> np.ndarray:
     t != t', to (s, t')-(s', t), so it is L(G') + D(G) - D(G'): PSD when
     every cell keeps its degree, NPT otherwise (Braunstein et al., PRA 73,
     012320 (2006); Hildebrand, Mancini and Severini, MSCS 18 (2008)).  Each
-    entangled edge adds +1 at its two cells and -1 at the swapped ones, and
-    that tally depends only on the edge's pair of cells (a, b): it is row
-    a*n + b of the grid's `_pair_table`.  So each instance counts its edges
-    per cell pair, in one bincount over the block, and its cell tally is
-    those counts times the table, one matmul.  The counts are integers at
-    most m, so the float64 product is exact.
+    edge adds +1 at its two cells and -1 at the swapped ones; those are its
+    own two cells unless it is entangled, so only entangled edges leave a
+    trace.  The four cells depend only on the edge's pair of cells (a, b),
+    and row a*n + b of the grid's `_pair_table` lists them.  So each block
+    is one gather of table rows and one bincount of 2n bins per instance:
+    the state is PPT where every cell is an endpoint as often as it is a
+    swapped cell.  The counts are integers, so every verdict is exact.
 
     edges is an (m, 2) array of vertex pairs, assigns[k, v] the flat cell of
     vertex v under labeling k, and present[k] (optional) the edges instance
@@ -216,12 +223,10 @@ def ppt_verdicts(edges, assigns, p: int, q: int, present=None) -> np.ndarray:
         pair = a[:, u] * n + a[:, v]
         if present is not None:
             pair = np.where(present[lo:lo + k] if len(present) > 1 else present, pair, n * n)
-        pair = pair + len(table) * np.arange(k)[:, None]  # instance k's own rows
-        # unit weights give the float64 counts the matmul takes, so the block
-        # makes one (k, n*n + 1) array, not an integer one and its copy
-        counts = np.bincount(pair.ravel(), np.ones(pair.size), minlength=k * len(table))
-        tally = counts.reshape(k, len(table)) @ table
-        out[lo:lo + k] = ~tally.any(axis=1)
+        cells = np.take(table, pair, axis=0)  # (k, m, 4)
+        cells += 2 * n * np.arange(k)[:, None, None]  # instance k's own bins
+        counts = np.bincount(cells.ravel(), minlength=2 * k * n).reshape(k, 2, n)
+        out[lo:lo + k] = (counts[:, 0] == counts[:, 1]).all(axis=1)
     return out
 
 
@@ -660,7 +665,7 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         raise SeparabilityError(f"sample budget must be at most {MAX_SAMPLES}, got {sample}")
     if seed is not None and seed < 0:
         raise SeparabilityError(f"seed must be non-negative, got {seed}")
-    sigma = laplacian_states(n, [g.edges])[0]  # rejects an edgeless graph
+    sigma = density_of_graph(g).mat.to_real()  # rejects an edgeless graph
 
     if sample is None:
         assigns = coset_representatives(p, q)

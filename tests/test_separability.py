@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,7 +49,6 @@ from graphdm import (
     tally_mark_decomposition,
     verify_separable_decomposition,
 )
-from graphdm import separability
 from graphdm.separability import _EIG_BLOCK, RECONSTRUCTION_TOL, _pair_table
 
 F = Fraction
@@ -651,17 +651,41 @@ def test_pair_tables_are_cached_and_read_only(p, q):
     n = p * q
     table = _pair_table(p, q)
     assert _pair_table(p, q) is table
-    assert table.shape == (n * n + 1, n) and table.dtype == np.float64
+    assert table.shape == (n * n + 1, 4) and table.dtype == np.intp
     assert not table.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0] = 1.0
-    # an absent edge, or one within a row or a column, adds nothing
+        table[0, 0] = 1
+    # row a*n + b: the endpoints, then the swapped cells in the second half
     s, t = np.divmod(np.arange(n), q)
     a, b = np.divmod(np.arange(n * n), n)
+    assert np.array_equal(table[:-1], np.stack(
+        [a, b, n + s[a] * q + t[b], n + s[b] * q + t[a]], axis=1))
+    assert table[-1].tolist() == [0, 0, n, n]
+    # an absent edge, or one within a row or a column, cancels
     kept = (s[a] == s[b]) | (t[a] == t[b])
-    assert not table[-1].any() and not table[:-1][kept].any()
-    assert (table[:-1][~kept] != 0).sum(axis=1).tolist() == [4] * int((~kept).sum())
-    assert not table.sum(axis=1).any()
+    rows = np.concatenate([table[:-1][kept], table[-1:]])
+    assert np.array_equal(np.sort(rows[:, :2], axis=1), np.sort(rows[:, 2:] - n, axis=1))
+    crossing = table[:-1][~kept]
+    assert (crossing[:, 2:, None] - n != crossing[:, None, :2]).all()
+
+
+def test_ppt_verdicts_memory_grows_as_n_squared():
+    """A grid of a few hundred cells costs megabytes, not n**3 table entries."""
+    # a 300-cycle is PPT under the row-major labeling; the chord is entangled
+    g = build_graph(300, [*cycle_graph(300).edges, (0, 21)])
+    lab = BipartiteLabeling.default(15, 20)
+    rho = density_of_graph(g)
+    _pair_table.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict = ppt_test(rho, lab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the table is 2.9 MB and the PT 0.7 MB a copy; an (n*n + 1, n) float
+    # table would be 216 MB
+    assert peak < 16 * 2 ** 20
+    assert verdict.status == ENTANGLED_NPT and verdict.min_pt_eigenvalue < -1e-5
 
 
 def test_coset_representatives_are_cached_and_read_only():
@@ -682,30 +706,6 @@ def test_importing_the_cli_fills_no_cache():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert run.stdout.split() == ["0", "0"]
-
-
-def test_witness_check_reads_the_rounded_exact_state(monkeypatch):
-    """labeling_search builds no exact state for its float cross-check; the
-    float state it reads equals the rounded exact one, bit for bit."""
-    seen = []
-    kernel = separability.min_pt_eigenvalues
-
-    def spy(sigma, *args):
-        seen.append(sigma)
-        return kernel(sigma, *args)
-
-    def refuse(g):
-        raise AssertionError("labeling_search built an exact state")
-
-    monkeypatch.setattr(separability, "min_pt_eigenvalues", spy)
-    monkeypatch.setattr(separability, "density_of_graph", refuse)
-    cases = [(path_graph(6), 2, 3, {}), (_random_graph(8, 5), 2, 4, {}),
-             (petersen_graph(), 2, 5, {"sample": 50, "seed": 1}),
-             (_random_graph(12, 6), 3, 4, {"sample": 30})]
-    for g, p, q, kw in cases:
-        labeling_search(g, p, q, **kw)
-        assert seen[-1].tobytes() == density_of_graph(g).to_real().tobytes()
-    assert len(seen) == len(cases)
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 10, 12])
