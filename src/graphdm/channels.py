@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence
-from .density import DensityMatrix, density_of_graph, density_with_loops
+from .density import DensityMatrix, density_of_graph
 from .graphs import (
     Graph,
     add_edge,
@@ -39,7 +39,7 @@ from .graphs import (
     delete_vertex,
     tensor_product,
 )
-from .linalg import exact_projector, kron
+from .linalg import exact_projector
 from .separability import (SEPARABLE, BipartiteLabeling, pe_matching_separability, ppt_test,
                            ppt_verdicts)
 
@@ -351,19 +351,20 @@ class VertexEdit:
             raise ChannelError(f"{self.missed}: the kept block is not the edited graph's "
                                "Laplacian")
 
-    def run(self, states) -> tuple[np.ndarray, float, float]:
-        """(final state, keep probability, its landing error); reads the
-        float states of self.graphs, in order, from the iterator states,
-        such as iter(graph_states(self.graphs))."""
-        state = next(states)
-        for ch in self.channels:
+    def run(self) -> tuple[np.ndarray, float, float]:
+        """(final state, keep probability, its landing error): the walk in
+        floats, from the state of graphs[0], with each landing checked
+        against density_of_graph(graphs[k]).to_real()."""
+        states = [density_of_graph(g).to_real() for g in self.graphs]
+        state = states[0]
+        for ch, target in zip(self.channels, states[1:]):
             state = ch.apply(state)
-            check_landing(state, next(states), ch.label)
+            check_landing(state, target, ch.label)
         keep_prob = 1.0 - sum(state[i, i] for i in self.dropped)
         kept = [i for i in range(len(state)) if i not in self.dropped]
         reduced = state[np.ix_(kept, kept)] / keep_prob
         try:
-            return reduced, keep_prob, check_landing(reduced, next(states), "the measurement")
+            return reduced, keep_prob, check_landing(reduced, states[-1], "the measurement")
         except ChannelError as exc:
             raise ChannelError(f"{self.missed}: {exc}") from None
 
@@ -402,8 +403,8 @@ def vertex_addition(g: Graph) -> VertexEdit:
     n = g.n
     helper = build_graph(2, [], loops=[1, 1])
     product = tensor_product(helper, g)  # copy 1 = 0..n-1, copy 2 = n..2n-1
-    rho = kron(density_with_loops(helper).mat, density_of_graph(g).mat)
-    if not rho.exact_equal(density_of_graph(product).mat):
+    # the helper's state is I/2, and I (x) L(g) is the Laplacian of two disjoint copies of g
+    if product.n != 2 * n or product.edges != g.edges + tuple((u + n, v + n) for u, v in g.edges):
         raise ChannelError("product state does not match the product graph state")
     channels, graphs = _edge_deletions(product, [e for e in product.edges if e[0] >= n])
     return VertexEdit(tuple(channels), (*graphs, add_isolated_vertex(g)),

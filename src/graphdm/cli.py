@@ -37,8 +37,6 @@ from .concurrence import (
 from .density import (
     DensityError,
     density_of_graph,
-    graph_states,
-    laplacian_states,
     purity,
 )
 from .entropy import EntropyError, q_entropy, von_neumann_entropy
@@ -46,6 +44,7 @@ from .graphs import (
     Graph,
     GraphError,
     ParseError,
+    build_graph,
     component_count,
     parse_graph,
 )
@@ -371,7 +370,7 @@ def cmd_channel(args) -> None:
         raise ChannelError("no edits given (positional edits or --script)")
     parsed = [_parse_edit(tok) for tok in edits]
 
-    cur, steps, graphs = g, [], []
+    cur, steps = g, []
     for edit in parsed:
         kind = edit[0]
         try:
@@ -395,14 +394,14 @@ def cmd_channel(args) -> None:
             record["probabilities"] = [
                 {"projector": o.projector, "probability": o.probability}
                 for o in measurement_probabilities(cur, edit[1:])]
-            if args.dump_operators:
+            if args.dump_operators and args.json:
                 record["operators"] = [[_complex_list(row) for row in k] for k in op.operators]
+        if args.json:
+            record["state"] = density_of_graph(op.result).to_real().tolist()
         steps.append(record)
-        graphs.append(op.result)
         cur = op.result
-    if args.json:
-        for record, state in zip(steps, graph_states(graphs)):
-            record["state"] = state.tolist()
+    if args.dump_operators and not args.json:
+        print("warning: channel ignores --dump-operators without --json", file=sys.stderr)
 
     payload = {"start": _graph_summary(g), "steps": steps}
     if args.json:
@@ -551,9 +550,9 @@ def cmd_probe(args) -> None:
         # separable counterexamples, with the eigenvalue each reports
         found = np.flatnonzero(members & ppt)[:10] if ppt_status(p, q) == SEPARABLE else []
         edge_lists = [[pairs[i] for i in np.flatnonzero(present[k])] for k in found]
-        lows = (min_pt_eigenvalues(laplacian_states(n, edge_lists),
-                                   np.broadcast_to(np.arange(n), (len(found), n)), p, q)
-                if edge_lists else [])
+        lows = (min_pt_eigenvalues(
+            np.stack([density_of_graph(build_graph(n, edges)).to_real() for edges in edge_lists]),
+            np.broadcast_to(np.arange(n), (len(found), n)), p, q) if edge_lists else [])
         off += sum(bool(low < -args.tol) for low in lows)
         counters = [{"edges": [[u + 1, v + 1] for (u, v) in edges],
                      "min_pt_eigenvalue": float(low)} for edges, low in zip(edge_lists, lows)]

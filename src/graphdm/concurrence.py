@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import TRACE_TOL, DensityError, DensityMatrix, laplacian_states
+from .density import TRACE_TOL, DensityError, DensityMatrix, density_of_graph
 from .graphs import automorphisms, nonisomorphic_graphs
 from .linalg import PSD_TOL, HermitianMatrix, LinalgError
 from .separability import NPT_TOL, min_pt_eigenvalues, ppt_verdicts
@@ -189,7 +189,7 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
     graphs = [g for g in reps if g.m]
     assigns = np.array(list(itertools.permutations(range(4))))
     total = len(assigns)
-    sigmas = laplacian_states(4, [g.edges for g in graphs])
+    sigmas = np.stack([density_of_graph(g).to_real() for g in graphs])
     npt = ~np.array([ppt_verdicts(g.edges, assigns, 2, 2) for g in graphs])
     lows = min_pt_eigenvalues(sigmas.repeat(total, axis=0), np.tile(assigns, (len(graphs), 1)),
                               2, 2)

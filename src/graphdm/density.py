@@ -65,45 +65,6 @@ def density_of_graph(g: Graph) -> DensityMatrix:
                          normalization=denom)
 
 
-def laplacian_states(n: int, edge_lists) -> np.ndarray:
-    """Float states L(G)/2m, stacked, for loop-free edge lists on n vertices.
-
-    Each entry is the correctly rounded value of the exact state's entry,
-    so a layer equals density_of_graph(g).to_real() bit for bit,
-    whatever else is stacked with it.  The stack gets the checks
-    DensityMatrix makes of an exact state: unit trace, and the diagonal
-    dominance of its integer Laplacians, which certifies PSD.
-    """
-    lap = np.zeros((len(edge_lists), n, n), dtype=np.int64)
-    i, u, v = np.array([(i, u, v) for i, edges in enumerate(edge_lists) for u, v in edges],
-                       dtype=np.intp).reshape(-1, 3).T
-    lap[i, u, v] = lap[i, v, u] = -1
-    degrees = np.count_nonzero(lap, axis=2)
-    if (degrees.sum(axis=1) == 0).any():
-        raise DensityError("graph has no non-loop edge")
-    diag = np.arange(n)
-    lap[:, diag, diag] = degrees
-    if not diagonally_dominant(lap):
-        raise DensityError("a stacked Laplacian is not diagonally dominant")
-    states = lap / degrees.sum(axis=1)[:, None, None]
-    if np.abs(np.trace(states, axis1=1, axis2=2) - 1).max() > TRACE_TOL:
-        raise DensityError("a stacked state does not have unit trace")
-    return states
-
-
-def graph_states(graphs) -> list[np.ndarray]:
-    """The float state of each graph, in order: one laplacian_states call per
-    vertex count among them, so each state equals its one-graph layer."""
-    by_order: dict[int, list[int]] = {}
-    for k, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(k)
-    states = [None] * len(graphs)
-    for n, ks in by_order.items():
-        for k, state in zip(ks, laplacian_states(n, [graphs[k].edges for k in ks])):
-            states[k] = state
-    return states
-
-
 def density_with_loops(g: Graph) -> DensityMatrix:
     """Loop-aware state: (Laplacian + loop-multiplicity diagonal) / (2m + loops)."""
     denom = 2 * g.m + g.loop_total

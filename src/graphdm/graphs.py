@@ -335,13 +335,15 @@ _ISO_LIMIT = 8
 
 
 @functools.lru_cache(maxsize=_ISO_LIMIT + 1)
-def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every permutation of 0..n-1 and where each sends each vertex pair.
+def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Every permutation of 0..n-1, where each sends each vertex pair, and
+    the pairs.
 
     Row r of the first array is the r-th image tuple of
     itertools.permutations(range(n)).  Entry [r, i] of the second is the
     slot, in itertools.combinations(range(n), 2) order, that relabeling
-    vertex v as perms[r, v] sends pair slot i to.  Both are read-only.
+    vertex v as perms[r, v] sends pair slot i to.  The third is
+    np.triu_indices(n, 1), the pairs in that order.  All are read-only.
     """
     count = math.factorial(n)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
@@ -350,9 +352,9 @@ def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     slot = np.zeros((n, n), dtype=np.int16)
     slot[u, v] = slot[v, u] = np.arange(len(u))
     maps = slot[perms[:, u], perms[:, v]]
-    perms.setflags(write=False)
-    maps.setflags(write=False)
-    return perms, maps
+    for a in (perms, maps, u, v):
+        a.setflags(write=False)
+    return perms, maps, (u, v)
 
 
 def _relabelings_onto(g: Graph, h: Graph) -> np.ndarray:
@@ -360,9 +362,9 @@ def _relabelings_onto(g: Graph, h: Graph) -> np.ndarray:
 
     g and h must have the same number of edges.
     """
-    perms, maps = _permutation_table(g.n)
-    pairs = np.triu_indices(g.n, 1)
-    g_mask, h_mask = (adjacency_matrix(x)[pairs] != 0 for x in (g, h))
+    perms, maps, pairs = _permutation_table(g.n)
+    g_mask = adjacency_matrix(g)[pairs] != 0
+    h_mask = g_mask if h is g else adjacency_matrix(h)[pairs] != 0
     # the relabeled g has pair maps[r, i] exactly when g has pair i; with
     # equal edge counts it is h when every such pair is an edge of h
     same_edges = h_mask[maps[:, g_mask]].all(axis=1)
@@ -385,7 +387,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     multiplicities, in itertools.permutations order."""
     if g.n > _ISO_LIMIT:
         raise GraphError(f"automorphism search is limited to n <= {_ISO_LIMIT}")
-    perms, _ = _permutation_table(g.n)
+    perms, _, _ = _permutation_table(g.n)
     return [tuple(p) for p in perms[_relabelings_onto(g, g)].tolist()]
 
 
@@ -401,7 +403,7 @@ def nonisomorphic_graphs(n: int, min_edges: int = 0) -> list[Graph]:
         raise GraphError("enumeration is limited to 1 <= n <= 7")
     pairs = list(itertools.combinations(range(n), 2))
     npairs = len(pairs)
-    _, maps = _permutation_table(n)
+    _, maps, _ = _permutation_table(n)
     weights = np.int64(1) << np.arange(npairs)
 
     seen = np.zeros(1 << npairs, dtype=bool)

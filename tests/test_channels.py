@@ -28,7 +28,6 @@ from graphdm import (
     edge_addition_channel,
     edge_deletion_channel,
     exact_projector,
-    graph_states,
     measurement_probabilities,
     nonisomorphic_graphs,
     path_graph,
@@ -45,7 +44,7 @@ F = Fraction
 
 
 def state_of(g):
-    return graph_states([g])[0]
+    return density_of_graph(g).to_real()
 
 
 def assert_states(outs):
@@ -61,7 +60,7 @@ def assert_states(outs):
 def run(edit):
     """A VertexEdit run on its own graph states: (state, keep probability,
     landing error), with the state checked."""
-    state, keep_prob, err = edit.run(iter(graph_states(edit.graphs)))
+    state, keep_prob, err = edit.run()
     assert_states([state])
     return state, keep_prob, err
 
@@ -243,6 +242,16 @@ def test_vertex_addition_appends_isolated_vertex():
         assert state.shape == (g.n + 1, g.n + 1)
         assert np.abs(state - state_of(add_isolated_vertex(g))).max() < 1e-10
 
+
+def test_vertex_addition_checks_the_product_graph(monkeypatch):
+    # the second copy's edge n-(n+1) moved to n-(n+2): not the state of g twice
+    product = channels_mod.tensor_product
+    monkeypatch.setattr(channels_mod, "tensor_product", lambda helper, g: add_edge(
+        delete_edge(product(helper, g), g.n, g.n + 1), g.n, g.n + 2))
+    for g in (path_graph(3), cycle_graph(5)):
+        with pytest.raises(ChannelError,
+                           match="^product state does not match the product graph state$"):
+            vertex_addition(g)
 
 
 # landing checks: an edit whose float state misses its graph state is refused
@@ -444,7 +453,7 @@ def test_certificates_agree_with_the_float_pass(data):
     def float_pass(edit):
         """Apply the edit to the state of g and compare with edit.result's."""
         if isinstance(edit, VertexEdit):
-            edit.run(iter(graph_states(edit.graphs)))
+            edit.run()
         else:
             check_landing(edit.apply(state_of(g)), state_of(edit.result), edit.label)
 
@@ -482,10 +491,10 @@ def test_edit_certificates_refuse_malformed_edits():
     with pytest.raises(ChannelError, match="drops a vertex with an edge"):
         short.certify()
     with pytest.raises(ChannelError, match="missed the graph state"):
-        short.run(iter(graph_states(short.graphs)))
+        short.run()
     # its two deletions, swapped, are each certified but do not chain
     swapped = VertexEdit(edit.channels[::-1], edit.graphs, edit.dropped, edit.missed)
     with pytest.raises(ChannelError, match="^delete edge 4-5 is not a step of the edit$"):
         swapped.certify()
     with pytest.raises(ChannelError, match="missed the graph state"):
-        swapped.run(iter(graph_states(swapped.graphs)))
+        swapped.run()

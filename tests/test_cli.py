@@ -249,6 +249,9 @@ def test_channel_refuses_an_edge_edit_off_its_graph(capsys, graph_file, monkeypa
      "vertex deletion did not land on the residual state"),
     ("add-vertex", "add_isolated_vertex", lambda g: add_edge(add_isolated_vertex(g), 0, g.n),
      "vertex addition did not land on the padded state"),
+    ("add-vertex", "tensor_product", lambda h, g: add_edge(
+        graphs.delete_edge(graphs.tensor_product(h, g), g.n, g.n + 1), g.n, g.n + 2),
+     "'add-vertex': product state does not match the product graph state"),
 ])
 def test_channel_refuses_a_vertex_edit_off_its_target(capsys, graph_file, monkeypatch,
                                                       edit, name, wrong, message):
@@ -285,19 +288,17 @@ def test_channel_checks_every_channel_output(capsys, graph_file, monkeypatch):
 
 def test_channel_builds_states_once_per_vertex_count(capsys, graph_file, monkeypatch):
     sizes = []
-    build = density.laplacian_states
+    to_real = density.DensityMatrix.to_real
 
-    def counted(n, edge_lists):
-        sizes.append(n)
-        return build(n, edge_lists)
+    def counted(rho):
+        sizes.append(rho.dim)
+        return to_real(rho)
 
-    for module in (density, channels, cli):
-        if hasattr(module, "laplacian_states"):
-            monkeypatch.setattr(module, "laplacian_states", counted)
+    monkeypatch.setattr(density.DensityMatrix, "to_real", counted)
     path = graph_file("c5.graph", C5_TEXT)
     run_json(capsys, ["channel", path, *C5_SCRIPT, "--json"])
     # one state per step, the edited graph's: 5, 5, 6 and 5 vertices
-    assert sorted(sizes) == [5, 6]
+    assert sizes == [5, 5, 6, 5]
     sizes.clear()
     run_text(capsys, ["channel", path, *C5_SCRIPT])  # text prints no state
     assert sizes == []
@@ -323,6 +324,15 @@ def test_channel_builds_no_float_channel_without_dump_operators(capsys, graph_fi
             sys.setprofile(None)
         # the operators of the two edge edits, built once each
         assert sorted(set(seen)) == want and len(seen) == 2 * len(want)
+    # text mode prints no operator, so it builds none and says so
+    seen.clear()
+    sys.setprofile(hook)
+    try:
+        _, err = run_text(capsys, ["channel", path, *C5_SCRIPT, "--dump-operators"])
+    finally:
+        sys.setprofile(None)
+    assert seen == []
+    assert err == "warning: channel ignores --dump-operators without --json\n"
 
 
 def test_non_utf8_input_is_precondition_error(capsys, graph_file, tmp_path):
@@ -793,7 +803,7 @@ def test_probe_reports_counterexample_eigenvalues(capsys, monkeypatch):
     assert len(part["counterexamples"]) == 10
     for c in part["counterexamples"]:
         edges = [(u - 1, v - 1) for u, v in c["edges"]]
-        sigma = cli.laplacian_states(4, [edges])
+        sigma = cli.density_of_graph(graphs.build_graph(4, edges)).to_real()[None]
         assert c["min_pt_eigenvalue"] == float(cli.min_pt_eigenvalues(sigma, [range(4)], 2, 2)[0])
         assert c["min_pt_eigenvalue"] < -1e-9
     # the two entangled pairs at 2x2 share no vertex: no concentrated part

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import graphdm.density as density_mod
@@ -19,7 +18,6 @@ from graphdm import (
     edge_state_vector,
     eigensystem,
     exact_projector,
-    graph_states,
     is_psd,
     is_pure,
     kron,
@@ -182,19 +180,3 @@ def test_exact_dominant_states_skip_the_eigensolve(monkeypatch):
     assert len(checked) == 1
     with pytest.raises(DensityError, match=r"matrix is not PSD \(eigenvalue -1\)"):
         DensityMatrix(HermitianMatrix([[2, 0], [0, -1]]))
-
-
-def test_graph_states_stack_once_per_order_without_an_eigensolve(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("eigensolve")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    orders = []
-    build = density_mod.laplacian_states
-    monkeypatch.setattr(density_mod, "laplacian_states",
-                        lambda n, edge_lists: orders.append(n) or build(n, edge_lists))
-    graphs = [cycle_graph(5), path_graph(3), complete_graph(5), star_graph(3), cycle_graph(5)]
-    states = graph_states(graphs)
-    assert sorted(orders) == [3, 5]
-    for g, state in zip(graphs, states):
-        assert np.array_equal(state, density_of_graph(g).to_real())

@@ -34,7 +34,6 @@ from graphdm import (
     eigensystem,
     entangled_edges,
     labeling_search,
-    laplacian_states,
     min_pt_eigenvalues,
     nonisomorphic_graphs,
     partial_transpose,
@@ -142,7 +141,7 @@ def test_ppt_test_statuses():
     assert big.status in (ENTANGLED_NPT, PPT_INCONCLUSIVE)
 
 
-def test_ppt_test_decides_graph_states_only():
+def test_ppt_test_refuses_states_not_of_a_graph():
     looped = build_graph(4, [(0, 1), (2, 3)], loops=[1, 0, 0, 0])
     for rho in (density_with_loops(looped), sigma_plus(path_graph(4))):
         with pytest.raises(SeparabilityError):
@@ -500,16 +499,6 @@ def test_kernel_matches_ppt_test_bit_for_bit():
         assert low == ppt_test(rho, lab).min_pt_eigenvalue
 
 
-def test_laplacian_states_equal_exact_states():
-    graphs = [path_graph(6), complete_graph(6), build_graph(6, [(0, 5)]),
-              _random_graph(6, 4)]
-    stack = laplacian_states(6, [g.edges for g in graphs])
-    for g, layer in zip(graphs, stack):
-        assert np.array_equal(layer, density_of_graph(g).to_real())
-    with pytest.raises(DensityError):  # the second graph has no edge
-        laplacian_states(4, [[(0, 1)], []])
-
-
 # ---------------------------------------------------------------------------
 # the exact degree-criterion kernel against the PT eigenvalues
 
@@ -525,7 +514,8 @@ def test_ppt_verdicts_match_pt_eigenvalues(dims, density, seed):
     present = rng.random((8, len(pairs))) < density
     present[np.arange(8), rng.integers(len(pairs), size=8)] = True
     assigns = np.array([rng.permutation(n) for _ in range(8)])
-    sigma = laplacian_states(n, [[tuple(e) for e in pairs[row]] for row in present])
+    sigma = np.stack([density_of_graph(build_graph(n, [tuple(e) for e in pairs[row]])).to_real()
+                      for row in present])
 
     def agree(ppt, lows):
         # a PPT state's PT is a Laplacian, smallest eigenvalue exactly 0
