@@ -1,11 +1,12 @@
 """Quantum channels realizing graph edits on graph states.
 
 Each edit (deleting or adding an edge, deleting or adding a vertex) is a
-trace-preserving completely positive map.  An edge edit measures in an
-orthonormal basis and prepares an edge state of the target graph: its
-Kraus operators are |y><x| / sqrt(m'), x over the basis and y over the m'
-unit edge vectors of the target.  Each equals the paper's unitary that
-relocates x onto y (complete_to_unitary) after the projector onto x.
+trace-preserving completely positive map.  An edge edit (EdgeEdit, the one
+channel class) measures in an orthonormal basis and prepares an edge state
+of the target graph: its Kraus operators are |y><x| / sqrt(m'), x over the
+basis and y over the m' unit edge vectors of the target.  Each equals the
+paper's unitary that relocates x onto y (complete_to_unitary) after the
+projector onto x.
 
 Whatever the outcome, an edge edit prepares the same mixture, so the map is
 trace-and-replace, rho -> tr(rho) sigma, and whether sigma is the edited
@@ -43,6 +44,7 @@ from .linalg import exact_projector
 from .separability import (SEPARABLE, BipartiteLabeling, pe_matching_separability, ppt_test,
                            ppt_verdicts)
 
+# largest distance at which complete_to_unitary's U @ source may miss target
 CHANNEL_TOL = 1e-10
 # largest entrywise distance at which a channel output lands on its graph state
 LANDING_TOL = 1e-8
@@ -52,66 +54,27 @@ class ChannelError(ValueError):
     """Invalid channel construction or application."""
 
 
-class MeasurePrepareChannel:
-    """Measure in the orthonormal rows of basis, prepare a uniform mixture of
-    the unit rows of targets.
-
-    Its Kraus operators |y><x| / sqrt(len(targets)) satisfy the completeness
-    identity exactly when basis^T basis = I and every target has unit norm,
-    which is what construction checks.  The map is rho -> tr(rho) sigma with
-    sigma = targets^T targets / len(targets), so applying it costs one pass
-    over the state, whatever the operator count.
-    """
-
-    def __init__(self, basis: np.ndarray, targets: np.ndarray, label: str):
-        n = basis.shape[0]
-        if basis.shape != (n, n) or targets.ndim != 2 or not len(targets):
-            raise ChannelError("channel needs a square basis and at least one target")
-        if np.abs(basis.T @ basis - np.eye(n)).max() > CHANNEL_TOL:
-            raise ChannelError("measurement basis is not orthonormal")
-        if np.abs(np.linalg.norm(targets, axis=1) - 1.0).max() > CHANNEL_TOL:
-            raise ChannelError("prepared states are not unit vectors")
-        self.basis, self.targets, self.label = basis, targets, label
-
-    @property
-    def input_dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.targets.shape[1]
-
-    @property
-    def operators(self) -> tuple:
-        """The Kraus operators, basis-major: |y><x| / sqrt(m') for x, then y."""
-        ops = self.targets[None, :, :, None] * self.basis[:, None, None, :]
-        ops = ops / math.sqrt(len(self.targets))
-        return tuple(ops.reshape(-1, self.output_dim, self.input_dim))
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """sum_x <x|state|x> times the prepared mixture."""
-        if state.shape[0] != self.input_dim:
-            raise ChannelError(
-                f"channel acts on dimension {self.input_dim}, state has {state.shape[0]}")
-        weight = np.einsum("ij,jk,ik->", self.basis, state, self.basis).real
-        return (weight / len(self.targets)) * (self.targets.T @ self.targets)
-
-
-class EdgeEdit(MeasurePrepareChannel):
-    """An edge deletion or addition at pair, held as integers.
+class EdgeEdit:
+    """An edge deletion or addition at pair, held as integers: the
+    measure-and-prepare channel of the edit.
 
     It measures e_i + e_j, e_i - e_j and each e_k off the pair (i, j), in
     that order, and prepares e_u - e_v for each (u, v) of target_edges, every
     vector normalized; result is the edited graph.  certify checks exactly
     that the map sends the state of source to the state of result.  basis
     and targets, the float form that operators and apply read, are built on
-    first use.
+    first use.  The map is rho -> tr(rho) targets^T targets / m', so apply
+    costs one pass over the state, whatever the operator count.
     """
 
     def __init__(self, source: Graph, pair: tuple[int, int], target_edges, result: Graph,
                  label: str):
         self.source, self.pair, self.result, self.label = source, pair, result, label
         self.target_edges = tuple(target_edges)
+
+    @property
+    def input_dim(self) -> int:
+        return self.source.n
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
@@ -132,6 +95,21 @@ class EdgeEdit(MeasurePrepareChannel):
         targets[rows, ends[0]] = h
         targets[rows, ends[1]] = -h
         return targets
+
+    @property
+    def operators(self) -> tuple:
+        """The Kraus operators, basis-major: |y><x| / sqrt(m') for x, then y."""
+        n = self.input_dim
+        ops = self.targets[None, :, :, None] * self.basis[:, None, None, :]
+        return tuple((ops / math.sqrt(len(self.targets))).reshape(-1, n, n))
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """sum_x <x|state|x> times the prepared mixture."""
+        if state.shape[0] != self.input_dim:
+            raise ChannelError(
+                f"channel acts on dimension {self.input_dim}, state has {state.shape[0]}")
+        weight = np.einsum("ij,jk,ik->", self.basis, state, self.basis).real
+        return (weight / len(self.targets)) * (self.targets.T @ self.targets)
 
     def certify(self) -> None:
         """Check in integers that the edit lands on the state of result.

@@ -172,7 +172,8 @@ def _graph_summary(g: Graph) -> dict:
 
 
 def _complex_list(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+    vec = np.asarray(vec, dtype=complex)
+    return np.stack([vec.real, vec.imag], axis=-1).tolist()
 
 
 def _states_payload(states) -> list:
@@ -395,7 +396,7 @@ def cmd_channel(args) -> None:
                 {"projector": o.projector, "probability": o.probability}
                 for o in measurement_probabilities(cur, edit[1:])]
             if args.dump_operators and args.json:
-                record["operators"] = [[_complex_list(row) for row in k] for k in op.operators]
+                record["operators"] = _complex_list(op.operators)
         if args.json:
             record["state"] = density_of_graph(op.result).to_real().tolist()
         steps.append(record)

@@ -44,15 +44,16 @@ class Graph:
             raise GraphError("loop table length must equal vertex count")
         if any(l < 0 for l in self.loops):
             raise GraphError("loop multiplicities must be non-negative")
-        seen = set()
+        # strictly increasing edges are sorted and free of duplicates
+        last = (-1, -1)
         for (u, v) in self.edges:
             if not (0 <= u < v < self.n):
                 raise GraphError(f"edge ({u}, {v}) is out of range or unordered")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u}, {v}); multi-edges are not supported")
-            seen.add((u, v))
-        if tuple(sorted(self.edges)) != self.edges:
-            raise GraphError("edges must be sorted")
+            if (u, v) <= last:
+                if (u, v) == last:
+                    raise GraphError(f"duplicate edge ({u}, {v}); multi-edges are not supported")
+                raise GraphError("edges must be sorted")
+            last = (u, v)
 
     @property
     def m(self) -> int:

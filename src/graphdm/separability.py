@@ -99,18 +99,12 @@ class SeparabilityVerdict:
 
 @dataclass(frozen=True)
 class ProductState:
-    """Weighted product vector left (x) right with unit-norm factors."""
+    """Weighted product vector left (x) right; verify_separable_decomposition
+    checks that the factors are unit vectors and the weights nonnegative."""
 
     left: np.ndarray
     right: np.ndarray
     weight: float
-
-    def __post_init__(self):
-        for vec in (self.left, self.right):
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-                raise SeparabilityError("product-state factor is not unit norm")
-        if self.weight < 0:
-            raise SeparabilityError("product-state weight must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +409,21 @@ def verify_separable_decomposition(rho: DensityMatrix, states,
     Product vectors live on cells; `lab` translates them to the vertex basis
     (omit it for the default labeling).  The K product vectors are stacked
     as the rows of V, so the mixture is one product V^T diag(w) conj(V).
+    A non-unit factor, a negative weight or weights not summing to 1 raise.
     """
     if not states:
         return False
+    left = np.array([s.left for s in states], dtype=complex)
+    right = np.array([s.right for s in states], dtype=complex)
+    for side in (left, right):
+        if np.abs(np.linalg.norm(side, axis=1) - 1.0).max() > 1e-10:
+            raise SeparabilityError("product-state factor is not unit norm")
     weights = [s.weight for s in states]
+    if min(weights) < 0:
+        raise SeparabilityError("product-state weight must be nonnegative")
     total = sum(weights)
     if abs(total - 1.0) > 1e-10:
         raise SeparabilityError(f"weights sum to {total}, not 1")
-    left = np.array([s.left for s in states], dtype=complex)
-    right = np.array([s.right for s in states], dtype=complex)
     vecs = (left[:, :, None] * right[:, None, :]).reshape(len(states), -1)
     mix = (vecs.T * np.array(weights)) @ vecs.conj()
     if lab is not None and not lab.is_default():

@@ -15,7 +15,6 @@ from graphdm import (
     EdgeEdit,
     HermitianMatrix,
     LinalgError,
-    MeasurePrepareChannel,
     add_edge,
     add_isolated_vertex,
     build_graph,
@@ -260,8 +259,8 @@ def test_vertex_addition_checks_the_product_graph(monkeypatch):
 @pytest.fixture
 def drifting_apply(monkeypatch):
     """Every channel output moved by 1e-6 in each entry."""
-    apply = MeasurePrepareChannel.apply
-    monkeypatch.setattr(MeasurePrepareChannel, "apply",
+    apply = EdgeEdit.apply
+    monkeypatch.setattr(EdgeEdit, "apply",
                         lambda self, state: apply(self, state) + 1e-6)
 
 
@@ -372,21 +371,6 @@ def test_measure_prepare_matches_householder_on_random_states(small_graphs, data
     for ch, ops, _ in edits_at(g, edge):
         want = sum(k @ rho @ k.conj().T for k in ops)
         assert np.abs(ch.apply(rho) - want).max() < 1e-12
-
-
-def test_measure_prepare_channel_validates_its_data():
-    basis = np.eye(3)
-    target = np.array([[1.0, -1.0, 0.0]]) / math.sqrt(2)
-    ch = MeasurePrepareChannel(basis, target, "prepare edge 1-2")
-    assert ch.input_dim == ch.output_dim == 3
-    skewed = basis.copy()
-    skewed[0, 1] = 0.1
-    with pytest.raises(ChannelError, match="orthonormal"):
-        MeasurePrepareChannel(skewed, target, "skewed basis")
-    with pytest.raises(ChannelError, match="unit"):
-        MeasurePrepareChannel(basis, 2 * target, "long target")
-    with pytest.raises(ChannelError):
-        MeasurePrepareChannel(basis, np.zeros((0, 3)), "no target")
 
 
 def test_probabilities_at_every_pair_are_quadratic_forms():

@@ -21,7 +21,7 @@ import graphdm.density as density
 import graphdm.entropy as entropy
 import graphdm.graphs as graphs
 import graphdm.separability as separability
-from graphdm.channels import EdgeEdit, MeasurePrepareChannel, VertexEdit
+from graphdm.channels import EdgeEdit, VertexEdit
 from graphdm.cli import main
 from graphdm.graphs import add_edge, add_isolated_vertex, delete_vertex
 from graphdm.linalg import LinalgError
@@ -306,8 +306,8 @@ def test_channel_builds_states_once_per_vertex_count(capsys, graph_file, monkeyp
 
 def test_channel_builds_no_float_channel_without_dump_operators(capsys, graph_file):
     float_pass = {f.__code__: f.__qualname__ for f in (
-        MeasurePrepareChannel.__init__, MeasurePrepareChannel.apply, EdgeEdit.basis.func,
-        EdgeEdit.targets.func, VertexEdit.run, channels.check_landing)}
+        EdgeEdit.apply, EdgeEdit.basis.func, EdgeEdit.targets.func, VertexEdit.run,
+        channels.check_landing)}
     seen = []
 
     def hook(frame, event, arg):

@@ -1,9 +1,14 @@
 """Tests for graph construction, parsing, enumeration and editing."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdm import (
+    Graph,
     GraphError,
     ParseError,
     add_edge,
@@ -51,6 +56,55 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(0, 3)])  # vertex out of range
     with pytest.raises(GraphError):
         build_graph(3, [(0, 1), (1, 0)])  # duplicate edge
+
+
+def old_rule_accepts(n, edges):
+    """The edge check Graph used before its one strictly increasing pass:
+    a range check, a set of the edges seen and a sorted copy."""
+    seen = set()
+    for (u, v) in edges:
+        if not (0 <= u < v < n) or (u, v) in seen:
+            return False
+        seen.add((u, v))
+    return tuple(sorted(edges)) == edges
+
+
+@st.composite
+def edge_tuples(draw):
+    """(n, edges): pairs of vertices of K_n mixed with pairs from -1..n."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(-1, n)
+    pair = st.tuples(vertex, vertex)
+    if n > 1:
+        pair = st.one_of(st.sampled_from(list(itertools.combinations(range(n), 2))), pair)
+    return n, tuple(draw(st.lists(pair, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_tuples())
+def test_one_pass_edge_check_accepts_what_the_old_rule_accepts(case):
+    """Edge tuples that may be out of range, unordered, unsorted or
+    duplicated: Graph accepts exactly the tuples the old rule accepts."""
+    n, edges = case
+    try:
+        Graph(n, edges, (0,) * n)
+        accepted = True
+    except GraphError:
+        accepted = False
+    assert accepted == old_rule_accepts(n, edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1), (1, 3)), r"^edge \(1, 3\) is out of range or unordered$"),
+    (((0, 1), (2, 1)), r"^edge \(2, 1\) is out of range or unordered$"),
+    (((0, 1), (0, 1), (1, 2)),
+     r"^duplicate edge \(0, 1\); multi-edges are not supported$"),
+    (((0, 2), (0, 1)), "^edges must be sorted$"),
+])
+def test_each_edge_fault_keeps_its_message(edges, message):
+    """One input per fault, with no other fault in it."""
+    with pytest.raises(GraphError, match=message):
+        Graph(3, edges, (0, 0, 0))
 
 
 def test_generators_edge_counts():

@@ -163,6 +163,25 @@ def test_one_function_checks_a_decomposition():
     assert found == ["separability.py:verify_separable_decomposition"]
 
 
+def test_one_function_reads_the_channel_tolerance():
+    # an edge edit's channel is checked in integers by certify; the float
+    # tolerance is left only to the unitary completion
+    found = sorted({r for p in SRC.glob("*.py") for r in readers(p, "CHANNEL_TOL")})
+    assert found == ["channels.py:complete_to_unitary"]
+
+
+def test_edge_edit_is_the_one_channel_class():
+    # a channel class is one that applies itself to a state
+    import graphdm
+    import graphdm.channels
+
+    for module in (graphdm, graphdm.channels):
+        found = sorted(name for name, obj in vars(module).items()
+                       if isinstance(obj, type) and hasattr(obj, "apply"))
+        assert found == ["EdgeEdit"], module.__name__
+    assert graphdm.EdgeEdit.__bases__ == (object,)
+
+
 def test_cli_compares_no_channel_output_with_a_graph_state():
     # graphdm channel certifies each landing exactly; the float comparison
     # and its tolerances are the library's test oracle

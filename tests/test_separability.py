@@ -251,9 +251,16 @@ def test_verify_separable_decomposition_rejects_wrong_mixture():
 
 def looped_check(rho, states, lab=None):
     """verify_separable_decomposition with one np.kron and one np.outer per
-    product state: the reference for the stacked product."""
+    product state and each state's own norm and weight checks: the
+    reference for the stacked product and its stacked checks."""
     if not states:
         return False
+    for s in states:
+        for vec in (s.left, s.right):
+            if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+                raise SeparabilityError("product-state factor is not unit norm")
+        if s.weight < 0:
+            raise SeparabilityError("product-state weight must be nonnegative")
     total = sum(s.weight for s in states)
     if abs(total - 1.0) > 1e-10:
         raise SeparabilityError(f"weights sum to {total}, not 1")
@@ -276,12 +283,14 @@ def random_unit(rng, dim):
 @settings(max_examples=120, deadline=None)
 @given(p=st.integers(2, 3), q=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
        labeled=st.booleans(),
-       kind=st.sampled_from(["verified", "relabeled", "dropped", "random", "weights", "empty"]))
+       kind=st.sampled_from(["verified", "relabeled", "dropped", "random", "weights", "empty",
+                             "long", "negative"]))
 def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
     """A random graph with a verified decomposition under a random or the
     default labeling, then that decomposition, the same states read under
     another labeling, one term dropped, random product states, weights that
-    do not sum to 1, or no states at all."""
+    do not sum to 1, no states at all, one factor doubled, or one weight
+    negated with the rest rescaled to sum to 1."""
     rng = np.random.default_rng(seed)
     n = p * q
     lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n)) if labeled else None
@@ -308,6 +317,17 @@ def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
         states = [ProductState(s.left, s.right, 1.5 * s.weight) for s in states]
     elif kind == "empty":
         states = []
+    elif kind == "long":
+        k = int(rng.integers(len(states)))
+        s = states[k]
+        states[k] = (ProductState(2 * s.left, s.right, s.weight) if rng.random() < 0.5
+                     else ProductState(s.left, 2 * s.right, s.weight))
+    elif kind == "negative":
+        k = int(rng.integers(len(states)))
+        w = states[k].weight
+        states = [ProductState(s.left, s.right,
+                               -w if i == k else s.weight * (1 + w) / (1 - w))
+                  for i, s in enumerate(states)]
 
     def outcome(check):
         try:
@@ -318,6 +338,10 @@ def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
     assert outcome(verify_separable_decomposition) == outcome(looped_check)
     if kind == "verified":
         assert outcome(verify_separable_decomposition) is True
+    elif kind == "long":
+        assert outcome(verify_separable_decomposition) == "product-state factor is not unit norm"
+    elif kind == "negative":
+        assert outcome(verify_separable_decomposition) == "product-state weight must be nonnegative"
 
 
 def test_star_projection_witness_formula():
