@@ -46,6 +46,7 @@ from .graphs import (
     ParseError,
     build_graph,
     component_count,
+    laplacian,
     parse_graph,
 )
 from .linalg import LinalgError
@@ -59,9 +60,10 @@ from .separability import (
     BipartiteLabeling,
     SeparabilityError,
     _min_eig_for_assignment,  # noqa: F401 - perfbench's tracer test rebinds it here
+    certify_ppt_verdicts,
     entangled_edges,
     labeling_search,
-    min_pt_eigenvalues,
+    partial_transposes,
     ppt_status,
     ppt_test,
     ppt_verdicts,
@@ -153,14 +155,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _warn_disagreements(count: int, tol: float) -> None:
-    """One stderr line when the float cross-check contradicts exact verdicts."""
-    if count:
-        print(f"warning: at --tol {tol:g} the PT eigenvalues contradict {count} "
-              f"cross-checked exact PPT verdict(s); the exact ones are reported",
-              file=sys.stderr)
-
-
 def _graph_summary(g: Graph) -> dict:
     return {
         "n": g.n,
@@ -233,8 +227,6 @@ def cmd_analyze(args) -> None:
     rho = density_of_graph(g)
     ent = von_neumann_entropy(rho)
     verdict = ppt_test(rho, lab)
-    _warn_disagreements(int((verdict.min_pt_eigenvalue < -args.tol)
-                            != (verdict.status == ENTANGLED_NPT)), args.tol)
     edges_cross = entangled_edges(g, lab)
 
     status = verdict.status
@@ -303,8 +295,7 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_census4(args) -> None:
-    report = four_vertex_census(tol=args.tol)
-    _warn_disagreements(report.float_disagreements, args.tol)
+    report = four_vertex_census()
     if args.csv:
         rows = census_to_csv_rows(report)
         text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
@@ -432,8 +423,7 @@ def cmd_search(args) -> None:
     p, q = _require_dims(args, g.n)
     if args.workers < 1:
         raise SeparabilityError(f"workers must be at least 1, got {args.workers}")
-    census = labeling_search(g, p, q, tol=args.tol, sample=args.budget, seed=args.seed)
-    _warn_disagreements(census.float_disagreements, args.tol)
+    census = labeling_search(g, p, q, sample=args.budget, seed=args.seed)
     if args.budget is None and args.seed is not None:
         print("warning: exhaustive search ignores --seed; pass --budget to sample",
               file=sys.stderr)
@@ -542,21 +532,20 @@ def cmd_probe(args) -> None:
     ppt = ppt_verdicts(pairs, np.arange(n), p, q, present)
 
     payload = {"p": p, "q": q, "n": n, "mode": mode, "tol": args.tol}
-    off = 0
     for title, members in (("single_entangled_edge", single),
                            ("entangled_edges_at_one_vertex", ~single)):
         verdicts = {status: int(hits.sum()) for status, hits in
                     ((ENTANGLED_NPT, members & ~ppt), (ppt_status(p, q), members & ppt))
                     if hits.any()}
-        # separable counterexamples, with the eigenvalue each reports
+        # separable counterexamples: a certified PPT state's PT is a Laplacian
+        # over 2m, so its smallest eigenvalue is exactly 0
         found = np.flatnonzero(members & ppt)[:10] if ppt_status(p, q) == SEPARABLE else []
         edge_lists = [[pairs[i] for i in np.flatnonzero(present[k])] for k in found]
-        lows = (min_pt_eigenvalues(
-            np.stack([density_of_graph(build_graph(n, edges)).to_real() for edges in edge_lists]),
-            np.broadcast_to(np.arange(n), (len(found), n)), p, q) if edge_lists else [])
-        off += sum(bool(low < -args.tol) for low in lows)
-        counters = [{"edges": [[u + 1, v + 1] for (u, v) in edges],
-                     "min_pt_eigenvalue": float(low)} for edges, low in zip(edge_lists, lows)]
+        if edge_lists:
+            laps = np.stack([laplacian(build_graph(n, edges)) for edges in edge_lists])
+            certify_ppt_verdicts(partial_transposes(laps, np.arange(n), p, q), [True] * len(laps))
+        counters = [{"edges": [[u + 1, v + 1] for (u, v) in edges], "min_pt_eigenvalue": 0.0}
+                    for edges in edge_lists]
         payload[title] = {
             "instances": int(members.sum()),
             "verdicts": dict(sorted(verdicts.items())),
@@ -564,7 +553,6 @@ def cmd_probe(args) -> None:
             "conclusion": ("no counterexample found" if not counters
                            else f"{len(counters)} separable counterexample(s)"),
         }
-    _warn_disagreements(off, args.tol)
     if mode == "sampled":
         payload["seed"] = seed
         payload["budget"] = budget
@@ -637,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="columns of the bipartition (second factor)")
         if tol:
             sp.add_argument("--tol", type=float, default=NPT_TOL,
-                            help="negativity tolerance of the float PT-eigenvalue "
-                                 "cross-check; every verdict is exact")
+                            help="accepted for compatibility (a finite number >= 0); "
+                                 "every verdict is exact and none reads it")
         sp.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
 

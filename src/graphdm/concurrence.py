@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import TRACE_TOL, DensityError, DensityMatrix, density_of_graph
-from .graphs import automorphisms, nonisomorphic_graphs
+from .density import TRACE_TOL, DensityError, DensityMatrix
+from .graphs import automorphisms, laplacian, nonisomorphic_graphs
 from .linalg import PSD_TOL, HermitianMatrix, LinalgError
-from .separability import NPT_TOL, min_pt_eigenvalues, ppt_verdicts
+from .separability import certify_ppt_verdicts, partial_transposes, ppt_verdicts
 
 
 class ConcurrenceError(ValueError):
@@ -166,7 +166,6 @@ class CensusReport:
     always_entangled_count: int
     ever_entangled_count: int
     note: str
-    float_disagreements: int = 0  # labelings the eigenvalues at tol call otherwise
 
 
 def _distinct(values, tol=1e-9):
@@ -177,23 +176,24 @@ def _distinct(values, tol=1e-9):
     return tuple(out)
 
 
-def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
+def four_vertex_census() -> CensusReport:
     """PPT verdicts and concurrence values for every 4-vertex graph class.
 
     All 2^6 edge subsets are grouped into isomorphism classes; each class
     with at least one edge is examined under all 24 cell assignments, and
     the distinct concurrence values over its entangled labelings recorded.
-    Verdicts are exact; `tol` only governs the eigenvalue cross-check.
+    Verdicts are exact, from `ppt_verdicts`, and `certify_ppt_verdicts`
+    checks all of them on the partial transposes of the Laplacians.
     """
     reps = nonisomorphic_graphs(4)
     graphs = [g for g in reps if g.m]
     assigns = np.array(list(itertools.permutations(range(4))))
     total = len(assigns)
-    sigmas = np.stack([density_of_graph(g).to_real() for g in graphs])
+    laps = np.stack([laplacian(g) for g in graphs])
+    sigmas = laps / np.array([2 * g.m for g in graphs])[:, None, None]  # L(G)/2m
     npt = ~np.array([ppt_verdicts(g.edges, assigns, 2, 2) for g in graphs])
-    lows = min_pt_eigenvalues(sigmas.repeat(total, axis=0), np.tile(assigns, (len(graphs), 1)),
-                              2, 2)
-    off = int(((lows.reshape(npt.shape) < -tol) != npt).sum())
+    pts = partial_transposes(laps.repeat(total, axis=0), np.tile(assigns, (len(graphs), 1)), 2, 2)
+    certify_ppt_verdicts(pts, ~npt.ravel())
     # every NPT labeling's state in the cell basis, as one stack
     cls, lab = np.nonzero(npt)
     pos = np.argsort(assigns, axis=1)[lab]  # vertex sitting at each cell
@@ -216,7 +216,7 @@ def four_vertex_census(tol: float = NPT_TOL) -> CensusReport:
     note = (f"{len(reps)} isomorphism classes exist on 4 vertices including the "
             f"empty graph ({len(rows)} with edges); {ever} classes are entangled "
             f"for at least one labeling and {always} for every labeling.")
-    return CensusReport(tuple(rows), len(rows), len(reps), always, ever, note, off)
+    return CensusReport(tuple(rows), len(rows), len(reps), always, ever, note)
 
 
 def census_to_json_dict(report: CensusReport) -> dict:

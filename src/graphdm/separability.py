@@ -25,7 +25,7 @@ SEPARABLE = "SEPARABLE"
 ENTANGLED_NPT = "ENTANGLED_NPT"
 PPT_INCONCLUSIVE = "PPT_INCONCLUSIVE"
 
-NPT_TOL = 1e-9
+NPT_TOL = 1e-9  # the default of --tol, accepted for compatibility; no verdict reads it
 RECONSTRUCTION_TOL = 1e-10
 
 # dimensions at which a positive partial transpose certifies separability
@@ -111,50 +111,61 @@ class ProductState:
 # partial transpose and PPT testing
 
 
-def _pt_index(assigns: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Row indices of the vertex-basis partial transposes of a state.
+def partial_transposes(mats, assigns, p: int, q: int) -> np.ndarray:
+    """Vertex-basis partial transposes of n x n matrices, one per labeling.
 
+    mats is one matrix shared by every labeling, or a stack of K matrices
+    paired with the K rows of assigns or all sharing its one row.
     assigns[k, v] is the flat cell s*q + t of vertex v under labeling k, and
-    at[s, t] is the vertex sitting in cell (s, t).  Entry (u, v) of the k-th
-    PT is sigma[rows[k, u, v], rows[k, v, u]] with rows[k, u, v] =
-    at[s_u, t_v]: transposing the column factor swaps t_u and t_v.
+    at[s, t] the vertex in cell (s, t).  Entry (u, v) of the k-th PT is
+    mat[rows[k, u, v], rows[k, v, u]] with rows[k, u, v] = at[s_u, t_v]:
+    transposing the column factor swaps t_u and t_v.
     """
+    mats = np.asarray(mats)
+    assigns = np.asarray(assigns, dtype=np.intp).reshape(-1, p * q)
     k = np.arange(len(assigns))[:, None]
     at = np.empty_like(assigns)
     at[k, assigns] = np.arange(p * q)
     s, t = np.divmod(assigns, q)
-    return at.reshape(-1, p, q)[k[:, :, None], s[:, :, None], t[:, None, :]]
-
-
-def _pt_indexed(mat: np.ndarray, lab: BipartiteLabeling) -> np.ndarray:
-    """Partial transpose in the vertex basis of the input matrix."""
-    assign = np.array([[lab.flat(v) for v in range(lab.n)]])
-    rows = _pt_index(assign, lab.p, lab.q)[0]
-    return mat[rows, rows.T]
+    rows = at.reshape(-1, p, q)[k[:, :, None], s[:, :, None], t[:, None, :]]
+    stack = () if mats.ndim == 2 else (np.arange(len(mats))[:, None, None],)
+    return mats[(*stack, rows, rows.transpose(0, 2, 1))]
 
 
 def min_pt_eigenvalues(sigma: np.ndarray, assigns, p: int, q: int) -> np.ndarray:
-    """Smallest partial-transpose eigenvalue of a real state per labeling.
-
-    sigma is one n x n state shared by every labeling, or a stack of K
-    states paired with the K rows of assigns (flat cells, assigns[k, v] =
-    s*q + t).  The partial transposes are gathered in the vertex basis,
-    the matrices `ppt_test` sees, and each block of labelings goes through
-    one batched eigvalsh call.
-    """
+    """Smallest PT eigenvalue of a real state per labeling, by one batched
+    eigvalsh per block; sigma is one state for every labeling or a stack
+    paired with the rows of assigns.  It decides no verdict: it is the
+    float reference the tests hold the exact verdicts to."""
     sigma = np.asarray(sigma, dtype=float)
     assigns = np.asarray(assigns, dtype=np.intp).reshape(-1, p * q)
     out = np.empty(len(assigns))
     for lo in range(0, len(assigns), _EIG_BLOCK):
-        rows = _pt_index(assigns[lo:lo + _EIG_BLOCK], p, q)
-        cols = rows.transpose(0, 2, 1)
-        if sigma.ndim == 2:
-            pt = sigma[rows, cols]
-        else:
-            k = np.arange(lo, lo + len(rows))[:, None, None]
-            pt = sigma[k, rows, cols]
-        out[lo:lo + len(rows)] = np.linalg.eigvalsh(pt)[:, 0]
+        block = slice(lo, lo + _EIG_BLOCK)
+        pts = partial_transposes(sigma if sigma.ndim == 2 else sigma[block], assigns[block], p, q)
+        out[block] = np.linalg.eigvalsh(pts)[:, 0]
     return out
+
+
+def certify_ppt_verdicts(pts, ppt) -> np.ndarray:
+    """Integer certificates of PPT verdicts, with no eigensolve.
+
+    pts holds integer partial transposes M of graph Laplacians, or of their
+    positive integer quotients (as `partial_transpose` reduces them), and
+    ppt their verdicts.  Let d = M 1 (its entries sum to 0) and x = n 1 - d.
+    Gershgorin bounds the eigenvalues of M by 2(n - 1), so x^T M x =
+    d^T M d - 2n |d|^2 <= -2 |d|^2: 0 when every cell keeps its degree
+    (PPT), negative otherwise, exact in int64 for n below 20,000.  Returns
+    the certificates; one that contradicts its verdict raises RuntimeError.
+    """
+    pts = np.asarray(pts, dtype=np.int64)
+    x = pts.shape[-1] - pts.sum(axis=-1)
+    cert = np.einsum("...i,...ij,...j->...", x, pts, x)
+    wrong = np.flatnonzero(~np.where(ppt, cert == 0, cert < 0))
+    if wrong.size:
+        raise RuntimeError(f"integer certificate x^T M x = {cert.flat[wrong[0]]} of instance "
+                           f"{wrong[0]} contradicts its PPT verdict ({wrong.size} in all)")
+    return cert
 
 
 @functools.lru_cache(maxsize=16)
@@ -238,7 +249,8 @@ def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMa
     """
     if rho.dim != lab.n:
         raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
-    return HermitianMatrix(_pt_indexed(rho.mat.num, lab), den=rho.mat.den)
+    pt = partial_transposes(rho.mat.num, [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)
+    return HermitianMatrix(pt[0], den=rho.mat.den)
 
 
 def ppt_status(p: int, q: int) -> str:
@@ -247,15 +259,18 @@ def ppt_status(p: int, q: int) -> str:
 
 
 def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling) -> SeparabilityVerdict:
-    """Peres-Horodecki test of a graph state, decided by `ppt_verdicts`: NPT
-    certifies entanglement at any dimension, while a positive partial
-    transpose certifies separability only at 2x2 and 2x3.  The verdict also
-    carries the PT spectrum, from one eigvalsh."""
+    """Peres-Horodecki test of a graph state, decided by `ppt_verdicts` and
+    checked by `certify_ppt_verdicts` on the exact PT: NPT certifies
+    entanglement at any dimension, while a positive partial transpose
+    certifies separability only at 2x2 and 2x3.  The verdict also carries
+    the PT spectrum, from one eigvalsh, which decides nothing."""
     g = rho.origin
     if g is None or rho.normalization != 2 * g.m:
         raise SeparabilityError("the PPT test decides graph states L(G)/2m only")
-    spectrum = np.linalg.eigvalsh(partial_transpose(rho, lab).to_real())
+    pt = partial_transpose(rho, lab)
+    spectrum = np.linalg.eigvalsh(pt.to_real())
     ppt = ppt_verdicts(g.edges, [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)[0]
+    certify_ppt_verdicts(pt.num, ppt)
     status = ppt_status(lab.p, lab.q) if ppt else ENTANGLED_NPT
     return SeparabilityVerdict(status, tuple(spectrum.tolist()))
 
@@ -521,9 +536,9 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling, *, every_labeling=
     g's state separable under lab, else None.
 
     A complete graph decomposes under every labeling ("complete-graph").
-    Under a two-row labeling the entangled edges may form one criss-cross
-    pe-matching ("criss-cross-matching"); with more rows, a graph with no
-    entangled edge is a mixture of product edge states ("product-edges").
+    A graph with no entangled edge is a mixture of product edge states
+    ("product-edges"); under a two-row labeling the entangled edges may
+    form one criss-cross pe-matching ("criss-cross-matching").
     With every_labeling, only a route that certifies g under every labeling
     of its p x q grid counts, so no other route's decomposition is built.
     """
@@ -531,10 +546,10 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling, *, every_labeling=
         return "complete-graph", complete_graph_decomposition(g.n, lab.p, lab.q)
     if every_labeling:
         return None
-    if lab.p == 2:
-        route = "criss-cross-matching"
-    elif not entangled_edges(g, lab):
+    if not entangled_edges(g, lab):
         route = "product-edges"
+    elif lab.p == 2:
+        route = "criss-cross-matching"
     else:
         return None
     try:
@@ -576,8 +591,7 @@ def star_projection_witness(n: int, p: int, q: int) -> StarWitness:
     data[0, 0] = n - 1
     data[0, 1:] = data[1:, 0] = -1
     projected = HermitianMatrix(data, den=2 * (n - 1))
-    sub = BipartiteLabeling.default(2, 2)
-    pt = HermitianMatrix(_pt_indexed(projected.num, sub), den=projected.den)
+    pt = HermitianMatrix(partial_transposes(projected.num, range(4), 2, 2)[0], den=projected.den)
     pt_eigs = tuple(float(v) for v in np.linalg.eigvalsh(pt.to_real()))
     root = math.sqrt((n - 1) ** 2 + 8) / (n - 1)
     formula = tuple(sorted([1.0 / (2 * (n - 1)), 1.0 / (n - 1),
@@ -598,7 +612,6 @@ class LabelingCensus:
     counts: dict
     witnesses: dict  # status -> flat cell assignment tuple
     seed: int | None = None
-    float_disagreements: int = 0  # witnesses the eigenvalues at tol call otherwise
 
 
 @functools.cache
@@ -638,8 +651,8 @@ def coset_representatives(p: int, q: int) -> np.ndarray:
     return assigns
 
 
-def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
-                    sample: int | None = None, seed: int | None = None) -> LabelingCensus:
+def labeling_search(g: Graph, p: int, q: int, *, sample: int | None = None,
+                    seed: int | None = None) -> LabelingCensus:
     """Census of PPT verdicts over vertex labelings of g.
 
     Every verdict is exact, from `ppt_verdicts`.  Exhaustive mode (n <= 8)
@@ -648,9 +661,8 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
     weights it by p!q!; counts refer to all n! labelings, and each witness
     is the lexicographically first labeling of its status.  For larger
     graphs pass `sample` to draw that many uniform labelings from
-    default_rng(seed).  `tol` only governs the float cross-check:
-    `float_disagreements` counts the witnesses whose smallest PT
-    eigenvalue says otherwise.
+    default_rng(seed).  `certify_ppt_verdicts` checks each witness's
+    verdict on its exact PT.
     """
     n = g.n
     if p * q != n:
@@ -665,7 +677,7 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         raise SeparabilityError(f"sample budget must be at most {MAX_SAMPLES}, got {sample}")
     if seed is not None and seed < 0:
         raise SeparabilityError(f"seed must be non-negative, got {seed}")
-    sigma = density_of_graph(g).mat.to_real()  # rejects an edgeless graph
+    lap = density_of_graph(g).mat.num  # the Laplacian; rejects an edgeless graph
 
     if sample is None:
         assigns = coset_representatives(p, q)
@@ -685,8 +697,7 @@ def labeling_search(g: Graph, p: int, q: int, *, tol: float = NPT_TOL,
         counts[status] = weight * len(hits)
         if len(hits):
             witnesses[status] = tuple(int(a) for a in assigns[hits[0]])
-    lows = min_pt_eigenvalues(sigma, list(witnesses.values()), p, q)
-    off = sum(bool(low < -tol) != (status == ENTANGLED_NPT)
-              for status, low in zip(witnesses, lows))
+    certify_ppt_verdicts(partial_transposes(lap, list(witnesses.values()), p, q),
+                         [status != ENTANGLED_NPT for status in witnesses])
     return LabelingCensus(p, q, mode, total, counts, witnesses,
-                          seed=None if sample is None else seed, float_disagreements=off)
+                          seed=None if sample is None else seed)

@@ -472,19 +472,22 @@ def test_analyze_without_a_constructive_route(capsys, graph_file, text, p, q, st
     assert abs(low) < 1e-12 and abs(blob["verdict"]["min_pt_eigenvalue"] - low) < 1e-12
 
 
-@pytest.mark.parametrize("text,p,q,labeling", [
+@pytest.mark.parametrize("text,p,q,labeling,ppt_status", [
     # one row edge and one column edge on the 3x3 grid
-    ("n 9\ne 1 2\ne 1 4\n", 3, 3, None),
+    ("n 9\ne 1 2\ne 1 4\n", 3, 3, None, "PPT_INCONCLUSIVE"),
     # column edges 1-7 (rows 0, 3) and 2-5 (rows 2, 0: read from the lower row
     # first), and the row edge 2-6, under a labeling that is not the default
-    ("n 8\ne 1 7\ne 2 5\ne 2 6\n", 4, 2, "1=0.0,2=2.1,3=1.0,4=1.1,5=0.1,6=2.0,7=3.0,8=3.1"),
-], ids=["3x3", "4x2"])
+    ("n 8\ne 1 7\ne 2 5\ne 2 6\n", 4, 2, "1=0.0,2=2.1,3=1.0,4=1.1,5=0.1,6=2.0,7=3.0,8=3.1",
+     "PPT_INCONCLUSIVE"),
+    # two row edges on two rows: product edges, not a criss-cross matching
+    ("n 4\ne 1 2\ne 3 4\n", 2, 2, None, "SEPARABLE"),
+], ids=["3x3", "4x2", "2x2"])
 def test_analyze_certifies_graphs_without_entangled_edges(capsys, graph_file, text, p, q,
-                                                          labeling):
+                                                          labeling, ppt_status):
     argv = ["analyze", graph_file("g.graph", text), "--p", str(p), "--q", str(q), "--json"]
     blob = run_json(capsys, argv + (["--labeling", labeling] if labeling else []))
     assert blob["entangled_edges"] == []
-    assert blob["verdict"]["ppt_status"] == "PPT_INCONCLUSIVE"
+    assert blob["verdict"]["ppt_status"] == ppt_status
     assert blob["verdict"]["status"] == "SEPARABLE"
     dec = blob["decomposition"]
     assert dec["route"] == "product-edges" and dec["terms"] == len(blob["graph"]["edges"])
@@ -646,7 +649,7 @@ def test_missing_subcommand_exits_with_usage():
 
 
 # ---------------------------------------------------------------------------
-# exact verdicts: output pinned, --tol only cross-checks
+# exact verdicts: output pinned, certified in integers, --tol read by none
 
 
 def run_text(capsys, argv):
@@ -665,6 +668,7 @@ PINNED_FILES = {
         f"e {u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)),
     "cross8.graph": "n 8\ne 1 6\ne 2 5\ne 3 8\ne 4 7\n",  # two criss-crosses at 2x4
     "c5.graph": "n 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
+    "c12.graph": "n 12\n" + "".join(f"e {v} {v % 12 + 1}\n" for v in range(1, 13)),
     "edits.txt": "del-edge 1 2\nadd-edge 1 3\ndel-vertex 5\nadd-vertex\n",
     "empty4.graph": "n 4\n",
 }
@@ -674,7 +678,7 @@ def pinned_argv(graph_file, argv):
     return [graph_file(a, PINNED_FILES[a]) if a in PINNED_FILES else a for a in argv]
 
 
-@pytest.mark.parametrize("argv,digest", [
+PINNED_OUTPUTS = [
     (["probe", "--p", "2", "--q", "2"], "d61266bdd670fc11"),
     (["probe", "--p", "2", "--q", "3"], "b07847ce9717866b"),
     (["probe", "--p", "2", "--q", "4"], "748dff10af907928"),
@@ -686,7 +690,10 @@ def pinned_argv(graph_file, argv):
     # certified edits report the edited graph's own state (see below)
     (["channel", "c5.graph", "--script", "edits.txt"], "c1c2594f500fbce8"),
     (["census4", "--csv", "-"], "fcf89dc12cd1bdea"),  # the CSV wins over --json
-])
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
 def test_census_json_is_pinned(capsys, graph_file, argv, digest):
     # sha256 of each output before its verdicts and probabilities became exact
     out, err = run_text(capsys, pinned_argv(graph_file, argv) + ["--json"])
@@ -774,44 +781,68 @@ def test_search_verdicts_do_not_read_tol(capsys, graph_file):
     assert loose == default
 
 
-def test_float_cross_check_warns_on_disagreement(capsys, graph_file):
-    # P4's NPT witness has smallest PT eigenvalue (1 - sqrt 2)/6 = -0.069
+def test_tol_leaves_every_output_unchanged(capsys, graph_file):
+    # P4's NPT witness has smallest PT eigenvalue (1 - sqrt 2)/6 = -0.069,
+    # which a float test at --tol 0.1 would call PPT
     path = graph_file("p4.graph", P4_TEXT)
-    argv = ["search", path, "--p", "2", "--q", "2", "--json"]
-    default, _ = run_text(capsys, argv)
-    loose, err = run_text(capsys, argv + ["--tol", "0.1"])
-    assert loose == default
-    assert err.startswith("warning: ") and err.count("\n") == 1
-    argv = ["analyze", path, "--p", "2", "--q", "2", "--labeling", INTERLEAVED, "--json"]
-    default, err = run_text(capsys, argv)
-    assert err == "" and json.loads(default)["verdict"]["status"] == "ENTANGLED_NPT"
-    loose, err = run_text(capsys, argv + ["--tol", "0.1"])
-    assert loose == default
-    assert err.startswith("warning: ") and err.count("\n") == 1
-    default, _ = run_text(capsys, ["census4", "--json"])
-    loose, err = run_text(capsys, ["census4", "--json", "--tol", "1"])
-    assert loose == default
-    assert err.startswith("warning: ") and err.count("\n") == 1
+    analyze = ["analyze", path, "--p", "2", "--q", "2", "--labeling", INTERLEAVED, "--json"]
+    verdict = run_json(capsys, analyze)["verdict"]
+    assert verdict["status"] == "ENTANGLED_NPT" and -0.1 < verdict["min_pt_eigenvalue"] < 0
+    for argv, tol in ((["search", path, "--p", "2", "--q", "2", "--json"], "0.1"),
+                      (analyze, "0.1"), (["census4", "--json"], "1")):
+        default = run_text(capsys, argv)
+        assert default[1] == "" and run_text(capsys, argv + ["--tol", tol]) == default
 
 
 def test_probe_reports_counterexample_eigenvalues(capsys, monkeypatch):
-    # no probed graph is PPT; call every instance PPT to reach the report
+    # no probed graph is PPT: calling every instance PPT is an internal fault
+    # the integer certificate catches
     monkeypatch.setattr(cli, "ppt_verdicts", lambda *a: np.ones(len(a[4]), dtype=bool))
+    assert main(["probe", "--p", "2", "--q", "2", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("internal error: integer certificate x^T M x = -")
+    # past the certificate, each counterexample reports the smallest PT
+    # eigenvalue of a PPT graph state, exactly 0
+    monkeypatch.setattr(cli, "certify_ppt_verdicts", lambda pts, ppt: None)
     blob = json.loads(run_text(capsys, ["probe", "--p", "2", "--q", "2", "--json"])[0])
     part = blob["single_entangled_edge"]
     assert part["verdicts"] == {"SEPARABLE": 32}
     assert len(part["counterexamples"]) == 10
-    for c in part["counterexamples"]:
-        edges = [(u - 1, v - 1) for u, v in c["edges"]]
-        sigma = cli.density_of_graph(graphs.build_graph(4, edges)).to_real()[None]
-        assert c["min_pt_eigenvalue"] == float(cli.min_pt_eigenvalues(sigma, [range(4)], 2, 2)[0])
-        assert c["min_pt_eigenvalue"] < -1e-9
+    assert all(c["min_pt_eigenvalue"] == 0.0 for c in part["counterexamples"])
     # the two entangled pairs at 2x2 share no vertex: no concentrated part
     assert blob["entangled_edges_at_one_vertex"]["instances"] == 0
-    assert main(["probe", "--p", "2", "--q", "2"]) == 0
-    out = capsys.readouterr()
-    assert out.out.count("counterexample edges:") == 10
-    assert out.err.startswith("warning: ") and " contradict 10 cross-checked " in out.err
+    out, err = run_text(capsys, ["probe", "--p", "2", "--q", "2"])
+    assert out.count("counterexample edges:") == 10 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "cross8.graph", "--p", "2", "--q", "4"],
+    ["search", "c12.graph", "--p", "3", "--q", "4", "--budget", "300", "--seed", "4"],
+    ["probe", "--p", "2", "--q", "3"],
+    ["probe", "--p", "2", "--q", "4"],
+    ["census4"],
+], ids=["search-2x4", "search-3x4-sampled", "probe-2x3", "probe-2x4", "census4"])
+def test_census_path_runs_no_pt_eigensolve(capsys, graph_file, monkeypatch, argv):
+    """search and probe run no eigensolver at all, and census4, whose
+    concurrences need eigensolves, none of the PT; each output is the
+    unpatched one, and a pinned one keeps its digest."""
+    digest = dict((tuple(a), d) for a, d in PINNED_OUTPUTS).get(tuple(argv))
+    argv = pinned_argv(graph_file, argv) + ["--json"]
+    want = run_text(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    if argv[0] == "census4":  # wherever a graphdm module binds the PT kernel
+        for module in [m for name, m in sys.modules.items() if name.startswith("graphdm.")]:
+            if hasattr(module, "min_pt_eigenvalues"):
+                monkeypatch.setattr(module, "min_pt_eigenvalues", refuse)
+    else:
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert run_text(capsys, argv) == want
+    assert digest in (None, hashlib.sha256(want[0].encode()).hexdigest()[:16])
 
 
 def test_probe_draws_match_scalar_draws():

@@ -3,7 +3,8 @@ imports another's _private names, no module builds an object array, one
 function reads the channel landing tolerance and the CLI names neither it,
 the comparison nor the channel tolerance, one reads the reconstruction
 tolerance, the CLI reaches separable decompositions through one route
-chooser, and no module brings back an inexact matrix mode."""
+chooser, no module brings back an inexact matrix mode, and eigensolvers
+run only where a float spectrum is the result, not a verdict."""
 
 import ast
 from pathlib import Path
@@ -161,6 +162,18 @@ def test_reader_scan_sees_each_form(tmp_path):
 def test_one_function_checks_a_decomposition():
     found = sorted({r for p in SRC.glob("*.py") for r in readers(p, "RECONSTRUCTION_TOL")})
     assert found == ["separability.py:verify_separable_decomposition"]
+
+
+def test_eigensolvers_run_only_at_allowed_call_sites():
+    # every PPT verdict is exact and certified in integers; a float
+    # eigensolve may compute a spectrum, a PSD check or a concurrence, and
+    # min_pt_eigenvalues is the tests' float reference
+    found = sorted({r for p in SRC.glob("*.py") for name in ("eigvalsh", "eigh")
+                    for r in readers(p, name)})
+    assert found == ["concurrence.py:_psd_sqrts", "concurrence.py:concurrences",
+                     "linalg.py:eigensystem", "linalg.py:is_psd",
+                     "separability.py:min_pt_eigenvalues", "separability.py:ppt_test",
+                     "separability.py:star_projection_witness"]
 
 
 def test_one_function_reads_the_channel_tolerance():

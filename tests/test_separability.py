@@ -48,7 +48,15 @@ from graphdm import (
     tally_mark_decomposition,
     verify_separable_decomposition,
 )
-from graphdm.separability import _EIG_BLOCK, RECONSTRUCTION_TOL, _pair_table
+import graphdm.separability as separability
+from graphdm.graphs import laplacian
+from graphdm.separability import (
+    _EIG_BLOCK,
+    RECONSTRUCTION_TOL,
+    _pair_table,
+    certify_ppt_verdicts,
+    partial_transposes,
+)
 
 F = Fraction
 LAB22 = BipartiteLabeling.default(2, 2)
@@ -562,6 +570,42 @@ def test_ppt_verdicts_match_pt_eigenvalues(dims, density, seed):
                  np.array([v.min_pt_eigenvalue for v in verdicts]))
 
 
+@settings(max_examples=120, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 5), (3, 4)]),
+       density=st.floats(0.1, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_matches_verdicts_and_pt_eigenvalues(dims, density, seed):
+    p, q = dims
+    n = p * q
+    rng = np.random.default_rng(seed)
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    present = rng.random((8, len(pairs))) < density
+    present[np.arange(8), rng.integers(len(pairs), size=8)] = True
+    assigns = np.array([rng.permutation(n) for _ in range(8)])
+    graphs = [build_graph(n, [tuple(e) for e in pairs[row]]) for row in present]
+    pts = partial_transposes(np.stack([laplacian(g) for g in graphs]), assigns, p, q)
+    ppt = ppt_verdicts(pairs, assigns, p, q, present)
+    cert = certify_ppt_verdicts(pts, ppt)
+    lows = min_pt_eigenvalues(np.stack([density_of_graph(g).to_real() for g in graphs]),
+                              assigns, p, q)
+    assert np.array_equal(cert < 0, ~ppt) and np.array_equal(cert < 0, lows < -1e-9)
+    assert (cert[ppt] == 0).all()
+    # x^T M x = d^T M d - 2n |d|^2 <= -2 |d|^2, with d = M 1, by hand
+    for pt, c in zip(pts, cert):
+        d = pt.sum(axis=1)
+        assert c == d @ pt @ d - 2 * n * d @ d <= -2 * d @ d
+    # the exact state's gcd-reduced PT gives the same verdict
+    for g, a, verdict in zip(graphs, assigns, ppt):
+        lab = BipartiteLabeling.from_assignment(p, q, a)
+        assert (certify_ppt_verdicts(partial_transpose(density_of_graph(g), lab).num,
+                                     verdict) < 0) == (not verdict)
+    # one wrong verdict raises, naming its instance
+    k = int(rng.integers(8))
+    wrong = ppt.copy()
+    wrong[k] = not wrong[k]
+    with pytest.raises(RuntimeError, match=rf"of instance {k} contradicts"):
+        certify_ppt_verdicts(pts, wrong)
+
+
 def test_ppt_verdicts_on_known_states():
     rng = np.random.default_rng(3)
     for p, q in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
@@ -743,16 +787,21 @@ def test_sampled_search_matches_per_row_draws_and_eigenvalues():
                              PPT_INCONCLUSIVE: int((~npt).sum())}
     assert census.witnesses == {ENTANGLED_NPT: tuple(assigns[np.argmax(npt)]),
                                 PPT_INCONCLUSIVE: tuple(assigns[np.argmin(npt)])}
-    assert census.float_disagreements == 0
 
 
-def test_tol_only_governs_the_cross_check():
-    g = path_graph(4)
-    exact = labeling_search(g, 2, 2)
-    # the NPT witness has smallest PT eigenvalue (1 - sqrt 2)/6 = -0.069
-    loose = labeling_search(g, 2, 2, tol=0.1)
-    assert (loose.counts, loose.witnesses) == (exact.counts, exact.witnesses)
-    assert exact.float_disagreements == 0 and loose.float_disagreements == 1
+def test_every_verdict_path_checks_the_certificate(monkeypatch):
+    """ppt_test, the search witnesses and the 4-vertex census each hold
+    their exact verdicts to the integer certificate: flipped verdicts raise."""
+    census = sys.modules["graphdm.concurrence"]  # the package's `concurrence` is a function
+    exact = ppt_verdicts
+    for module in (separability, census):
+        monkeypatch.setattr(module, "ppt_verdicts", lambda *a, **k: ~exact(*a, **k))
+    for run in (lambda: ppt_test(density_of_graph(path_graph(4)), LAB22),
+                lambda: labeling_search(path_graph(4), 2, 2),
+                lambda: labeling_search(petersen_graph(), 2, 5, sample=50),
+                census.four_vertex_census):
+        with pytest.raises(RuntimeError, match="^integer certificate x"):
+            run()
 
 
 # ---------------------------------------------------------------------------
