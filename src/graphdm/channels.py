@@ -41,8 +41,8 @@ from .graphs import (
     tensor_product,
 )
 from .linalg import exact_projector
-from .separability import (SEPARABLE, BipartiteLabeling, pe_matching_separability, ppt_test,
-                           ppt_verdicts)
+from .separability import (SEPARABLE, BipartiteLabeling, ppt_test, ppt_verdicts,
+                           separable_decomposition)
 
 # largest distance at which complete_to_unitary's U @ source may miss target
 CHANNEL_TOL = 1e-10
@@ -418,7 +418,7 @@ def locc_principle_examples() -> LoccReport:
     """
     lab = BipartiteLabeling.default(2, 2)
     crossing = build_graph(4, [(0, 3), (1, 2)])
-    states = pe_matching_separability(crossing, lab)  # raises unless verified
+    _, states = separable_decomposition(crossing, lab)  # raises unless verified
 
     bell_graph = delete_edge(crossing, 1, 2)
     bell = density_of_graph(bell_graph)

@@ -61,6 +61,7 @@ from .separability import (
     SeparabilityError,
     _min_eig_for_assignment,  # noqa: F401 - perfbench's tracer test rebinds it here
     certify_ppt_verdicts,
+    complete_graph_decomposition,
     entangled_edges,
     labeling_search,
     partial_transposes,
@@ -171,12 +172,10 @@ def _complex_list(vec) -> list:
 
 
 def _states_payload(states) -> list:
-    return [
-        {"weight": float(s.weight),
-         "left": _complex_list(s.left),
-         "right": _complex_list(s.right)}
-        for s in states
-    ]
+    lefts = _complex_list([s.left for s in states])
+    rights = _complex_list([s.right for s in states])
+    return [{"weight": float(s.weight), "left": left, "right": right}
+            for s, left, right in zip(states, lefts, rights)]
 
 
 def _parse_labeling(spec: str, p: int, q: int, n: int) -> BipartiteLabeling:
@@ -440,8 +439,8 @@ def cmd_search(args) -> None:
                       for status, assign in sorted(census.witnesses.items())},
         "seed": census.seed,
     }
-    lab = BipartiteLabeling.default(p, q)
-    if separable_decomposition(g, lab, every_labeling=True) is not None:
+    if g.m == g.n * (g.n - 1) // 2:
+        complete_graph_decomposition(g.n, p, q)  # raises unless it reconstructs
         certified = dict(payload["counts"])
         moved = certified.pop(PPT_INCONCLUSIVE, 0)
         certified[SEPARABLE] = certified.get(SEPARABLE, 0) + moved

@@ -8,10 +8,10 @@ independently of the generic eigensolver path so they can cross-validate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .density import DensityMatrix
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph, adjacency_matrix, component_count
 from .linalg import HermitianMatrix, SpectrumResult, eigensystem
 
 ZERO_EIGENVALUE_CUTOFF = 1e-12
@@ -40,8 +40,13 @@ def _entropy_of_values(values) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
-    """-sum lambda log2 lambda, with eigenvalues below 1e-12 treated as 0."""
+    """-sum lambda log2 lambda, with eigenvalues below 1e-12 treated as 0.
+    A graph state's kernel is reported as exact zeros."""
     spec = eigensystem(rho.mat)
+    g = rho.origin
+    if g is not None and rho.normalization == 2 * g.m:  # L(G)/2m: one zero per component
+        kernel = component_count(g)
+        spec = replace(spec, eigenvalues=(0.0,) * kernel + spec.eigenvalues[kernel:])
     ent = _entropy_of_values(spec.eigenvalues)
     bound = math.log2(rho.dim - 1) if rho.dim > 1 else 0.0
     return EntropyReport(ent, spec, bound)

@@ -176,14 +176,16 @@ def kron(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues in ascending order with tolerance-grouped multiplicities.
-
-    eigenvectors holds orthonormal columns aligned with `eigenvalues`.
-    """
+    """Eigenvalues in ascending order; eigenvectors holds orthonormal
+    columns aligned with them."""
 
     eigenvalues: tuple[float, ...]
-    multiplicities: tuple[tuple[float, int], ...]
     eigenvectors: np.ndarray
+
+    @property
+    def multiplicities(self) -> tuple[tuple[float, int], ...]:
+        """Eigenvalues whose steps stay within GROUP_TOL share a multiplicity."""
+        return _group(np.array(self.eigenvalues), GROUP_TOL)
 
 
 def _group(values: np.ndarray, tol: float):
@@ -198,14 +200,13 @@ def _group(values: np.ndarray, tol: float):
 
 def eigensystem(h: HermitianMatrix) -> SpectrumResult:
     """Full spectral decomposition via the symmetric eigensolver, checked by
-    its reconstruction residual; eigenvalues whose steps stay within
-    GROUP_TOL share a multiplicity."""
+    its reconstruction residual."""
     mat = h.to_real()
     vals, vecs = np.linalg.eigh(mat)
     err = np.abs((vecs * vals) @ vecs.T - mat).max()
     if err > 1e-10 * h.dim:
         raise LinalgError(f"eigendecomposition failed to reconstruct (err={err:g})")
-    return SpectrumResult(tuple(vals.tolist()), _group(vals, GROUP_TOL), vecs)
+    return SpectrumResult(tuple(vals.tolist()), vecs)
 
 
 def diagonally_dominant(num: np.ndarray) -> bool:

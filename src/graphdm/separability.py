@@ -1,6 +1,7 @@
 """Bipartite structure of graph states: partial transpose, PPT verdicts,
 entangled edges, matching canonicalization, and explicit separable
-decompositions.
+decompositions, all built by one pass that peels the entangled edges into
+directed cycles.
 
 A labeling identifies the n = p*q vertices with the product basis
 |row s>|column t>.  The default map sends vertex v (0-based) to
@@ -9,9 +10,7 @@ A labeling identifies the n = p*q vertices with the product basis
 
 from __future__ import annotations
 
-import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -373,43 +372,97 @@ def canonicalize_pe_matching(g: Graph, lab: BipartiteLabeling):
     return tuple(relab), canonical, marks
 
 
-def _tally_states(cycle_columns, q: int, weight: float) -> list[ProductState]:
-    """Product states whose uniform mixture is the state of one tally-mark.
+def _tally_states(marks: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked factors of the product states whose uniform mixture is the
+    state of N tally marks, each k nodes (r, s, column) in traversal order:
+    mark i joins row-r column c_j to row-s column c_{j+1 mod k}.  Its mode
+    m, row i*k + m of both stacks, is (|r> - e^{-2 pi i m/k} |s>)/sqrt(2)
+    (x) sum_j e^{2 pi i jm/k} |c_j>/sqrt(k), a discrete Fourier vector."""
+    n_marks, k, _ = marks.shape
+    modes = np.arange(k)
+    fourier = np.exp(2j * np.pi * (np.outer(modes, modes) % k) / k)  # [m, j] = w^(jm)
+    at = np.arange(n_marks)[:, None]
+    left = np.zeros((n_marks, k, p), dtype=complex)
+    left[at, :, marks[:, :1, 0]] = 1 / math.sqrt(2)
+    left[at, :, marks[:, :1, 1]] = -fourier[:, 1].conj() / math.sqrt(2)
+    right = np.zeros((n_marks, k, q), dtype=complex)
+    right[at[:, :, None], modes[:, None], marks[:, None, :, 2]] = fourier / math.sqrt(k)
+    return left.reshape(-1, p), right.reshape(-1, q)
 
-    cycle_columns lists the columns in traversal order along the chain;
-    the left factors run through (|0> - e^{-2 pi i m/(k+1)} |1>)/sqrt(2) and
-    the right factors are the matching discrete-Fourier vectors.
-    """
-    size = len(cycle_columns)
-    states = []
-    for m in range(size):
-        phase = cmath.exp(-2j * cmath.pi * m / size)
-        left = np.array([1.0, -phase]) / math.sqrt(2)
-        right = np.zeros(q, dtype=complex)
-        for s, col in enumerate(cycle_columns):
-            right[col] = cmath.exp(2j * cmath.pi * s * m / size)
-        right /= math.sqrt(size)
-        states.append(ProductState(left, right, weight))
-    return states
+
+def _directed_cycles(arcs) -> list[list]:
+    """Split arcs (tail, head), each node as often a tail as a head, into
+    directed cycles, each the list of its nodes in traversal order.  The
+    walk starts at the smallest node with an unused arc, always takes the
+    unused arc to the smallest head, and cuts a cycle off wherever it
+    revisits a node, so it follows every arc once."""
+    succ = {}  # node -> heads of its unused arcs, descending, so pop() takes the smallest
+    for tail, head in sorted(arcs, reverse=True):
+        succ.setdefault(tail, []).append(head)
+    cycles = []
+    for start in sorted(succ):
+        path, at = [start], {start: 0}
+        while len(path) > 1 or succ[start]:
+            node = succ[path[-1]].pop()
+            if node in at:
+                cut = at[node]
+                cycles.append(path[cut:])
+                for gone in path[cut + 1:]:
+                    del at[gone]
+                del path[cut + 1:]
+            else:
+                at[node] = len(path)
+                path.append(node)
+    return cycles
+
+
+def _cycle_factors(edges, cells, p: int, q: int):
+    """(left, right, entangled edges) of the product states, one per edge,
+    of a graph whose vertex v sits at cells[v] = (row, column) of a p x q
+    grid: the directed cycles' tally marks, shortest first, then the
+    separable edges in edge order.  None when some row pair's arcs do not
+    balance."""
+    h = 1 / math.sqrt(2)
+    lefts, rights, entangled, arcs = [], [], [], []
+    for u, v in edges:
+        (r, a), (s, b) = cells[u], cells[v]
+        if s < r:  # read each edge from its upper row
+            r, a, s, b = s, b, r, a
+        if r != s and a != b:  # the arc a -> b of the row pair (r, s)
+            entangled.append((u, v))
+            arcs.append(((r, s, a), (r, s, b)))
+            continue
+        left, right = [0.0] * p, [0.0] * q
+        if r == s:  # a row edge: |r> (x) (|a> - |b>)/sqrt(2)
+            left[r], right[a], right[b] = 1.0, h, -h
+        else:  # a column edge: (|r> - |s>)/sqrt(2) (x) |a>
+            left[r], left[s], right[a] = h, -h, 1.0
+        lefts.append(left)
+        rights.append(right)
+    if sorted(tail for tail, _ in arcs) != sorted(head for _, head in arcs):
+        return None
+    by_size = {}
+    for cycle in _directed_cycles(arcs):
+        by_size.setdefault(len(cycle), []).append(cycle)
+    blocks = [_tally_states(np.array(marks), p, q) for _, marks in sorted(by_size.items())]
+    blocks.append((np.array(lefts).reshape(-1, p), np.array(rights).reshape(-1, q)))
+    return (np.concatenate([f for f, _ in blocks]), np.concatenate([f for _, f in blocks]),
+            entangled)
 
 
 def tally_mark_decomposition(g: Graph) -> list[ProductState]:
     """Separable decomposition of a single tally-mark spanning its graph.
 
     Under the default two-row labeling the graph must be a pe-matching whose
-    column map is one cycle visiting its columns in increasing order.
-    Returns k+1 product states with uniform weights whose mixture
-    reconstructs the state, built and verified by the matching route.
+    column map is one cycle visiting its columns in increasing order; its
+    k+1 Fourier product states come from `separable_decomposition`.
     """
     if g.n % 2:
         raise SeparabilityError("tally-mark graph needs an even vertex count")
-    lab = BipartiteLabeling.default(2, g.n // 2)
-    if classify_matching(g, lab) != "pe-matching":
-        raise SeparabilityError("graph is not a pe-matching under this labeling")
-    pi = _row_derangement(g, lab)
-    if any(pi[c] != (c + 1) % lab.q for c in range(lab.q)):
-        raise SeparabilityError("pe-matching is not a single increasing chain")
-    return pe_matching_separability(g, lab)
+    q = g.n // 2
+    if q < 2 or any(g.loops) or g.edges != tuple(sorted((c, q + (c + 1) % q) for c in range(q))):
+        raise SeparabilityError("graph is not one increasing tally mark on two rows")
+    return separable_decomposition(g, BipartiteLabeling.default(2, q))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,114 +501,50 @@ def verify_separable_decomposition(rho: DensityMatrix, states,
     return bool(np.abs(mix - rho.mat.to_real()).max() <= RECONSTRUCTION_TOL)
 
 
-def _basis(dim: int, i: int, sign_j: float | None = None, j: int | None = None) -> np.ndarray:
-    """|i>, or (|i> + sign_j |j>)/sqrt(2), in dimension dim."""
-    vec = np.zeros(dim)
-    vec[i] = 1.0
-    if j is not None:
-        vec[j] = sign_j
-        vec /= math.sqrt(2)
-    return vec
-
-
 def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
-    """Explicit product-state mixture for the complete graph's state.
-
-    Separable edges keep their own projectors; each criss-crossing pair of
-    entangled edges is rewritten as two product projectors on (|u_s> +/-
-    |u_s'>)/sqrt(2) tensor (|w_t> -/+ |w_t'>)/sqrt(2).  Relabeling leaves
-    the complete graph's state unchanged, so the check under the default
-    labeling holds, with the same residual, under every labeling.
-    """
-    if p * q != n:
-        raise SeparabilityError("n must equal p*q")
+    """`separable_decomposition` of K_n under the default p x q labeling: its
+    entangled edges pair into criss-crosses, 2-cycles.  Relabeling leaves
+    K_n's state unchanged, so the decomposition holds under every labeling."""
     if n < 2:
         raise SeparabilityError("complete graph needs n >= 2")
-    m = n * (n - 1) // 2
-    w = 1.0 / m
-    states = []
-    row_pairs = list(itertools.combinations(range(p), 2))
-    col_pairs = list(itertools.combinations(range(q), 2))
-    # separable edges: same row (column pair) or same column (row pair)
-    for s, (t, t2) in itertools.product(range(p), col_pairs):
-        states.append(ProductState(_basis(p, s), _basis(q, t, -1.0, t2), w))
-    for t, (s, s2) in itertools.product(range(q), row_pairs):
-        states.append(ProductState(_basis(p, s, -1.0, s2), _basis(q, t), w))
-    # entangled edges, handled as criss-crossing pairs
-    for (s, s2), (t, t2) in itertools.product(row_pairs, col_pairs):
-        states.append(ProductState(_basis(p, s, 1.0, s2), _basis(q, t, -1.0, t2), w))
-        states.append(ProductState(_basis(p, s, -1.0, s2), _basis(q, t, 1.0, t2), w))
-    rho = density_of_graph(complete_graph(n))
-    if not verify_separable_decomposition(rho, states):
-        raise SeparabilityError("complete-graph decomposition failed to reconstruct")
-    return states
+    return separable_decomposition(complete_graph(n), BipartiteLabeling.default(p, q))[1]
 
 
-def pe_matching_separability(g: Graph, lab: BipartiteLabeling) -> list[ProductState]:
-    """Verified product states of g's state, by the matching theorem.
+def separable_decomposition(g: Graph, lab: BipartiteLabeling):
+    """(route, verified product states, each of weight 1/m) when g's state
+    splits into product states under lab by directed cycles, else None.
 
-    Requires every entangled edge of g to lie in one pe-matching H (so the
-    entangled edges are vertex-disjoint and span the graph, or there are
-    none at all); entangled edges need a two-row labeling, while a graph
-    without them decomposes at any p.  The state splits as a mixture of
-    H's tally-mark product states and the remaining separable edge states,
-    each a product vector; the decomposition is checked against the state
-    before it is returned, so it certifies SEPARABLE at any q.
+    Edges within a row or a column are product states.  An entangled edge
+    (r, a)-(s, b), r < s, is an arc a -> b of the row pair (r, s); where
+    every column has as many arcs out as in, the arcs split into directed
+    cycles, and each cycle is a tally mark (`_tally_states`).  At two rows
+    that balance is the degree criterion, so every PPT state decomposes
+    (Wu, Phys. Lett. A 351 (2006) 18); a p x 2 labeling is read transposed.
+    The route names the family: "complete-graph", "product-edges" (no
+    entangled edge), "criss-cross-matching" (two rows, the entangled edges
+    covering each vertex once) or "directed-cycles".  A mixture that
+    verify_separable_decomposition rejects raises.
     """
-    ent = entangled_edges(g, lab)  # rejects a labeling of the wrong size
-    if ent and lab.p != 2:
-        raise SeparabilityError("matching separability is stated for two rows")
-    if g.m == 0:
-        raise SeparabilityError("graph has no edges")
-    states = []
+    if g.n != lab.n:
+        raise SeparabilityError("labeling size does not match the graph")
+    found = _cycle_factors(g.edges, lab.cells, lab.p, lab.q)
+    if found is None and lab.q == 2:  # the transposed 2 x p pass, its factors swapped
+        found = _cycle_factors(g.edges, [(t, s) for s, t in lab.cells], 2, lab.p)
+        found = found and (found[1], found[0], found[2])
+    if found is None:
+        return None
+    left, right, entangled = found
+    rho = density_of_graph(g)  # rejects an edgeless graph
+    ends = [v for edge in entangled for v in edge]
+    route = ("complete-graph" if g.m == g.n * (g.n - 1) // 2
+             else "product-edges" if not ends
+             else "criss-cross-matching" if lab.p == 2 and len(ends) == g.n == len(set(ends))
+             else "directed-cycles")
     w = 1.0 / g.m
-    if ent:
-        h = Graph(g.n, tuple(sorted(ent)), (0,) * g.n)
-        if classify_matching(h, lab) != "pe-matching":
-            raise SeparabilityError("entangled edges do not form one pe-matching")
-        column_perm, _, marks = canonicalize_pe_matching(h, lab)
-        # pull each canonical tally-mark back through the column relabeling
-        for mark in marks:
-            for st in _tally_states(mark.columns, lab.q, w):
-                right = np.array([st.right[column_perm[t]] for t in range(lab.q)])
-                states.append(ProductState(st.left, right, w))
-    for (u, v) in g.edges:
-        (s, t), (s2, t2) = lab.cells[u], lab.cells[v]
-        if s == s2:
-            states.append(ProductState(_basis(lab.p, s), _basis(lab.q, t, -1.0, t2), w))
-        elif t == t2:
-            states.append(ProductState(_basis(lab.p, min(s, s2), -1.0, max(s, s2)),
-                                       _basis(lab.q, t), w))
-    if not verify_separable_decomposition(density_of_graph(g), states, lab):
-        raise SeparabilityError("matching decomposition failed to reconstruct")
-    return states
-
-
-def separable_decomposition(g: Graph, lab: BipartiteLabeling, *, every_labeling=False):
-    """(route, verified product states) when a constructive route certifies
-    g's state separable under lab, else None.
-
-    A complete graph decomposes under every labeling ("complete-graph").
-    A graph with no entangled edge is a mixture of product edge states
-    ("product-edges"); under a two-row labeling the entangled edges may
-    form one criss-cross pe-matching ("criss-cross-matching").
-    With every_labeling, only a route that certifies g under every labeling
-    of its p x q grid counts, so no other route's decomposition is built.
-    """
-    if g.m == g.n * (g.n - 1) // 2:
-        return "complete-graph", complete_graph_decomposition(g.n, lab.p, lab.q)
-    if every_labeling:
-        return None
-    if not entangled_edges(g, lab):
-        route = "product-edges"
-    elif lab.p == 2:
-        route = "criss-cross-matching"
-    else:
-        return None
-    try:
-        return route, pe_matching_separability(g, lab)
-    except SeparabilityError:
-        return None
+    states = [ProductState(x, y, w) for x, y in zip(left, right)]
+    if not verify_separable_decomposition(rho, states, lab):
+        raise SeparabilityError(f"{route} decomposition failed to reconstruct")
+    return route, states
 
 
 # ---------------------------------------------------------------------------

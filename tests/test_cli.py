@@ -451,25 +451,59 @@ def test_used_inputs_do_not_warn(capsys, graph_file):
         assert run_text(capsys, argv)[1] == ""
 
 
-@pytest.mark.parametrize("text,p,q,status", [
-    # the entangled edges 1-5 and 2-4 span no pe-matching; PPT suffices at 2x3
-    ("n 6\ne 1 3\ne 1 5\ne 2 3\ne 2 4\n", 2, 3, "SEPARABLE"),
-    # a criss-cross pair is PPT, and no constructive route covers three rows
-    ("n 9\ne 1 5\ne 2 4\n", 3, 3, "PPT_INCONCLUSIVE"),
-])
-def test_analyze_without_a_constructive_route(capsys, graph_file, text, p, q, status):
+def test_analyze_without_a_constructive_route(capsys, graph_file):
+    # PPT: the entangled edges 1-9, 3-4 and 6-7 move to 3-7, 1-6 and 4-9,
+    # and every cell keeps its degree; but each is the one arc of its row
+    # pair, which nothing balances, so the builder finds no decomposition
+    text, p, q = "n 9\ne 1 9\ne 2 3\ne 3 4\ne 6 7\n", 3, 3
     blob = run_json(capsys, ["analyze", graph_file("g.graph", text),
                              "--p", str(p), "--q", str(q), "--json"])
-    assert blob["verdict"]["status"] == status and blob["decomposition"] is None
+    assert blob["verdict"]["status"] == "PPT_INCONCLUSIVE" and blob["decomposition"] is None
     # the partial transpose of L/2m in the default labeling's vertex basis, by hand
     n = p * q
+    pt = cli_laplacian_state(blob).reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)
+    low = np.linalg.eigvalsh(pt).min()
+    assert abs(low) < 1e-12 and abs(blob["verdict"]["min_pt_eigenvalue"] - low) < 1e-12
+
+
+def cli_laplacian_state(blob):
+    """L/2m of analyze's graph, in the vertex basis, from its 1-based edges."""
+    n = blob["graph"]["n"]
     lap = np.zeros((n, n))
     for u, v in blob["graph"]["edges"]:
         lap[[u - 1, v - 1], [u - 1, v - 1]] += 1
         lap[[u - 1, v - 1], [v - 1, u - 1]] -= 1
-    pt = (lap / np.trace(lap)).reshape(p, q, p, q).transpose(0, 3, 2, 1).reshape(n, n)
-    low = np.linalg.eigvalsh(pt).min()
-    assert abs(low) < 1e-12 and abs(blob["verdict"]["min_pt_eigenvalue"] - low) < 1e-12
+    return lap / np.trace(lap)
+
+
+def cli_mixture_residual(blob):
+    """Largest entry of sum weight |x><x| - L/2m, x = left (x) right read at
+    each vertex's cell, over analyze's reported decomposition."""
+    q, n = blob["labeling"]["q"], blob["graph"]["n"]
+    cells = [s * q + t for s, t in blob["labeling"]["cells"]]
+    mix = np.zeros((n, n), dtype=complex)
+    for prod in blob["decomposition"]["states"]:
+        left, right = (np.array([complex(*z) for z in prod[k]]) for k in ("left", "right"))
+        x = np.kron(left, right)[cells]
+        mix += prod["weight"] * np.outer(x, x.conj())
+    return np.abs(mix - cli_laplacian_state(blob)).max()
+
+
+@pytest.mark.parametrize("text,p,q,ppt_status", [
+    # the entangled edges 1-5 and 2-4 are the arcs 0 -> 1 and 1 -> 0 of one
+    # row pair: a 2-cycle, though it spans only four vertices
+    ("n 6\ne 1 3\ne 1 5\ne 2 3\ne 2 4\n", 2, 3, "SEPARABLE"),
+    # the same criss-cross between rows 0 and 1 of three: that row pair balances
+    ("n 9\ne 1 5\ne 2 4\n", 3, 3, "PPT_INCONCLUSIVE"),
+], ids=["2x3", "3x3"])
+def test_analyze_certifies_by_directed_cycles(capsys, graph_file, text, p, q, ppt_status):
+    blob = run_json(capsys, ["analyze", graph_file("g.graph", text),
+                             "--p", str(p), "--q", str(q), "--json"])
+    assert blob["verdict"]["ppt_status"] == ppt_status
+    assert blob["verdict"]["status"] == "SEPARABLE"
+    dec = blob["decomposition"]
+    assert dec["route"] == "directed-cycles" and dec["terms"] == len(blob["graph"]["edges"])
+    assert cli_mixture_residual(blob) < 1e-15
 
 
 @pytest.mark.parametrize("text,p,q,labeling,ppt_status", [
@@ -491,19 +525,7 @@ def test_analyze_certifies_graphs_without_entangled_edges(capsys, graph_file, te
     assert blob["verdict"]["status"] == "SEPARABLE"
     dec = blob["decomposition"]
     assert dec["route"] == "product-edges" and dec["terms"] == len(blob["graph"]["edges"])
-    # sum of weight |x><x|, x = left (x) right read at each vertex's cell, against L/2m
-    n = p * q
-    cells = [s * q + t for s, t in blob["labeling"]["cells"]]
-    mix = np.zeros((n, n), dtype=complex)
-    for prod in dec["states"]:
-        left, right = (np.array([complex(*z) for z in prod[k]]) for k in ("left", "right"))
-        x = np.kron(left, right)[cells]
-        mix += prod["weight"] * np.outer(x, x.conj())
-    lap = np.zeros((n, n))
-    for u, v in blob["graph"]["edges"]:
-        lap[[u - 1, v - 1], [u - 1, v - 1]] += 1
-        lap[[u - 1, v - 1], [v - 1, u - 1]] -= 1
-    assert np.abs(mix - lap / np.trace(lap)).max() < 1e-15
+    assert cli_mixture_residual(blob) < 1e-15
 
 
 def traced_calls(argv, names):
@@ -528,25 +550,25 @@ def test_analyze_builds_and_checks_each_decomposition_once(capsys, graph_file):
     k6 = "n 6\n" + "".join(f"e {u} {v}\n" for u, v in itertools.combinations(range(1, 7), 2))
     # 1-5, 2-6 and 3-4 cross the rows as one pe-matching; 1-2 is a row edge
     matching = "n 6\ne 1 5\ne 2 6\ne 3 4\ne 1 2\n"
-    names = {"verify_separable_decomposition", "pe_matching_separability", "eigvalsh"}
+    names = {"verify_separable_decomposition", "separable_decomposition", "eigvalsh"}
     for text, route in ((k6, "complete-graph"), (matching, "criss-cross-matching")):
         argv = ["analyze", graph_file("g.graph", text), "--p", "2", "--q", "3", "--json"]
         events = traced_calls(argv, names)
         assert json.loads(capsys.readouterr().out)["decomposition"]["route"] == route
         assert events.count(("call", "verify_separable_decomposition")) == 1
-    # the matching route builds and checks its states without an eigensolve
-    start = events.index(("call", "pe_matching_separability"))
-    end = events.index(("return", "pe_matching_separability"))
+    # the builder makes and checks its states without an eigensolve
+    start = events.index(("call", "separable_decomposition"))
+    end = events.index(("return", "separable_decomposition"))
     assert ("call", "eigvalsh") in events[:start]  # the PPT verdict's own eigenvalue
     assert ("call", "eigvalsh") not in events[start:end]
 
 
 def test_search_builds_no_decomposition_for_a_non_complete_graph(capsys, graph_file):
     # analyze certifies this 2x3 graph by its criss-cross pe-matching, but
-    # only the complete-graph route certifies every labeling, which is all
+    # only a complete graph decomposes under every labeling, which is all
     # search reports
     matching = graph_file("g.graph", "n 6\ne 1 5\ne 2 6\ne 3 4\ne 1 2\n")
-    names = {"pe_matching_separability", "complete_graph_decomposition",
+    names = {"separable_decomposition", "complete_graph_decomposition",
              "verify_separable_decomposition"}
     events = traced_calls(["search", matching, "--p", "2", "--q", "3", "--json"], names)
     assert events == []
@@ -683,9 +705,12 @@ PINNED_OUTPUTS = [
     (["probe", "--p", "2", "--q", "3"], "b07847ce9717866b"),
     (["probe", "--p", "2", "--q", "4"], "748dff10af907928"),
     (["census4"], "824c9aeb2406c0cc"),
+    # spectrum[0], the kernel of L, reads 0.0 (was 1.69e-17)
     (["analyze", "p4.graph", "--p", "2", "--q", "2", "--labeling", INTERLEAVED],
-     "9d90f9de89561dd3"),
-    (["analyze", "k6.graph", "--p", "2", "--q", "3"], "398f7aa035263a64"),
+     "86a62ee6ed3771f1"),
+    # spectrum[0] reads 0.0 (was -2.8e-17), and decomposition.states lists
+    # the criss-cross pairs as 2-cycles, then the separable edges in edge order
+    (["analyze", "k6.graph", "--p", "2", "--q", "3"], "01cfc7054033e4ce"),
     (["analyze", "cross8.graph", "--p", "2", "--q", "4"], "6d657eb4825ce122"),
     # certified edits report the edited graph's own state (see below)
     (["channel", "c5.graph", "--script", "edits.txt"], "c1c2594f500fbce8"),

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from graphdm import (
     EntropyError,
+    build_graph,
     cayley_circulant,
     circulant_entropy_approx,
     circulant_entropy_exact,
@@ -20,6 +22,7 @@ from graphdm import (
     star_graph,
     von_neumann_entropy,
 )
+from graphdm.graphs import laplacian
 
 
 def entropy_of(g):
@@ -38,6 +41,24 @@ def test_report_fields():
         assert abs(got - want) < 1e-10
     want = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
     assert abs(rep.entropy - want) < 1e-12
+
+
+@pytest.mark.parametrize("g,kernel", [
+    (cycle_graph(5), 1),  # eigh alone reads -1.1e-17 here
+    (path_graph(4), 1),  # and 1.7e-17 here
+    (petersen_graph(), 1),
+    (build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), 2),
+    (build_graph(6, [(0, 1), (2, 3)]), 4),  # two isolated vertices
+], ids=["c5", "p4", "petersen", "two-triangles", "isolated"])
+def test_graph_state_kernel_is_exact_zeros(g, kernel):
+    """L(G) vanishes exactly on the vectors constant on each component, so
+    the component-count smallest eigenvalues read 0.0, as one multiplicity;
+    the others are eigh's own eigenvalues of L/2m."""
+    spec = von_neumann_entropy(density_of_graph(g)).spectrum
+    want = np.linalg.eigh(laplacian(g) / (2 * g.m))[0].tolist()
+    assert spec.eigenvalues == (0.0,) * kernel + tuple(want[kernel:])
+    assert min(want[kernel:]) > 1e-3
+    assert spec.multiplicities[0] == (0.0, kernel)
 
 
 def test_single_edge_has_zero_entropy():

@@ -2,9 +2,10 @@
 imports another's _private names, no module builds an object array, one
 function reads the channel landing tolerance and the CLI names neither it,
 the comparison nor the channel tolerance, one reads the reconstruction
-tolerance, the CLI reaches separable decompositions through one route
-chooser, no module brings back an inexact matrix mode, and eigensolvers
-run only where a float spectrum is the result, not a verdict."""
+tolerance, one builder makes every separable decomposition and the CLI
+reaches it through analyze alone, no module brings back an inexact matrix
+mode, and eigensolvers run only where a float spectrum is the result, not
+a verdict."""
 
 import ast
 from pathlib import Path
@@ -205,22 +206,40 @@ def test_cli_compares_no_channel_output_with_a_graph_state():
 
 def test_cli_leaves_the_route_choice_to_separability():
     cli = SRC / "cli.py"
-    assert readers(cli, "separable_decomposition") == ["cli.py:cmd_analyze",
-                                                        "cli.py:cmd_search"]
-    for name in ("verify_separable_decomposition", "pe_matching_separability",
-                 "complete_graph_decomposition"):
+    assert readers(cli, "separable_decomposition") == ["cli.py:cmd_analyze"]
+    # search certifies only a complete graph, which decomposes under every labeling
+    assert readers(cli, "complete_graph_decomposition") == ["cli.py:cmd_search"]
+    for name in ("verify_separable_decomposition", "tally_mark_decomposition", "_tally_states"):
         assert readers(cli, name) == []
+
+
+def test_one_decomposition_builder():
+    # separable_decomposition builds every decomposition: only its pass
+    # makes tally-mark states, no code walks a canonical pe-matching, and
+    # the per-family routes and the every-labeling switch are gone
+    modules = sorted(SRC.glob("*.py"))
+    assert {"separability.py", "channels.py", "cli.py"} <= {p.name for p in modules}
+
+    def all_readers(name):
+        return sorted({r for p in modules for r in readers(p, name)})
+
+    assert all_readers("_tally_states") == ["separability.py:_cycle_factors"]
+    assert all_readers("_cycle_factors") == ["separability.py:separable_decomposition"]
+    assert all_readers("canonicalize_pe_matching") == []
+    for p in modules:
+        text = p.read_text(encoding="utf-8")
+        assert "pe_matching_separability" not in text and "every_labeling" not in text, p.name
 
 
 def test_reader_scan_sees_route_names(tmp_path):
     probe = tmp_path / "cli.py"
-    probe.write_text("from .separability import pe_matching_separability\n"
+    probe.write_text("from .separability import separable_decomposition\n"
                      "import graphdm.separability as sep\n"
                      "def route(g, lab):\n"
-                     "    return pe_matching_separability(g, lab)\n"
+                     "    return separable_decomposition(g, lab)\n"
                      "def check(rho, states):\n"
                      "    return sep.verify_separable_decomposition(rho, states)\n")
-    assert readers(probe, "pe_matching_separability") == ["cli.py:route"]
+    assert readers(probe, "separable_decomposition") == ["cli.py:route"]
     assert readers(probe, "verify_separable_decomposition") == ["cli.py:check"]
 
 

@@ -38,10 +38,10 @@ from graphdm import (
     nonisomorphic_graphs,
     partial_transpose,
     path_graph,
-    pe_matching_separability,
     petersen_graph,
     ppt_test,
     ppt_verdicts,
+    separable_decomposition,
     sigma_plus,
     star_graph,
     star_projection_witness,
@@ -204,12 +204,12 @@ def test_canonicalize_longer_chain():
 
 def test_pe_matching_separability_decomposes():
     crossing = build_graph(4, [(0, 3), (1, 2)])
-    states = pe_matching_separability(crossing, LAB22)
-    assert len(states) == 2
+    route, states = separable_decomposition(crossing, LAB22)
+    assert route == "criss-cross-matching" and len(states) == 2
     assert verify_separable_decomposition(
         density_of_graph(crossing), states, LAB22)
-    with pytest.raises(SeparabilityError):
-        pe_matching_separability(path_graph(4), LAB22)
+    # P4's one entangled edge is an arc no other arc balances: NPT, no route
+    assert separable_decomposition(path_graph(4), LAB22) is None
 
 
 def test_cycle_graph_separable_under_every_labeling():
@@ -237,6 +237,35 @@ def test_tally_mark_decompositions():
         tally_mark_decomposition(path_graph(4))
     with pytest.raises(SeparabilityError):
         tally_mark_decomposition(tally_chain(1))  # one column is not a mark
+
+
+def test_tally_mark_check_accepts_what_the_matching_rule_accepts():
+    # the rule the one-line check replaced: a pe-matching under the default
+    # two-row labeling whose column map is the increasing cycle
+    def old_rule(g):
+        lab = BipartiteLabeling.default(2, g.n // 2)
+        if classify_matching(g, lab) != "pe-matching":
+            return False
+        pi = {lab.cells[u][1]: lab.cells[v][1] for u, v in g.edges}  # u sits in row 0
+        return all(pi[c] == (c + 1) % lab.q for c in range(lab.q))
+
+    def accepted(g):
+        try:
+            tally_mark_decomposition(g)
+        except SeparabilityError:
+            return False
+        return True
+
+    # every graph on 2 and 4 vertices, and every one with at most 4 edges on
+    # 6 (a pe-matching there has 3)
+    for n, most in ((2, 1), (4, 6), (6, 4)):
+        pairs = list(itertools.combinations(range(n), 2))
+        for size in range(most + 1):
+            for edges in itertools.combinations(pairs, size):
+                g = build_graph(n, edges)
+                assert accepted(g) == old_rule(g), g.edges
+    looped = build_graph(6, tally_chain(3).edges, loops=[1, 0, 0, 0, 0, 0])
+    assert not accepted(looped) and not old_rule(looped)
 
 
 def test_complete_graph_decomposition():
@@ -312,7 +341,7 @@ def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
         edges += [(vertex_at[(0, t)], vertex_at[(1, (t + shift) % q)]) for t in range(q)]
     g = build_graph(n, edges)
     rho = density_of_graph(g)
-    states = pe_matching_separability(g, read)
+    states = separable_decomposition(g, read)[1]
     if kind == "relabeled":
         lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n))
     elif kind == "dropped":
@@ -835,8 +864,8 @@ def test_matching_decomposition_reads_any_labeling():
     assert not lab.is_default()
     g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 2)])
     assert entangled_edges(g, lab) == [(0, 1), (2, 3)]
-    states = pe_matching_separability(g, lab)
-    assert len(states) == 2 + 2
+    route, states = separable_decomposition(g, lab)
+    assert route == "criss-cross-matching" and len(states) == 2 + 2
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(4, g.edges)).max() < 1e-15
     # the verification reads the labeling: under the default one the mixture misses
     rho = density_of_graph(g)
@@ -860,5 +889,79 @@ def test_matching_decomposition_on_random_labelings(q, seed, density):
     separable = [(u, v) for u, v in itertools.combinations(range(n), 2)
                  if lab.cells[u][0] == lab.cells[v][0] or lab.cells[u][1] == lab.cells[v][1]]
     g = build_graph(n, matching + [e for e in separable if rng.random() < density])
-    states = pe_matching_separability(g, lab)
+    states = separable_decomposition(g, lab)[1]
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(n, g.edges)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the directed-cycle builder against the degree criterion, its mixtures
+# rebuilt in the vertex basis without graphdm
+
+
+def drawn_graph(rng, p, q, balanced, density):
+    """A random graph under a random p x q labeling.  Each pair of vertices
+    is an edge with probability `density`; when balanced, only the separable
+    pairs are, and the entangled edges are edge-disjoint directed cycles,
+    each between two random rows (the two columns' rows on a p x 2 grid,
+    so that only the transposed pass balances)."""
+    n = p * q
+    lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n))
+    vertex_at = {cell: v for v, cell in enumerate(lab.cells)}
+    pairs = list(itertools.combinations(range(n), 2))
+    separable = [(u, v) for u, v in pairs
+                 if lab.cells[u][0] == lab.cells[v][0] or lab.cells[u][1] == lab.cells[v][1]]
+    edges = [e for e in (separable if balanced else pairs) if rng.random() < density]
+    if balanced:
+        flip = q == 2 < p
+        rows, cols = (q, p) if flip else (p, q)
+        arcs = set()
+        for _ in range(int(rng.integers(1, 5))):
+            r, s = sorted(rng.choice(rows, size=2, replace=False).tolist())
+            cycle = rng.permutation(cols)[:int(rng.integers(2, cols + 1))].tolist()
+            new = {(r, s, a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+            if not new & arcs:
+                arcs |= new
+        for r, s, a, b in arcs:
+            ends = ((a, r), (b, s)) if flip else ((r, a), (s, b))
+            edges.append(tuple(sorted(vertex_at[c] for c in ends)))
+    return build_graph(n, sorted(edges) or pairs[:1]), lab
+
+
+@settings(max_examples=250, deadline=None)
+@given(grid=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2),
+                             (2, 6), (6, 2), (3, 3), (3, 4)]),
+       seed=st.integers(0, 2**32 - 1), balanced=st.booleans(), density=st.floats(0.05, 0.7))
+def test_cycle_builder_decides_ppt_with_two_rows_or_columns(grid, seed, balanced, density):
+    """With two rows or two columns a decomposition is returned exactly when
+    the state is PPT; on 3 x 3 and 3 x 4 never for an NPT state, and always
+    when each row pair's arcs balance.  Each one rebuilds L(G)/2m."""
+    p, q = grid
+    g, lab = drawn_graph(np.random.default_rng(seed), p, q, balanced, density)
+    ppt = ppt_verdicts(g.edges, [lab.flat(v) for v in range(lab.n)], p, q)[0]
+    found = separable_decomposition(g, lab)
+    if 2 in grid:
+        assert (found is not None) == ppt
+    else:
+        assert ppt or found is None
+    if balanced:
+        assert found is not None
+    if found is not None:
+        route, states = found
+        assert len(states) == g.m and all(s.weight == 1 / g.m for s in states)
+        assert np.abs(vertex_mixture(states, lab) - laplacian_state(g.n, g.edges)).max() < 1e-10
+
+
+def test_two_column_decomposition_swaps_the_transposed_factors():
+    # a 3-column tally mark read with its rows as columns: on the 3 x 2 grid
+    # each row pair holds one arc, so only the transposed 2 x 3 pass balances
+    lab = BipartiteLabeling.default(3, 2)
+    g = build_graph(6, [(0, 3), (1, 4), (2, 5)])
+    flipped = BipartiteLabeling(2, 3, tuple((t, s) for s, t in lab.cells))
+    route, states = separable_decomposition(g, lab)
+    flipped_route, flipped_states = separable_decomposition(g, flipped)
+    assert (route, flipped_route) == ("directed-cycles", "criss-cross-matching")
+    assert len(states) == len(flipped_states) == 3
+    for st_, flip in zip(states, flipped_states):
+        assert np.array_equal(st_.left, flip.right) and np.array_equal(st_.right, flip.left)
+        assert st_.weight == flip.weight
+    assert np.abs(vertex_mixture(states, lab) - laplacian_state(6, g.edges)).max() < 1e-15
