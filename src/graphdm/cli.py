@@ -45,6 +45,7 @@ from .graphs import (
     GraphError,
     ParseError,
     build_graph,
+    complete_graph,
     component_count,
     laplacian,
     parse_graph,
@@ -54,7 +55,6 @@ from .separability import (
     DEFAULT_SEARCH_SEED,
     ENTANGLED_NPT,
     MAX_SAMPLES,
-    NPT_TOL,
     PPT_INCONCLUSIVE,
     SEPARABLE,
     BipartiteLabeling,
@@ -199,10 +199,6 @@ def _parse_labeling(spec: str, p: int, q: int, n: int) -> BipartiteLabeling:
     return BipartiteLabeling(p, q, tuple(cells))
 
 
-def _labeling_cells(lab: BipartiteLabeling) -> list:
-    return [list(c) for c in lab.cells]
-
-
 def _require_dims(args, n: int | None = None) -> tuple[int, int]:
     p, q = args.p, args.q
     if p is None or q is None:
@@ -239,7 +235,7 @@ def cmd_analyze(args) -> None:
 
     conc = None
     if (p, q) == (2, 2):
-        pos = np.argsort([lab.flat(v) for v in range(4)])  # vertex at each cell
+        pos = np.argsort(lab.assign)  # vertex at each cell
         cell_mat = rho.to_real()[np.ix_(pos, pos)]
         conc = float(concurrences(cell_mat[None])[0][0])
 
@@ -251,7 +247,7 @@ def cmd_analyze(args) -> None:
             "purity": float(purity(rho)),
         },
         "spectrum": [float(v) for v in ent.spectrum.eigenvalues],
-        "labeling": {"p": p, "q": q, "cells": _labeling_cells(lab)},
+        "labeling": {"p": p, "q": q, "cells": [list(c) for c in lab.cells]},
         "entangled_edges": [[u + 1, v + 1] for (u, v) in edges_cross],
         "verdict": {
             "status": status,
@@ -516,10 +512,10 @@ def cmd_probe(args) -> None:
         raise SeparabilityError(f"budget must be at most {MAX_SAMPLES}, got {budget}")
     if seed < 0:
         raise SeparabilityError(f"seed must be non-negative, got {seed}")
-    pairs = list(itertools.combinations(range(n), 2))
-    cells = [divmod(v, q) for v in range(n)]
-    ent_pairs = [idx for idx, (u, v) in enumerate(pairs)
-                 if cells[u][0] != cells[v][0] and cells[u][1] != cells[v][1]]
+    kn, lab = complete_graph(n), BipartiteLabeling.default(p, q)
+    pairs = kn.edges  # every pair u < v, in lexicographic order
+    entangled = set(entangled_edges(kn, lab))
+    ent_pairs = [idx for idx, pair in enumerate(pairs) if pair in entangled]
     mode = "exhaustive" if len(pairs) <= 16 else "sampled"
     present, single = (_probe_exhaustive(pairs, ent_pairs, n) if mode == "exhaustive" else
                        _probe_sampled(pairs, ent_pairs, n, budget, seed))
@@ -528,7 +524,7 @@ def cmd_probe(args) -> None:
     if mode == "exhaustive" and ignored:
         print(f"warning: exhaustive probe at {p}x{q} ignores {' and '.join(ignored)}",
               file=sys.stderr)
-    ppt = ppt_verdicts(pairs, np.arange(n), p, q, present)
+    ppt = ppt_verdicts(pairs, lab.assign, p, q, present)
 
     payload = {"p": p, "q": q, "n": n, "mode": mode, "tol": args.tol}
     for title, members in (("single_entangled_edge", single),
@@ -542,7 +538,7 @@ def cmd_probe(args) -> None:
         edge_lists = [[pairs[i] for i in np.flatnonzero(present[k])] for k in found]
         if edge_lists:
             laps = np.stack([laplacian(build_graph(n, edges)) for edges in edge_lists])
-            certify_ppt_verdicts(partial_transposes(laps, np.arange(n), p, q), [True] * len(laps))
+            certify_ppt_verdicts(partial_transposes(laps, lab.assign, p, q), [True] * len(laps))
         counters = [{"edges": [[u + 1, v + 1] for (u, v) in edges], "min_pt_eigenvalue": 0.0}
                     for edges in edge_lists]
         payload[title] = {
@@ -607,6 +603,9 @@ def cmd_entropy(args) -> None:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+NPT_TOL = 1e-9  # the default of --tol, accepted for compatibility; no verdict reads it
 
 
 def build_parser() -> argparse.ArgumentParser:

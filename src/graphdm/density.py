@@ -28,15 +28,14 @@ class DensityError(ValueError):
 class DensityMatrix:
     """Unit-trace positive semidefinite matrix, possibly tied to a graph.
 
-    normalization records the divisor applied to the integer matrix when the
-    state came from a graph; it is None for channel outputs and the like.
+    origin is the graph G exactly when the state is L(G)/2m, a graph state;
+    it is None for looped states, sigma_plus, channel outputs and the like.
     A state whose numerator is diagonally dominant (every Laplacian, D + A)
     is PSD by that certificate; any other state needs an eigensolve.
     """
 
     mat: HermitianMatrix
     origin: Graph | None = None
-    normalization: int | None = None
 
     def __post_init__(self):
         tr = self.mat.trace()
@@ -60,18 +59,17 @@ def density_of_graph(g: Graph) -> DensityMatrix:
     """Normalized combinatorial Laplacian of g.  Loops are ignored entirely."""
     if g.m == 0:
         raise DensityError("graph has no non-loop edge")
-    denom = 2 * g.m
-    return DensityMatrix(HermitianMatrix(laplacian(g), den=denom), origin=g,
-                         normalization=denom)
+    return DensityMatrix(HermitianMatrix(laplacian(g), den=2 * g.m), origin=g)
 
 
 def density_with_loops(g: Graph) -> DensityMatrix:
-    """Loop-aware state: (Laplacian + loop-multiplicity diagonal) / (2m + loops)."""
+    """Loop-aware state: (Laplacian + loop-multiplicity diagonal) / (2m + loops).
+    Without loops it is g's graph state, and only then is its origin g."""
     denom = 2 * g.m + g.loop_total
     if denom == 0:
         raise DensityError("graph has neither edges nor loops")
     data = laplacian(g) + np.diag(g.loops)
-    return DensityMatrix(HermitianMatrix(data, den=denom), origin=g, normalization=denom)
+    return DensityMatrix(HermitianMatrix(data, den=denom), origin=None if g.loop_total else g)
 
 
 def purity(rho: DensityMatrix) -> Fraction:
@@ -97,7 +95,8 @@ def pure_mixture_decomposition(g: Graph) -> list[tuple[Fraction, DensityMatrix]]
     """Write the graph state as the uniform mixture of its edge states.
 
     Each non-loop edge (u, v) contributes weight 1/m on the projector onto
-    (e_u - e_v)/sqrt(2).  The weighted sum reproduces the state exactly.
+    (e_u - e_v)/sqrt(2), the graph state of that one edge.  The weighted sum
+    reproduces the state exactly.
     """
     if g.m == 0:
         raise DensityError("graph has no non-loop edge")
@@ -119,7 +118,7 @@ def sigma_plus(g: Graph) -> DensityMatrix:
     if g.m == 0:
         raise DensityError("graph has no non-loop edge")
     # the Laplacian's entries are the degrees and -1 per edge, so |L| = D + A
-    return DensityMatrix(HermitianMatrix(np.abs(laplacian(g)), den=2 * g.m), origin=g)
+    return DensityMatrix(HermitianMatrix(np.abs(laplacian(g)), den=2 * g.m))
 
 
 def tensor_separable_decomposition(g: Graph, h: Graph):

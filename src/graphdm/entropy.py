@@ -44,7 +44,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
     A graph state's kernel is reported as exact zeros."""
     spec = eigensystem(rho.mat)
     g = rho.origin
-    if g is not None and rho.normalization == 2 * g.m:  # L(G)/2m: one zero per component
+    if g is not None:  # L(G)/2m: one zero per component
         kernel = component_count(g)
         spec = replace(spec, eigenvalues=(0.0,) * kernel + spec.eigenvalues[kernel:])
     ent = _entropy_of_values(spec.eigenvalues)

@@ -2,8 +2,8 @@
 
 Vertices are indexed 0..n-1 internally; the text format and the CLI use
 1-based labels.  Non-loop edges are simple (no multi-edges), while loops
-carry a per-vertex multiplicity because repeated loops change the loop-aware
-normalization used in :mod:`graphdm.density`.
+carry a per-vertex multiplicity because repeated loops change the trace of
+the loop-aware state in :mod:`graphdm.density`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ SEPARABLE = "SEPARABLE"
 ENTANGLED_NPT = "ENTANGLED_NPT"
 PPT_INCONCLUSIVE = "PPT_INCONCLUSIVE"
 
-NPT_TOL = 1e-9  # the default of --tol, accepted for compatibility; no verdict reads it
 RECONSTRUCTION_TOL = 1e-10
 
 # dimensions at which a positive partial transpose certifies separability
@@ -45,11 +44,13 @@ class SeparabilityError(ValueError):
 
 @dataclass(frozen=True)
 class BipartiteLabeling:
-    """Assignment of each vertex to a cell (s, t), 0 <= s < p, 0 <= t < q."""
+    """Assignment of each vertex to a cell (s, t), 0 <= s < p, 0 <= t < q;
+    `assign` holds the same cells flat, s*q + t, the form every kernel reads."""
 
     p: int
     q: int
     cells: tuple[tuple[int, int], ...]
+    assign: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.p * self.q
@@ -58,9 +59,10 @@ class BipartiteLabeling:
         for s, t in self.cells:
             if not (0 <= s < self.p and 0 <= t < self.q):
                 raise SeparabilityError(f"cell {s}.{t} is outside the {self.p}x{self.q} grid")
-        flats = sorted(self.flat(v) for v in range(n))
-        if flats != list(range(n)):
+        assign = tuple(s * self.q + t for s, t in self.cells)
+        if sorted(assign) != list(range(n)):
             raise SeparabilityError("labeling is not a bijection onto the cells")
+        object.__setattr__(self, "assign", assign)  # frozen, so set once here
 
     @classmethod
     def default(cls, p: int, q: int) -> "BipartiteLabeling":
@@ -75,13 +77,6 @@ class BipartiteLabeling:
     @property
     def n(self) -> int:
         return self.p * self.q
-
-    def flat(self, v: int) -> int:
-        s, t = self.cells[v]
-        return s * self.q + t
-
-    def is_default(self) -> bool:
-        return all(self.flat(v) == v for v in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -248,7 +243,7 @@ def partial_transpose(rho: DensityMatrix, lab: BipartiteLabeling) -> HermitianMa
     """
     if rho.dim != lab.n:
         raise SeparabilityError(f"state dim {rho.dim} != p*q = {lab.n}")
-    pt = partial_transposes(rho.mat.num, [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)
+    pt = partial_transposes(rho.mat.num, lab.assign, lab.p, lab.q)
     return HermitianMatrix(pt[0], den=rho.mat.den)
 
 
@@ -264,11 +259,11 @@ def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling) -> SeparabilityVerdict:
     certifies separability only at 2x2 and 2x3.  The verdict also carries
     the PT spectrum, from one eigvalsh, which decides nothing."""
     g = rho.origin
-    if g is None or rho.normalization != 2 * g.m:
+    if g is None:
         raise SeparabilityError("the PPT test decides graph states L(G)/2m only")
     pt = partial_transpose(rho, lab)
     spectrum = np.linalg.eigvalsh(pt.to_real())
-    ppt = ppt_verdicts(g.edges, [lab.flat(v) for v in range(lab.n)], lab.p, lab.q)[0]
+    ppt = ppt_verdicts(g.edges, lab.assign, lab.p, lab.q)[0]
     certify_ppt_verdicts(pt.num, ppt)
     status = ppt_status(lab.p, lab.q) if ppt else ENTANGLED_NPT
     return SeparabilityVerdict(status, tuple(spectrum.tolist()))
@@ -494,10 +489,8 @@ def verify_separable_decomposition(rho: DensityMatrix, states,
         raise SeparabilityError(f"weights sum to {total}, not 1")
     vecs = (left[:, :, None] * right[:, None, :]).reshape(len(states), -1)
     mix = (vecs.T * np.array(weights)) @ vecs.conj()
-    if lab is not None and not lab.is_default():
-        # cell-basis mixture -> vertex basis
-        fl = [lab.flat(v) for v in range(rho.dim)]
-        mix = mix[np.ix_(fl, fl)]
+    if lab is not None:  # cell-basis mixture -> vertex basis
+        mix = mix[np.ix_(lab.assign, lab.assign)]
     return bool(np.abs(mix - rho.mat.to_real()).max() <= RECONSTRUCTION_TOL)
 
 

@@ -38,7 +38,7 @@ def test_single_edge_state_by_hand():
     rho = density_of_graph(path_graph(2))
     expected = HermitianMatrix([[1, -1], [-1, 1]], den=2)
     assert rho.mat.exact_equal(expected)
-    assert rho.normalization == 2
+    assert rho.mat.den == 2
     assert rho.origin == path_graph(2)
 
 

@@ -4,8 +4,9 @@ function reads the channel landing tolerance and the CLI names neither it,
 the comparison nor the channel tolerance, one reads the reconstruction
 tolerance, one builder makes every separable decomposition and the CLI
 reaches it through analyze alone, no module brings back an inexact matrix
-mode, and eigensolvers run only where a float spectrum is the result, not
-a verdict."""
+mode, eigensolvers run only where a float spectrum is the result, not
+a verdict, and a labeling's flat cells and a graph state's mark are each
+stored in one form."""
 
 import ast
 from pathlib import Path
@@ -241,6 +242,35 @@ def test_reader_scan_sees_route_names(tmp_path):
                      "    return sep.verify_separable_decomposition(rho, states)\n")
     assert readers(probe, "separable_decomposition") == ["cli.py:route"]
     assert readers(probe, "verify_separable_decomposition") == ["cli.py:check"]
+
+
+def flat_calls(path: Path) -> list[int]:
+    """Lines that call a .flat(...) method; numpy's .flat attribute, which
+    is indexed and not called, is not one."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "flat")
+
+
+def test_one_stored_form_per_ppt_input():
+    # a labeling's flat cells are stored once, as BipartiteLabeling.assign,
+    # and a state is a graph state exactly when its origin is set: no reader
+    # rebuilds the cells one vertex at a time or checks a second field
+    modules = sorted(SRC.glob("*.py"))
+    assert {"separability.py", "density.py", "entropy.py", "cli.py"} <= {p.name for p in modules}
+    assert {p.name: lines for p in modules if (lines := flat_calls(p))} == {}
+    for p in modules:
+        text = p.read_text(encoding="utf-8")
+        for name in ("is_default", "normalization", "_labeling_cells"):
+            assert name not in text, (p.name, name)
+
+
+def test_flat_call_scan_sees_calls_not_the_attribute(tmp_path):
+    probe = tmp_path / "separability.py"
+    probe.write_text("def f(lab, cert, wrong):\n"
+                     "    cells = [lab.flat(v) for v in range(4)]\n"
+                     "    return cert.flat[wrong[0]], cells, lab.flat\n")
+    assert flat_calls(probe) == [2]
 
 
 def test_one_matrix_mode():

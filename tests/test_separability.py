@@ -41,12 +41,14 @@ from graphdm import (
     petersen_graph,
     ppt_test,
     ppt_verdicts,
+    pure_mixture_decomposition,
     separable_decomposition,
     sigma_plus,
     star_graph,
     star_projection_witness,
     tally_mark_decomposition,
     verify_separable_decomposition,
+    von_neumann_entropy,
 )
 import graphdm.separability as separability
 from graphdm.graphs import laplacian
@@ -69,11 +71,11 @@ def tally_chain(k):
 
 def test_labeling_helpers():
     lab = BipartiteLabeling.default(2, 3)
-    assert lab.n == 6 and lab.is_default()
+    assert lab.n == 6
     assert lab.cells == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-    assert [lab.flat(v) for v in range(6)] == [0, 1, 2, 3, 4, 5]
+    assert lab.assign == (0, 1, 2, 3, 4, 5)
     other = BipartiteLabeling.from_assignment(2, 3, (5, 4, 3, 2, 1, 0))
-    assert not other.is_default()
+    assert other.assign == (5, 4, 3, 2, 1, 0)
     assert other.cells[0] == (1, 2)
     with pytest.raises(SeparabilityError):
         BipartiteLabeling.from_assignment(2, 2, (0, 1, 2, 2))
@@ -156,6 +158,56 @@ def test_ppt_test_refuses_states_not_of_a_graph():
             ppt_test(rho, LAB22)
     with pytest.raises(SeparabilityError):
         ppt_test(density_of_graph(path_graph(4)), BipartiteLabeling.default(2, 3))
+
+
+def test_origin_marks_exactly_the_graph_states():
+    # a state's origin is set exactly when the state is L(origin)/2m; the
+    # PPT test and the exact kernel zeros of the spectrum read it alone
+    g = build_graph(6, [(0, 1), (0, 4), (1, 3), (2, 5), (3, 4)])
+    lab = BipartiteLabeling.default(2, 3)
+    assert density_of_graph(g).origin == g
+    assert density_with_loops(g).origin == g
+    for _, part in pure_mixture_decomposition(g):
+        one = part.origin
+        assert one.m == 1 and part.mat.exact_equal(density_of_graph(one).mat)
+        status = ENTANGLED_NPT if entangled_edges(one, lab) else SEPARABLE
+        assert ppt_test(part, lab).status == status
+        assert von_neumann_entropy(part).spectrum.eigenvalues[:g.n - 1] == (0.0,) * (g.n - 1)
+    looped = build_graph(6, g.edges, loops=[1, 0, 0, 0, 0, 0])
+    for rho in (sigma_plus(g), density_with_loops(looped)):
+        assert rho.origin is None
+        with pytest.raises(SeparabilityError, match="graph states"):
+            ppt_test(rho, lab)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=st.sampled_from([(p, q) for p in range(2, 7) for q in range(2, 7) if p * q <= 12]),
+       seed=st.integers(0, 2**32 - 1), density=st.floats(0.1, 1))
+def test_assign_is_the_one_flat_form(grid, seed, density):
+    """lab.assign is the flat form of lab.cells and the input of
+    from_assignment, and checking a decomposition under the default
+    labeling gathers by the identity, as checking with no labeling does:
+    K_n's, and a random graph's under the default and a random labeling."""
+    p, q = grid
+    n = p * q
+    rng = np.random.default_rng(seed)
+    a = rng.permutation(n).tolist()
+    lab = BipartiteLabeling.from_assignment(p, q, a)
+    assert lab.assign == tuple(s * q + t for s, t in lab.cells)
+    assert lab.assign == tuple(a)
+    default = BipartiteLabeling.default(p, q)
+    assert default.assign == tuple(range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = build_graph(n, [e for e in pairs if rng.random() < density] or pairs[:1])
+    cases = [(density_of_graph(complete_graph(n)), complete_graph_decomposition(n, p, q))]
+    for read in (default, lab):
+        found = separable_decomposition(g, read)
+        if found is not None:
+            cases.append((density_of_graph(g), found[1]))
+    for rho, states in cases:
+        assert (verify_separable_decomposition(rho, states, default)
+                == verify_separable_decomposition(rho, states))
+    assert verify_separable_decomposition(*cases[0], lab)
 
 
 def test_min_pt_eigenvalue_known_values():
@@ -306,9 +358,8 @@ def looped_check(rho, states, lab=None):
     for s in states:
         vec = np.kron(np.asarray(s.left, dtype=complex), np.asarray(s.right, dtype=complex))
         mix += s.weight * np.outer(vec, vec.conj())
-    if lab is not None and not lab.is_default():
-        fl = [lab.flat(v) for v in range(n)]
-        mix = mix[np.ix_(fl, fl)]
+    if lab is not None:
+        mix = mix[np.ix_(lab.assign, lab.assign)]
     return bool(np.abs(mix - rho.mat.to_real()).max() <= RECONSTRUCTION_TOL)
 
 
@@ -861,7 +912,7 @@ def test_matching_decomposition_reads_any_labeling():
     # vertex 1 sits in row 1, so the entangled edge 1-2 (1-based) is read from
     # row 1 first; edges 1-3 (one column) and 2-3 (one row) are separable
     lab = BipartiteLabeling(2, 2, ((1, 0), (0, 1), (0, 0), (1, 1)))
-    assert not lab.is_default()
+    assert lab.assign == (2, 1, 0, 3)
     g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 2)])
     assert entangled_edges(g, lab) == [(0, 1), (2, 3)]
     route, states = separable_decomposition(g, lab)
@@ -937,7 +988,7 @@ def test_cycle_builder_decides_ppt_with_two_rows_or_columns(grid, seed, balanced
     when each row pair's arcs balance.  Each one rebuilds L(G)/2m."""
     p, q = grid
     g, lab = drawn_graph(np.random.default_rng(seed), p, q, balanced, density)
-    ppt = ppt_verdicts(g.edges, [lab.flat(v) for v in range(lab.n)], p, q)[0]
+    ppt = ppt_verdicts(g.edges, lab.assign, p, q)[0]
     found = separable_decomposition(g, lab)
     if 2 in grid:
         assert (found is not None) == ppt
