@@ -267,17 +267,17 @@ def measurement_probabilities(g: Graph, pair) -> list[MeasurementOutcome]:
     i, j = _normalize_edge(g, pair)
     m, deg = g.m, g.degrees()
     joined = 2 if g.has_edge(i, j) else 0
-    unit = np.eye(g.n, dtype=int)
+    unit = [(0,) * k + (1,) + (0,) * (g.n - k - 1) for k in range(g.n)]
+    head, tail = unit[i][:j], unit[i][j + 1:]  # e_i +/- e_j, as i < j
     # numerators over 4m
     tallies = [
-        (f"plus({i + 1}-{j + 1})", deg[i] + deg[j] - joined, unit[i] + unit[j]),
-        (f"minus({i + 1}-{j + 1})", deg[i] + deg[j] + joined, unit[i] - unit[j]),
+        (f"plus({i + 1}-{j + 1})", deg[i] + deg[j] - joined, head + (1,) + tail),
+        (f"minus({i + 1}-{j + 1})", deg[i] + deg[j] + joined, head + (-1,) + tail),
     ] + [(f"vertex({k + 1})", 2 * deg[k], unit[k]) for k in range(g.n) if k not in (i, j)]
     total = sum(num for _, num, _ in tallies)
     if total != 4 * m:
         raise ChannelError(f"outcome probabilities sum to {total}/{4 * m}, not 1")
-    return [MeasurementOutcome(name, num / (4 * m), tuple(vec.tolist()))
-            for name, num, vec in tallies]
+    return [MeasurementOutcome(name, num / (4 * m), vec) for name, num, vec in tallies]
 
 
 # ---------------------------------------------------------------------------

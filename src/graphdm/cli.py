@@ -50,7 +50,7 @@ from .graphs import (
     laplacian,
     parse_graph,
 )
-from .linalg import LinalgError
+from .linalg import HermitianMatrix, LinalgError
 from .separability import (
     DEFAULT_SEARCH_SEED,
     ENTANGLED_NPT,
@@ -87,8 +87,8 @@ def _load_graph(path: str) -> Graph:
 
 
 # json.dumps runs its C encoder only without indent, so _render walks dicts
-# and mixed lists itself and hands each leaf, and each list of plain numbers
-# or of non-empty rows of them, to a compact C encoder built once
+# and mixed lists itself and hands each leaf, each list of plain numbers, of
+# non-empty rows of them or of flat records, to a compact C encoder built once
 _C_ENCODE = (json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii,
                                          None, ": ", ", ", True, False, True)
              if json.encoder.c_make_encoder is not None else None)
@@ -105,11 +105,19 @@ def _render(obj, indent: str) -> str:
 
     A compact number list has no string in it, so its ", " and "], ["
     separators can only be separators, and re-indenting them with
-    str.replace gives the indented text.
+    str.replace gives the indented text; so do flat records whose ", " and
+    ": " counts are their separators', as then no string holds one.
     """
     if type(obj) in _LEAF:
         return _C_ENCODE(obj, 0)[0]
     inner = indent + "  "
+    row = inner + "  "
+    if type(obj) is HermitianMatrix:  # to_real()'s floats: each distinct num / den once
+        rows = obj.num.tolist()
+        text = {k: repr(float(k) / obj.den) for k in set(itertools.chain(*rows))}
+        sep = f"\n{inner}],\n{inner}[\n{row}"
+        body = sep.join(f",\n{row}".join(map(text.get, r)) for r in rows)
+        return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]" if rows else "[]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -128,14 +136,26 @@ def _render(obj, indent: str) -> str:
             return f"[\n{inner}{body}\n{indent}]"
         if (types <= {list, tuple} and all(obj)
                 and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBER):
-            row = inner + "  "
             body = ("".join(_C_ENCODE(obj, 0))[2:-2]
                     .replace("], [", f"\n{inner}],\n{inner}[\n{row}")
                     .replace(", ", f",\n{row}"))
             return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]"
+        if (types == {dict} and all(obj) and set(map(type, itertools.chain(*obj))) == {str}
+                and set(map(type, itertools.chain(*map(dict.values, obj)))) <= _LEAF):
+            text, fields = "".join(_C_ENCODE(obj, 0)), sum(map(len, obj))
+            if text.count(", ") == fields - 1 and text.count(": ") == fields:
+                body = (text[2:-2].replace("}, {", f"\n{inner}}},\n{inner}{{\n{row}")
+                        .replace(", ", f",\n{row}"))
+                return f"[\n{inner}{{\n{row}{body}\n{inner}}}\n{indent}]"
         body = f",\n{inner}".join(_render(x, inner) for x in obj)
         return f"[\n{inner}{body}\n{indent}]"
     raise _Unrendered
+
+
+def _jsonable(obj):  # json.dumps's default=: an exact matrix as its float rows
+    if type(obj) is HermitianMatrix:
+        return obj.to_real().tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
@@ -145,7 +165,7 @@ def _dumps(obj) -> str:
             return _render(obj, "")
         except _Unrendered:
             pass
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
 
 
 def _print_json(obj) -> None:
@@ -156,13 +176,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _graph_summary(g: Graph) -> dict:
+def _graph_summary(g: Graph, components: int | None = None) -> dict:
     return {
         "n": g.n,
         "m": g.m,
         "edges": [[u + 1, v + 1] for (u, v) in g.edges],
         "degrees": list(g.degrees()),
-        "components": component_count(g),
+        "components": component_count(g) if components is None else components,
     }
 
 
@@ -240,7 +260,7 @@ def cmd_analyze(args) -> None:
         conc = float(concurrences(cell_mat[None])[0][0])
 
     payload = {
-        "graph": _graph_summary(g),
+        "graph": _graph_summary(g, ent.kernel),
         "entropy": {
             "von_neumann": ent.entropy,
             "max_for_dimension": ent.bound_max,
@@ -384,7 +404,7 @@ def cmd_channel(args) -> None:
             if args.dump_operators and args.json:
                 record["operators"] = _complex_list(op.operators)
         if args.json:
-            record["state"] = density_of_graph(op.result).to_real().tolist()
+            record["state"] = HermitianMatrix(laplacian(op.result), den=2 * op.result.m)
         steps.append(record)
         cur = op.result
     if args.dump_operators and not args.json:
@@ -575,7 +595,7 @@ def cmd_entropy(args) -> None:
     rho = density_of_graph(g)
     report = von_neumann_entropy(rho)
     payload = {
-        "graph": _graph_summary(g),
+        "graph": _graph_summary(g, report.kernel),
         "entropy": report.entropy,
         "max_for_dimension": report.bound_max,
         "purity": float(purity(rho)),
@@ -614,6 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze graph Laplacian states: entropy, separability, "
                     "channels.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main
 
     def common(sp, dims=True, tol=True):
         if dims:
@@ -690,7 +711,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    # one pass by the command's parser; parse_args only for -h or no known command
+    sub = parser.commands.get(argv[0]) if argv else None
+    args, extra = ((parser.parse_args(argv), []) if sub is None else
+                   sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         tol = getattr(args, "tol", 0.0)
         if not 0 <= tol < math.inf:

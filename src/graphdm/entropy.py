@@ -29,6 +29,7 @@ class EntropyReport:
     entropy: float
     spectrum: SpectrumResult
     bound_max: float
+    kernel: int | None = None  # the eigenvalues written as exact zeros, for a graph state
 
 
 def _entropy_of_values(values) -> float:
@@ -43,13 +44,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyReport:
     """-sum lambda log2 lambda, with eigenvalues below 1e-12 treated as 0.
     A graph state's kernel is reported as exact zeros."""
     spec = eigensystem(rho.mat)
-    g = rho.origin
-    if g is not None:  # L(G)/2m: one zero per component
-        kernel = component_count(g)
+    kernel = None
+    if rho.origin is not None:  # L(G)/2m: one zero per component
+        kernel = component_count(rho.origin)
         spec = replace(spec, eigenvalues=(0.0,) * kernel + spec.eigenvalues[kernel:])
     ent = _entropy_of_values(spec.eigenvalues)
     bound = math.log2(rho.dim - 1) if rho.dim > 1 else 0.0
-    return EntropyReport(ent, spec, bound)
+    return EntropyReport(ent, spec, bound, kernel)
 
 
 def q_entropy(eigenvalues, q: float) -> float:

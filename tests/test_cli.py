@@ -20,11 +20,12 @@ import graphdm.cli as cli
 import graphdm.density as density
 import graphdm.entropy as entropy
 import graphdm.graphs as graphs
+import graphdm.linalg as linalg
 import graphdm.separability as separability
 from graphdm.channels import EdgeEdit, VertexEdit
 from graphdm.cli import main
 from graphdm.graphs import add_edge, add_isolated_vertex, delete_vertex
-from graphdm.linalg import LinalgError
+from graphdm.linalg import HermitianMatrix, LinalgError
 
 P4_TEXT = "n 4\ne 1 2\ne 2 3\ne 3 4\n"
 K4_TEXT = "n 4\n" + "".join(
@@ -287,21 +288,28 @@ def test_channel_checks_every_channel_output(capsys, graph_file, monkeypatch):
 
 
 def test_channel_builds_states_once_per_vertex_count(capsys, graph_file, monkeypatch):
-    sizes = []
-    to_real = density.DensityMatrix.to_real
+    exact, floats = [], []
+    init, to_real = linalg.HermitianMatrix.__init__, linalg.HermitianMatrix.to_real
 
-    def counted(rho):
-        sizes.append(rho.dim)
-        return to_real(rho)
+    def counted(mat, rows, **kw):
+        init(mat, rows, **kw)
+        exact.append(mat.dim)
 
-    monkeypatch.setattr(density.DensityMatrix, "to_real", counted)
+    def refuse(*_, **__):
+        raise AssertionError("a DensityMatrix")
+
+    monkeypatch.setattr(linalg.HermitianMatrix, "__init__", counted)
+    monkeypatch.setattr(linalg.HermitianMatrix, "to_real",
+                        lambda mat: floats.append(mat.dim) or to_real(mat))
+    monkeypatch.setattr(density.DensityMatrix, "__init__", refuse)
     path = graph_file("c5.graph", C5_TEXT)
     run_json(capsys, ["channel", path, *C5_SCRIPT, "--json"])
-    # one state per step, the edited graph's: 5, 5, 6 and 5 vertices
-    assert sizes == [5, 5, 6, 5]
-    sizes.clear()
+    # one exact state per step, the edited graph's: 5, 5, 6 and 5 vertices,
+    # rendered from its numerators without a float matrix
+    assert exact == [5, 5, 6, 5] and floats == []
+    exact.clear()
     run_text(capsys, ["channel", path, *C5_SCRIPT])  # text prints no state
-    assert sizes == []
+    assert exact == [] and floats == []
 
 
 def test_channel_builds_no_float_channel_without_dump_operators(capsys, graph_file):
@@ -898,6 +906,67 @@ def test_probe_draws_match_scalar_draws():
             for s, row in zip(single, present)] == want
 
 
+def parse_outcome(capsys, parse):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = parse()
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "g", "--p", "2", "--q=2", "--labeling", "1=0.0", "--tol", "0", "--json"],
+    ["census4", "--csv", "-"],
+    ["channel", "g", "del-edge 1 2", "add-vertex", "--script", "s", "--dump-operators"],
+    ["search", "g", "--p", "2", "--q", "2", "--budget", "5", "--seed", "1", "--workers", "2"],
+    ["probe", "--p", "2", "--q", "4", "--budget", "-3"],
+    ["entropy", "g", "--ord", "2"],  # an abbreviation the command's parser expands
+    [], ["nope", "g"], ["-h"], ["-h", "entropy"], ["entropy", "-h"], ["channel", "g", "--help"],
+    ["--json", "entropy", "g"], ["entropy", "g", "--bogus"], ["search", "g", "--p", "2", "-x"],
+    ["entropy", "g", "extra"], ["analyze", "g", "h", "--p", "2"], ["search", "g", "--budget", "x"],
+    ["analyze"], ["entropy", "--json"], ["channel", "g", "--", "--not-an-option"],
+    ["entropy", "--", "g"], ["--", "entropy", "g"],
+])
+def test_main_parses_as_parse_args(capsys, monkeypatch, argv):
+    top, seen, scans = cli._parser(), [], []
+    for name in top.commands:
+        monkeypatch.setattr(cli, f"cmd_{name}", seen.append)
+
+    def via_main():
+        parse_known_args = type(top).parse_known_args
+        monkeypatch.setattr(top, "parse_known_args",
+                            lambda *a, **k: scans.append(1) or parse_known_args(top, *a, **k))
+        try:
+            assert main(list(argv)) == 0
+        finally:
+            monkeypatch.delattr(top, "parse_known_args")
+        return seen.pop()
+
+    assert (parse_outcome(capsys, via_main)
+            == parse_outcome(capsys, lambda: top.parse_args(list(argv))))
+    # the top parser scans only an argv that names no command
+    assert bool(scans) == (not argv or argv[0] not in top.commands)
+
+
+def test_component_count_runs_once_per_job(capsys, graph_file, monkeypatch):
+    calls = []
+    count = graphs.component_count
+    monkeypatch.setattr(cli, "component_count", lambda g: calls.append(g.n) or count(g))
+    monkeypatch.setattr(entropy, "component_count", lambda g: calls.append(g.n) or count(g))
+    path = graph_file("two.graph", "n 4\ne 1 2\ne 3 4\n")
+    for argv in (["analyze", path, "--p", "2", "--q", "2"], ["entropy", path]):
+        calls.clear()
+        # the entropy kernel's count is the summary's
+        assert run_json(capsys, argv + ["--json"])["graph"]["components"] == 2
+        run_text(capsys, argv)
+        assert calls == [4, 4]
+    rho = density.density_of_graph(graphs.parse_graph("n 4\ne 1 2\ne 3 4\n"))
+    assert entropy.von_neumann_entropy(rho).kernel == 2
+    assert entropy.von_neumann_entropy(density.sigma_plus(rho.origin)).kernel is None
+
+
 def test_parser_is_built_once_and_dispatches_by_name(capsys, graph_file, monkeypatch):
     assert cli._parser() is cli._parser()
     calls = []
@@ -910,18 +979,43 @@ def test_parser_is_built_once_and_dispatches_by_name(capsys, graph_file, monkeyp
 # ---------------------------------------------------------------------------
 # --json rendering: json.dumps(sort_keys=True, indent=2) byte for byte
 
-# strings that look like the separators the number-list path rewrites
+# strings that look like the separators the number-list and record paths rewrite
 TEXT = st.one_of(st.sampled_from(['", "', '"], ["', "], [", ", ", "[1, 2]", "a\nb", "é ☃ 𝄞",
-                                  "\\", '"', ""]),
+                                  "\\", '"', "", ": ", "}, {", '"}, {"', '": "']),
                  st.text(max_size=6))
 FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
                   st.floats().map(np.float64))
 NUMBER = st.one_of(st.integers(), FLOAT, st.booleans())
 SCALAR = st.one_of(st.none(), TEXT, NUMBER)
+
+
+@st.composite
+def exact_matrices(draw):
+    """A HermitianMatrix: a symmetric integer matrix over a positive den."""
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, 12), st.integers(-2 ** 53, 2 ** 53))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    den = draw(st.one_of(st.integers(1, 40), st.integers(1, 2 ** 53)))
+    return HermitianMatrix(np.array(rows, dtype=np.int64).reshape(n, n), den=den)
+
+
+def float_rows(obj):
+    """json.dumps's default= for the renderer's reference: a matrix's float rows."""
+    if isinstance(obj, HermitianMatrix):
+        return obj.to_real().tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, default=float_rows)
+
+
 PAYLOAD = st.recursive(
     st.one_of(SCALAR, st.lists(NUMBER, max_size=6),
               st.lists(st.lists(NUMBER, max_size=4), max_size=4),  # rows, some empty
-              st.lists(st.tuples(NUMBER, NUMBER), max_size=3)),
+              st.lists(st.tuples(NUMBER, NUMBER), max_size=3), exact_matrices(),
+              st.lists(st.dictionaries(TEXT, SCALAR, max_size=3), max_size=4)),  # records
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
@@ -935,8 +1029,34 @@ PAYLOAD = st.recursive(
 @example({"state": [[0.5, -0.0], [float("nan"), True]], "edges": [(1, 2), (2, 3)],
           "note": '[1.0, 2.0], [3.0]', "empty": [[], {}, [[]]], "x": np.float64(0.1)})
 @example([[1, 2], ["], [", 3]])
+@example({"state": HermitianMatrix([[2, -1], [-1, 2]], den=6), "zero": HermitianMatrix.zeros(1),
+          "empty": HermitianMatrix.zeros(0), "keyed": {1: HermitianMatrix.identity(2)}})
+@example([{"projector": "plus(1-2)", "probability": 0.25}, {"x": -0.0, "y": None, "z": True}])
 def test_renderer_matches_json_dumps(obj):
-    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert cli._dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("records,one_encode", [
+    ([{"projector": "plus(1-2)", "probability": 0.25}, {"projector": "vertex(3)", "x": 1}], True),
+    ([{"a\\b": '"quoted"', "c": "\\"}, {'"': "\\\"", "e": math.nan}], True),
+    ([{"a, b": 1}, {"c": 2}], False),
+    ([{"a": 1}, {"c": "x, y"}], False),
+    ([{"a: b": 1, "c": 2}], False),
+    ([{"a": 1, "b": "x: y"}], False),
+    ([{"a": "}, {"}, {"b": 2}], False),
+    ([{'"}, {"': 1}, {"b": 2}], False),
+    ([{"a": '\\", "'}, {"b": '": "\\'}], False),
+    ([{"k": 'x\\": "y', "j": "\\}, {\\"}], False),
+])
+def test_flat_records_take_one_encode_unless_a_string_holds_a_separator(monkeypatch, records,
+                                                                       one_encode):
+    encoded = []
+    encode = cli._C_ENCODE
+    monkeypatch.setattr(cli, "_C_ENCODE",
+                        lambda obj, level: encoded.append(obj) or encode(obj, level))
+    assert cli._dumps({"records": records}) == reference({"records": records})
+    # refused, the compact text is dropped and each record rendered on its own
+    assert encoded[0] is records and (len(encoded) == 1) == one_encode
 
 
 def test_renderer_leaves_unknown_values_to_json_dumps(monkeypatch):
@@ -945,9 +1065,11 @@ def test_renderer_leaves_unknown_values_to_json_dumps(monkeypatch):
                          ({"a": {1: 2, "b": 3}}, "'<' not supported")):
         with pytest.raises(TypeError, match=message):
             cli._dumps(bad)
-    payload = {"b": [[1.5, 2]], "a": ["x, y"]}
+    payload = {"b": [[1.5, 2]], "a": ["x, y"], "c": HermitianMatrix([[1, -1], [-1, 1]], den=2)}
+    keyed = {"m": payload["c"], "k": {1: 2}}  # json.dumps renders the int key
+    assert cli._dumps(keyed) == reference(keyed)
     monkeypatch.setattr(cli, "_C_ENCODE", None)  # an interpreter without the C encoder
-    assert cli._dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    assert cli._dumps(payload) == reference(payload)
 
 
 def test_every_subcommand_renders_without_json_dumps(capsys, graph_file, monkeypatch):
