@@ -58,6 +58,7 @@ from .separability import (
     PPT_INCONCLUSIVE,
     SEPARABLE,
     BipartiteLabeling,
+    ProductStates,
     SeparabilityError,
     _min_eig_for_assignment,  # noqa: F401 - perfbench's tracer test rebinds it here
     certify_ppt_verdicts,
@@ -108,16 +109,10 @@ def _render(obj, indent: str) -> str:
     str.replace gives the indented text; so do flat records whose ", " and
     ": " counts are their separators', as then no string holds one.
     """
-    if type(obj) in _LEAF:
+    kind = type(obj)
+    if kind in _LEAF:
         return _C_ENCODE(obj, 0)[0]
-    inner = indent + "  "
-    row = inner + "  "
-    if type(obj) is HermitianMatrix:  # to_real()'s floats: each distinct num / den once
-        rows = obj.num.tolist()
-        text = {k: repr(float(k) / obj.den) for k in set(itertools.chain(*rows))}
-        sep = f"\n{inner}],\n{inner}[\n{row}"
-        body = sep.join(f",\n{row}".join(map(text.get, r)) for r in rows)
-        return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]" if rows else "[]"
+    inner, row = indent + "  ", indent + "    "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -149,12 +144,34 @@ def _render(obj, indent: str) -> str:
                 return f"[\n{inner}{{\n{row}{body}\n{inner}}}\n{indent}]"
         body = f",\n{inner}".join(_render(x, inner) for x in obj)
         return f"[\n{inner}{body}\n{indent}]"
+    if kind is ProductStates and len(obj):  # _jsonable's K >= 1 records, one template K times
+        pair = f"{row}  [\n{row}    %s,\n{row}    %s\n{row}  ]"
+        left, right = ("[\n" + ",\n".join([pair] * d) + f"\n{row}]" if d else "[]"
+                       for d in (obj.left.shape[1], obj.right.shape[1]))
+        record = f'{{\n{row}"left": {left},\n{row}"right": {right},\n{row}"weight": %s\n{inner}}}'
+        floats = np.concatenate([np.ascontiguousarray(f, dtype=complex).view(float)
+                                 for f in (obj.left, obj.right)] + [obj.weights[:, None]], axis=1)
+        bits = np.sort(floats.view(np.int64), axis=None)  # each distinct float (bits) encoded once
+        bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+        text = "".join(_C_ENCODE(bits.view(float).tolist(), 0))[1:-1].split(", ")
+        at = bits.searchsorted(floats.view(np.int64).ravel()).tolist()
+        body = f",\n{inner}".join([record] * len(obj))
+        return f"[\n{inner}{body}\n{indent}]" % tuple(map(text.__getitem__, at))
+    if kind is HermitianMatrix:  # to_real()'s floats: each distinct num / den once
+        rows = obj.num.tolist()
+        text = {k: repr(float(k) / obj.den) for k in set(itertools.chain(*rows))}
+        sep = f"\n{inner}],\n{inner}[\n{row}"
+        body = sep.join(f",\n{row}".join(map(text.get, r)) for r in rows)
+        return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]" if rows else "[]"
     raise _Unrendered
 
 
-def _jsonable(obj):  # json.dumps's default=: an exact matrix as its float rows
+def _jsonable(obj):  # json.dumps's default= for the exact matrix and product-state records
     if type(obj) is HermitianMatrix:
         return obj.to_real().tolist()
+    if type(obj) is ProductStates:  # one dict per state, its factors as [re, im] pairs
+        return [{"left": x, "right": y, "weight": w} for x, y, w in
+                zip(_complex_list(obj.left), _complex_list(obj.right), obj.weights.tolist())]
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -189,13 +206,6 @@ def _graph_summary(g: Graph, components: int | None = None) -> dict:
 def _complex_list(vec) -> list:
     vec = np.asarray(vec, dtype=complex)
     return np.stack([vec.real, vec.imag], axis=-1).tolist()
-
-
-def _states_payload(states) -> list:
-    lefts = _complex_list([s.left for s in states])
-    rights = _complex_list([s.right for s in states])
-    return [{"weight": float(s.weight), "left": left, "right": right}
-            for s, left, right in zip(states, lefts, rights)]
 
 
 def _parse_labeling(spec: str, p: int, q: int, n: int) -> BipartiteLabeling:
@@ -244,14 +254,8 @@ def cmd_analyze(args) -> None:
     verdict = ppt_test(rho, lab)
     edges_cross = entangled_edges(g, lab)
 
-    status = verdict.status
-    decomposition = None
-    route = None
-    if status != ENTANGLED_NPT:
-        found = separable_decomposition(g, lab)
-        if found is not None:
-            route, decomposition = found
-            status = SEPARABLE
+    found = separable_decomposition(g, lab) if verdict.status != ENTANGLED_NPT else None
+    status = verdict.status if found is None else SEPARABLE
 
     conc = None
     if (p, q) == (2, 2):
@@ -278,11 +282,8 @@ def cmd_analyze(args) -> None:
         },
         "pt_spectrum": list(verdict.pt_spectrum),
         "concurrence": conc,
-        "decomposition": None if decomposition is None else {
-            "route": route,
-            "terms": len(decomposition),
-            "states": _states_payload(decomposition),
-        },
+        "decomposition": None if found is None else {
+            "route": found[0], "terms": len(found[1]), "states": found[1]},
     }
     if args.json:
         _print_json(payload)
@@ -301,8 +302,8 @@ def cmd_analyze(args) -> None:
     print(f"verdict: {status}  (min PT eigenvalue {_fmt(verdict.min_pt_eigenvalue)})")
     if conc is not None:
         print(f"concurrence: {_fmt(conc)}")
-    if decomposition is not None:
-        print(f"decomposition: {len(decomposition)} product states via {route}")
+    if found is not None:
+        print(f"decomposition: {len(found[1])} product states via {found[0]}")
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,17 @@ class SeparabilityVerdict:
         return self.pt_spectrum[0]
 
 
-@dataclass(frozen=True)
-class ProductState:
-    """Weighted product vector left (x) right; verify_separable_decomposition
-    checks that the factors are unit vectors and the weights nonnegative."""
+@dataclass(frozen=True, eq=False)
+class ProductStates:
+    """K weighted product vectors left[k] (x) right[k], stacked: (K, p) and (K, q)
+    complex, weights (K,) float; verify_separable_decomposition checks them."""
 
     left: np.ndarray
     right: np.ndarray
-    weight: float
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +415,11 @@ def _directed_cycles(arcs) -> list[list]:
 
 
 def _cycle_factors(edges, cells, p: int, q: int):
-    """(left, right, entangled edges) of the product states, one per edge,
-    of a graph whose vertex v sits at cells[v] = (row, column) of a p x q
-    grid: the directed cycles' tally marks, shortest first, then the
-    separable edges in edge order.  None when some row pair's arcs do not
-    balance."""
+    """(left, right, entangled edges): the complex stacks of the product
+    states, one row per edge, of a graph whose vertex v sits at cells[v] =
+    (row, column) of a p x q grid: the directed cycles' tally marks,
+    shortest first, then the separable edges in edge order.  None when some
+    row pair's arcs do not balance."""
     h = 1 / math.sqrt(2)
     lefts, rights, entangled, arcs = [], [], [], []
     for u, v in edges:
@@ -441,11 +444,10 @@ def _cycle_factors(edges, cells, p: int, q: int):
         by_size.setdefault(len(cycle), []).append(cycle)
     blocks = [_tally_states(np.array(marks), p, q) for _, marks in sorted(by_size.items())]
     blocks.append((np.array(lefts).reshape(-1, p), np.array(rights).reshape(-1, q)))
-    return (np.concatenate([f for f, _ in blocks]), np.concatenate([f for _, f in blocks]),
-            entangled)
+    return (*(np.concatenate(side, dtype=complex) for side in zip(*blocks)), entangled)
 
 
-def tally_mark_decomposition(g: Graph) -> list[ProductState]:
+def tally_mark_decomposition(g: Graph) -> ProductStates:
     """Separable decomposition of a single tally-mark spanning its graph.
 
     Under the default two-row labeling the graph must be a pe-matching whose
@@ -464,37 +466,35 @@ def tally_mark_decomposition(g: Graph) -> list[ProductState]:
 # decompositions and their verification
 
 
-def verify_separable_decomposition(rho: DensityMatrix, states,
+def verify_separable_decomposition(rho: DensityMatrix, states: ProductStates,
                                    lab: BipartiteLabeling | None = None) -> bool:
     """True iff the weighted product mixture matches rho entrywise within
     RECONSTRUCTION_TOL.
 
     Product vectors live on cells; `lab` translates them to the vertex basis
-    (omit it for the default labeling).  The K product vectors are stacked
-    as the rows of V, so the mixture is one product V^T diag(w) conj(V).
+    (omit it for the default labeling).  The K product vectors are the rows
+    of V, so the mixture is one product V^T diag(w) conj(V) of the stacks.
     A non-unit factor, a negative weight or weights not summing to 1 raise.
     """
     if not states:
         return False
-    left = np.array([s.left for s in states], dtype=complex)
-    right = np.array([s.right for s in states], dtype=complex)
-    for side in (left, right):
+    for side in (states.left, states.right):
         if np.abs(np.linalg.norm(side, axis=1) - 1.0).max() > 1e-10:
             raise SeparabilityError("product-state factor is not unit norm")
-    weights = [s.weight for s in states]
+    weights = states.weights.tolist()
     if min(weights) < 0:
         raise SeparabilityError("product-state weight must be nonnegative")
     total = sum(weights)
     if abs(total - 1.0) > 1e-10:
         raise SeparabilityError(f"weights sum to {total}, not 1")
-    vecs = (left[:, :, None] * right[:, None, :]).reshape(len(states), -1)
-    mix = (vecs.T * np.array(weights)) @ vecs.conj()
+    vecs = (states.left[:, :, None] * states.right[:, None, :]).reshape(len(weights), -1)
+    mix = (vecs.T * states.weights) @ vecs.conj()
     if lab is not None:  # cell-basis mixture -> vertex basis
         mix = mix[np.ix_(lab.assign, lab.assign)]
     return bool(np.abs(mix - rho.mat.to_real()).max() <= RECONSTRUCTION_TOL)
 
 
-def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
+def complete_graph_decomposition(n: int, p: int, q: int) -> ProductStates:
     """`separable_decomposition` of K_n under the default p x q labeling: its
     entangled edges pair into criss-crosses, 2-cycles.  Relabeling leaves
     K_n's state unchanged, so the decomposition holds under every labeling."""
@@ -504,7 +504,7 @@ def complete_graph_decomposition(n: int, p: int, q: int) -> list[ProductState]:
 
 
 def separable_decomposition(g: Graph, lab: BipartiteLabeling):
-    """(route, verified product states, each of weight 1/m) when g's state
+    """(route, verified ProductStates, each of weight 1/m) when g's state
     splits into product states under lab by directed cycles, else None.
 
     Edges within a row or a column are product states.  An entangled edge
@@ -533,8 +533,7 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling):
              else "product-edges" if not ends
              else "criss-cross-matching" if lab.p == 2 and len(ends) == g.n == len(set(ends))
              else "directed-cycles")
-    w = 1.0 / g.m
-    states = [ProductState(x, y, w) for x, y in zip(left, right)]
+    states = ProductStates(left, right, np.full(len(left), 1.0 / g.m))
     if not verify_separable_decomposition(rho, states, lab):
         raise SeparabilityError(f"{route} decomposition failed to reconstruct")
     return route, states

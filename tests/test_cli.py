@@ -26,6 +26,7 @@ from graphdm.channels import EdgeEdit, VertexEdit
 from graphdm.cli import main
 from graphdm.graphs import add_edge, add_isolated_vertex, delete_vertex
 from graphdm.linalg import HermitianMatrix, LinalgError
+from graphdm.separability import ProductStates
 
 P4_TEXT = "n 4\ne 1 2\ne 2 3\ne 3 4\n"
 K4_TEXT = "n 4\n" + "".join(
@@ -571,6 +572,32 @@ def test_analyze_builds_and_checks_each_decomposition_once(capsys, graph_file):
     assert ("call", "eigvalsh") not in events[start:end]
 
 
+@pytest.mark.parametrize("name,p,q", [("k12.graph", 3, 4), ("cols6.graph", 3, 2),
+                                      ("rows6.graph", 2, 3)])
+def test_decomposition_stacks_are_built_once(capsys, graph_file, monkeypatch, name, p, q):
+    """The record verify_separable_decomposition checks and the record
+    _render writes hold _cycle_factors's own stacks, swapped by the
+    transposed pass at p x 2, and no copy of them."""
+    built, checked, rendered = [], [], []
+    factors, verify, render = (separability._cycle_factors,
+                               separability.verify_separable_decomposition, cli._render)
+    monkeypatch.setattr(separability, "_cycle_factors",
+                        lambda *a: built.append(factors(*a)) or built[-1])
+    monkeypatch.setattr(separability, "verify_separable_decomposition",
+                        lambda rho, states, lab=None: checked.append(states)
+                        or verify(rho, states, lab))
+    monkeypatch.setattr(cli, "_render", lambda obj, indent: (
+        type(obj) is ProductStates and rendered.append(obj)) or render(obj, indent))
+    argv = pinned_argv(graph_file, ["analyze", name, "--p", str(p), "--q", str(q), "--json"])
+    run_text(capsys, argv)
+    *refused, (left, right, _) = built
+    if q == 2:  # only the transposed pass balances, and its factors come swapped
+        left, right = right, left
+    assert refused == ([None] if q == 2 else [])
+    assert len(checked) == len(rendered) == 1 and checked[0] is rendered[0]
+    assert np.shares_memory(checked[0].left, left) and np.shares_memory(checked[0].right, right)
+
+
 def test_search_builds_no_decomposition_for_a_non_complete_graph(capsys, graph_file):
     # analyze certifies this 2x3 graph by its criss-cross pe-matching, but
     # only a complete graph decomposes under every labeling, which is all
@@ -699,6 +726,13 @@ PINNED_FILES = {
     "cross8.graph": "n 8\ne 1 6\ne 2 5\ne 3 8\ne 4 7\n",  # two criss-crosses at 2x4
     "c5.graph": "n 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
     "c12.graph": "n 12\n" + "".join(f"e {v} {v % 12 + 1}\n" for v in range(1, 13)),
+    "k12.graph": "n 12\n" + "".join(
+        f"e {u} {v}\n" for u in range(1, 13) for v in range(u + 1, 13)),
+    # at 3x3 the arcs 0->1->2->0 of rows 0, 1 and 0<->1 of rows 1, 2; 7-8 and 1-7 separable
+    "cycles9.graph": "n 9\ne 1 5\ne 2 6\ne 3 4\ne 4 8\ne 5 7\ne 7 8\ne 1 7\n",
+    "rows6.graph": "n 6\ne 1 2\ne 2 3\ne 1 4\ne 5 6\n",  # no entangled edge at 2x3
+    # at 3x2 three row pairs hold one arc each: only the transposed 2x3 pass balances
+    "cols6.graph": "n 6\ne 1 2\ne 1 4\ne 2 5\ne 3 6\n",
     "edits.txt": "del-edge 1 2\nadd-edge 1 3\ndel-vertex 5\nadd-vertex\n",
     "empty4.graph": "n 4\n",
 }
@@ -723,6 +757,12 @@ PINNED_OUTPUTS = [
     # certified edits report the edited graph's own state (see below)
     (["channel", "c5.graph", "--script", "edits.txt"], "c1c2594f500fbce8"),
     (["census4", "--csv", "-"], "fcf89dc12cd1bdea"),  # the CSV wins over --json
+    # one report per route shape: directed cycles at 3x3, product edges, the
+    # transposed pass at 3x2, and K12's 66 states at 3x4
+    (["analyze", "cycles9.graph", "--p", "3", "--q", "3"], "5ba9210014f265f3"),
+    (["analyze", "rows6.graph", "--p", "2", "--q", "3"], "7575936dc250f6db"),
+    (["analyze", "cols6.graph", "--p", "3", "--q", "2"], "2701f9fc554e36ea"),
+    (["analyze", "k12.graph", "--p", "3", "--q", "4"], "90f30c00fbf375a1"),
 ]
 
 
@@ -1000,10 +1040,35 @@ def exact_matrices(draw):
     return HermitianMatrix(np.array(rows, dtype=np.int64).reshape(n, n), den=den)
 
 
+@st.composite
+def product_states(draw):
+    """A ProductStates record: K from 1 to 8 states, p and q from 1 to 6,
+    each float drawn from the edge cases or from a few values, so that many
+    repeat."""
+    k, p, q = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                       -5e-324, 1 / math.sqrt(2)] + pool), st.floats())
+
+    def stack(*shape):
+        return np.array([draw(entry) for _ in range(math.prod(shape))]).reshape(shape)
+
+    left, right = (stack(k, d, 2).view(complex)[..., 0] for d in (p, q))
+    return ProductStates(left, right, stack(k))
+
+
 def float_rows(obj):
-    """json.dumps's default= for the renderer's reference: a matrix's float rows."""
+    """json.dumps's default= for the renderer's reference: a matrix's float
+    rows, and a record's states, each a dict of its weight and its factors
+    as [re, im] pairs."""
     if isinstance(obj, HermitianMatrix):
         return obj.to_real().tolist()
+    if isinstance(obj, ProductStates):
+        def pairs(row):
+            return [[z.real, z.imag] for z in row]
+
+        return [{"left": pairs(x), "right": pairs(y), "weight": w} for x, y, w in
+                zip(obj.left.tolist(), obj.right.tolist(), obj.weights.tolist())]
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -1015,6 +1080,7 @@ PAYLOAD = st.recursive(
     st.one_of(SCALAR, st.lists(NUMBER, max_size=6),
               st.lists(st.lists(NUMBER, max_size=4), max_size=4),  # rows, some empty
               st.lists(st.tuples(NUMBER, NUMBER), max_size=3), exact_matrices(),
+              product_states(),
               st.lists(st.dictionaries(TEXT, SCALAR, max_size=3), max_size=4)),  # records
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
@@ -1032,6 +1098,12 @@ PAYLOAD = st.recursive(
 @example({"state": HermitianMatrix([[2, -1], [-1, 2]], den=6), "zero": HermitianMatrix.zeros(1),
           "empty": HermitianMatrix.zeros(0), "keyed": {1: HermitianMatrix.identity(2)}})
 @example([{"projector": "plus(1-2)", "probability": 0.25}, {"x": -0.0, "y": None, "z": True}])
+@example({"decomposition": {"states": ProductStates(
+    np.array([[complex(-0.0, 0.0), complex(math.nan, math.inf)],
+              [complex(0.0, -math.inf), complex(5e-324, 0.0)]]),
+    np.array([[complex(0.5, -0.0)], [complex(0.5, 0.0)]]), np.array([0.5, 0.5]))}})
+@example(ProductStates(np.array([[complex(-0.0, 0.0)]]), np.array([[complex(0.0, -0.0)]]),
+                       np.array([-0.0])))
 def test_renderer_matches_json_dumps(obj):
     assert cli._dumps(obj) == reference(obj)
 
@@ -1082,6 +1154,8 @@ def test_every_subcommand_renders_without_json_dumps(capsys, graph_file, monkeyp
     for argv in (["channel", paths["c5.graph"], "--script", paths["edits.txt"],
                   "--dump-operators"],
                  ["analyze", paths["cross8.graph"], "--p", "2", "--q", "4"],
+                 ["analyze", paths["k12.graph"], "--p", "3", "--q", "4"],
+                 ["analyze", paths["cols6.graph"], "--p", "3", "--q", "2"],
                  ["search", paths["p4.graph"], "--p", "2", "--q", "2"],
                  ["entropy", paths["c5.graph"], "--order", "2"],
                  ["probe", "--p", "2", "--q", "2"], ["census4"]):

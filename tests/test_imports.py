@@ -5,8 +5,9 @@ the comparison nor the channel tolerance, one reads the reconstruction
 tolerance, one builder makes every separable decomposition and the CLI
 reaches it through analyze alone, no module brings back an inexact matrix
 mode, eigensolvers run only where a float spectrum is the result, not
-a verdict, and a labeling's flat cells and a graph state's mark are each
-stored in one form."""
+a verdict, a labeling's flat cells and a graph state's mark are each
+stored in one form, and a decomposition's product states stay one stacked
+record."""
 
 import ast
 from pathlib import Path
@@ -262,6 +263,18 @@ def test_one_stored_form_per_ppt_input():
     for p in modules:
         text = p.read_text(encoding="utf-8")
         for name in ("is_default", "normalization", "_labeling_cells"):
+            assert name not in text, (p.name, name)
+
+
+def test_product_states_stay_one_stacked_record():
+    # separable_decomposition's ProductStates holds the builder's stacks to
+    # the JSON text: no module makes one object per state or re-stacks the
+    # states into a payload of its own
+    modules = sorted(SRC.glob("*.py"))
+    assert {"separability.py", "channels.py", "cli.py"} <= {p.name for p in modules}
+    for p in modules:
+        text = p.read_text(encoding="utf-8")
+        for name in ("ProductState(", "_states_payload"):
             assert name not in text, (p.name, name)
 
 

@@ -20,7 +20,7 @@ from graphdm import (
     SEPARABLE,
     BipartiteLabeling,
     DensityError,
-    ProductState,
+    ProductStates,
     SeparabilityError,
     build_graph,
     canonicalize_pe_matching,
@@ -278,13 +278,13 @@ def test_tally_mark_decompositions():
         g = tally_chain(cols)
         states = tally_mark_decomposition(g)
         assert len(states) == cols
-        assert abs(sum(s.weight for s in states) - 1.0) < 1e-12
+        assert states.left.shape == (cols, 2) and states.right.shape == (cols, cols)
+        assert abs(states.weights.sum() - 1.0) < 1e-12
         assert verify_separable_decomposition(
             density_of_graph(g), states, BipartiteLabeling.default(2, cols))
         # the right factors are discrete Fourier vectors: pairwise orthonormal
-        rights = np.array([s.right for s in states])
         np.testing.assert_allclose(
-            rights @ rights.conj().T, np.eye(cols), atol=1e-10)
+            states.right @ states.right.conj().T, np.eye(cols), atol=1e-10)
     with pytest.raises(SeparabilityError):
         tally_mark_decomposition(path_graph(4))
     with pytest.raises(SeparabilityError):
@@ -335,29 +335,35 @@ def test_verify_separable_decomposition_rejects_wrong_mixture():
     rho = density_of_graph(path_graph(4))  # entangled under default labeling
     states = complete_graph_decomposition(4, 2, 2)
     assert not verify_separable_decomposition(rho, states, LAB22)
-    assert not verify_separable_decomposition(rho, [], LAB22)
+    assert not verify_separable_decomposition(rho, no_states(2, 2), LAB22)
+
+
+def no_states(p, q):
+    return ProductStates(np.zeros((0, p), dtype=complex), np.zeros((0, q), dtype=complex),
+                         np.zeros(0))
 
 
 def looped_check(rho, states, lab=None):
     """verify_separable_decomposition with one np.kron and one np.outer per
-    product state and each state's own norm and weight checks: the
+    row of the stacks and each state's own norm and weight checks: the
     reference for the stacked product and its stacked checks."""
-    if not states:
+    rows = list(zip(states.left, states.right, states.weights.tolist()))
+    if not rows:
         return False
-    for s in states:
-        for vec in (s.left, s.right):
+    for left, right, weight in rows:
+        for vec in (left, right):
             if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
                 raise SeparabilityError("product-state factor is not unit norm")
-        if s.weight < 0:
+        if weight < 0:
             raise SeparabilityError("product-state weight must be nonnegative")
-    total = sum(s.weight for s in states)
+    total = sum(weight for _, _, weight in rows)
     if abs(total - 1.0) > 1e-10:
         raise SeparabilityError(f"weights sum to {total}, not 1")
     n = rho.dim
     mix = np.zeros((n, n), dtype=complex)
-    for s in states:
-        vec = np.kron(np.asarray(s.left, dtype=complex), np.asarray(s.right, dtype=complex))
-        mix += s.weight * np.outer(vec, vec.conj())
+    for left, right, weight in rows:
+        vec = np.kron(np.asarray(left, dtype=complex), np.asarray(right, dtype=complex))
+        mix += weight * np.outer(vec, vec.conj())
     if lab is not None:
         mix = mix[np.ix_(lab.assign, lab.assign)]
     return bool(np.abs(mix - rho.mat.to_real()).max() <= RECONSTRUCTION_TOL)
@@ -393,29 +399,30 @@ def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
     g = build_graph(n, edges)
     rho = density_of_graph(g)
     states = separable_decomposition(g, read)[1]
+    left, right, weights = states.left, states.right, states.weights
     if kind == "relabeled":
         lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n))
     elif kind == "dropped":
-        states = [ProductState(s.left, s.right, s.weight / (1 - states[0].weight))
-                  for s in states[1:]]
+        states = ProductStates(left[1:], right[1:], weights[1:] / (1 - weights[0]))
     elif kind == "random":
         weights = rng.dirichlet(np.ones(len(states)))
-        states = [ProductState(random_unit(rng, p), random_unit(rng, q), w) for w in weights]
+        pairs = [(random_unit(rng, p), random_unit(rng, q)) for _ in weights]
+        states = ProductStates(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]),
+                               weights)
     elif kind == "weights":
-        states = [ProductState(s.left, s.right, 1.5 * s.weight) for s in states]
+        states = ProductStates(left, right, 1.5 * weights)
     elif kind == "empty":
-        states = []
+        states = no_states(p, q)
     elif kind == "long":
         k = int(rng.integers(len(states)))
-        s = states[k]
-        states[k] = (ProductState(2 * s.left, s.right, s.weight) if rng.random() < 0.5
-                     else ProductState(s.left, 2 * s.right, s.weight))
+        left, right = left.copy(), right.copy()
+        (left if rng.random() < 0.5 else right)[k] *= 2
+        states = ProductStates(left, right, weights)
     elif kind == "negative":
         k = int(rng.integers(len(states)))
-        w = states[k].weight
-        states = [ProductState(s.left, s.right,
-                               -w if i == k else s.weight * (1 + w) / (1 - w))
-                  for i, s in enumerate(states)]
+        w = float(weights[k])
+        states = ProductStates(left, right, np.array(
+            [-w if i == k else x * (1 + w) / (1 - w) for i, x in enumerate(weights.tolist())]))
 
     def outcome(check):
         try:
@@ -894,9 +901,9 @@ def vertex_mixture(states, lab):
     (s, t), entry s*q + t."""
     cells = [s * lab.q + t for s, t in lab.cells]
     mix = np.zeros((lab.n, lab.n), dtype=complex)
-    for prod in states:
-        x = np.kron(prod.left, prod.right)[cells]
-        mix += prod.weight * np.outer(x, x.conj())
+    for left, right, weight in zip(states.left, states.right, states.weights):
+        x = np.kron(left, right)[cells]
+        mix += weight * np.outer(x, x.conj())
     return mix
 
 
@@ -998,7 +1005,7 @@ def test_cycle_builder_decides_ppt_with_two_rows_or_columns(grid, seed, balanced
         assert found is not None
     if found is not None:
         route, states = found
-        assert len(states) == g.m and all(s.weight == 1 / g.m for s in states)
+        assert len(states) == g.m and (states.weights == 1 / g.m).all()
         assert np.abs(vertex_mixture(states, lab) - laplacian_state(g.n, g.edges)).max() < 1e-10
 
 
@@ -1012,7 +1019,7 @@ def test_two_column_decomposition_swaps_the_transposed_factors():
     flipped_route, flipped_states = separable_decomposition(g, flipped)
     assert (route, flipped_route) == ("directed-cycles", "criss-cross-matching")
     assert len(states) == len(flipped_states) == 3
-    for st_, flip in zip(states, flipped_states):
-        assert np.array_equal(st_.left, flip.right) and np.array_equal(st_.right, flip.left)
-        assert st_.weight == flip.weight
+    assert np.array_equal(states.left, flipped_states.right)
+    assert np.array_equal(states.right, flipped_states.left)
+    assert np.array_equal(states.weights, flipped_states.weights)
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(6, g.edges)).max() < 1e-15
