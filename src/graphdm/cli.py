@@ -498,25 +498,108 @@ def _probe_exhaustive(pairs, ent_pairs, n: int):
     return present[keep], size[keep] == 1
 
 
+# probe instances per block of replayed draws: a block's words are drawn in
+# one call, and the words held stay near 100,000 at any budget
+_PROBE_BLOCK = 4096
+
+
+class _Draws:
+    """The bounded draws of a numpy Generator, replayed from its raw words.
+
+    `rng.integers(0, 1 << 32, size=k, dtype=np.uint32)` yields the next k
+    words `next_uint32` would give any bounded draw, in stream order.
+    `integer(r)` replays `rng.integers(0, r)` by Lemire's multiply-shift
+    (ACM TOMACS 29 (2019)): the top 32 bits of word * r, a word rejected
+    while the low 32 fall under 2^32 mod r.  `sample` replays
+    `rng.choice(options, size=k, replace=False)` for fewer than 10,000
+    options: Floyd's sampler (Bentley and Floyd, CACM 30 (1987)), then a
+    Fisher-Yates pass over the k picks.  `words` holds the drawn words,
+    `vals` the same as Python ints and `pos` the next one unread; words run
+    short only to be topped up from rng, so the stream continues exactly.
+    """
+
+    def __init__(self, rng, words=()):
+        self.rng = rng
+        self.words = np.asarray(words, dtype=np.uint32)
+        self.vals = self.words.tolist()
+        self.pos = 0
+
+    def reserve(self, count: int) -> None:
+        """Draw what is missing for count unread words."""
+        short = count - (len(self.vals) - self.pos)
+        if short > 0:
+            more = self.rng.integers(0, 1 << 32, size=short, dtype=np.uint32)
+            self.words = np.concatenate([self.words, more])
+            self.vals += more.tolist()
+
+    def skip(self, count: int) -> int:
+        """Position in words of the next count words, now read."""
+        self.reserve(count)
+        self.pos += count
+        return self.pos - count
+
+    def drop_read(self) -> None:
+        """Forget the words read; pos restarts at the first unread one."""
+        self.words, self.vals, self.pos = self.words[self.pos:], self.vals[self.pos:], 0
+
+    def integer(self, r: int) -> int:
+        """rng.integers(0, r) for 1 <= r <= 2^32; r = 1 reads no word."""
+        if r == 1:
+            return 0
+        while True:
+            if self.pos == len(self.vals):
+                self.reserve(1)
+            m = self.vals[self.pos] * r
+            self.pos += 1
+            if m & 0xFFFFFFFF >= (1 << 32) % r:
+                return m >> 32
+
+    def sample(self, options, k: int) -> list:
+        """rng.choice(options, size=k, replace=False).tolist()."""
+        size = len(options)
+        picks = []
+        for j in range(size - k, size):
+            val = self.integer(j + 1)
+            picks.append(j if val in picks else val)
+        for i in range(k - 1, 0, -1):
+            j = self.integer(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return [options[i] for i in picks]
+
+
 def _probe_sampled(pairs, ent_pairs, n: int, budget: int, seed: int):
     """`budget` random instances: each other pair with probability 1/2, plus
-    one entangled edge or several at one random vertex.  Draws the numbers
-    one scalar draw per other pair would, in the same order."""
-    rng = np.random.default_rng(seed)
-    plain_pairs = np.setdiff1d(np.arange(len(pairs)), ent_pairs)
-    per_vertex_ent = {v: [i for i in ent_pairs if v in pairs[i]] for v in range(n)}
+    one entangled edge or several at one random vertex.  The instances are
+    those of one scalar numpy draw per other pair, in the same order,
+    replayed `_PROBE_BLOCK` instances at a time from the generator's words."""
+    entangled = set(ent_pairs)
+    plain = np.array([i for i in range(len(pairs)) if i not in entangled], dtype=np.intp)
+    per_vertex_ent = [[i for i in ent_pairs if v in pairs[i]] for v in range(n)]
+    # an instance's words unless a draw is rejected: its plain pairs, the
+    # part, the vertex, the pick count, then Floyd and Fisher-Yates
+    most = len(plain) + 3 + 2 * max(map(len, per_vertex_ent))
     present = np.zeros((budget, len(pairs)), dtype=bool)
     single = np.empty(budget, dtype=bool)
-    for k in range(budget):
-        present[k, plain_pairs] = rng.integers(0, 2, size=len(plain_pairs)) == 1
-        options = [] if rng.integers(0, 2) else per_vertex_ent[int(rng.integers(0, n))]
-        if len(options) < 2:  # single part
-            pick = [ent_pairs[rng.integers(0, len(ent_pairs))]]
-        else:  # concentrated part
-            pick = rng.choice(options, size=int(rng.integers(2, len(options) + 1)),
-                              replace=False)
-        present[k, pick] = True
-        single[k] = len(pick) == 1
+    draws = _Draws(np.random.default_rng(seed))
+    for lo in range(0, budget, _PROBE_BLOCK):
+        hi = min(lo + _PROBE_BLOCK, budget)
+        draws.reserve((hi - lo) * most)
+        starts, rows, picks = [], [], []
+        for k in range(lo, hi):
+            starts.append(draws.skip(len(plain)))
+            options = () if draws.integer(2) else per_vertex_ent[draws.integer(n)]
+            if len(options) < 2:  # single part
+                pick = [ent_pairs[draws.integer(len(ent_pairs))]]
+            else:  # concentrated part
+                pick = draws.sample(options, 2 + draws.integer(len(options) - 1))
+            rows += [k] * len(pick)
+            picks += pick
+        # a plain pair's draw, integers(0, 2), is its word's top bit
+        bits = draws.words[np.array(starts)[:, None] + np.arange(len(plain))] >> 31
+        present[lo:hi, plain] = bits == 1
+        present[rows, picks] = True
+        single[lo:hi] = present[lo:hi, ent_pairs].sum(axis=1) == 1
+        draws.drop_read()
     return present, single
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import TRACE_TOL, DensityError, DensityMatrix
-from .graphs import automorphisms, laplacian, nonisomorphic_graphs
+from .graphs import automorphism_counts, nonisomorphic_graphs
 from .linalg import PSD_TOL, HermitianMatrix, LinalgError
 from .separability import certify_ppt_verdicts, partial_transposes, ppt_verdicts
 
@@ -187,30 +187,40 @@ def four_vertex_census() -> CensusReport:
     """
     reps = nonisomorphic_graphs(4)
     graphs = [g for g in reps if g.m]
+    pairs = list(itertools.combinations(range(4), 2))  # K4's six pairs
+    masks = np.array([[pair in g.edges for pair in pairs] for g in graphs])
+    u, v = np.array(pairs).T
+    laps = np.zeros((len(graphs), 4, 4), dtype=np.int64)
+    laps[:, u, v] = laps[:, v, u] = -masks.astype(np.int64)
+    laps[:, range(4), range(4)] = -laps.sum(axis=2)
+    sigmas = laps / (2 * masks.sum(axis=1))[:, None, None]  # L(G)/2m
     assigns = np.array(list(itertools.permutations(range(4))))
     total = len(assigns)
-    laps = np.stack([laplacian(g) for g in graphs])
-    sigmas = laps / np.array([2 * g.m for g in graphs])[:, None, None]  # L(G)/2m
-    npt = ~np.array([ppt_verdicts(g.edges, assigns, 2, 2) for g in graphs])
-    pts = partial_transposes(laps.repeat(total, axis=0), np.tile(assigns, (len(graphs), 1)), 2, 2)
-    certify_ppt_verdicts(pts, ~npt.ravel())
-    # every NPT labeling's state in the cell basis, as one stack
+    every = np.tile(assigns, (len(graphs), 1))  # class by class
+    ppt = ppt_verdicts(pairs, every, 2, 2, present=masks.repeat(total, axis=0))
+    certify_ppt_verdicts(partial_transposes(laps.repeat(total, axis=0), every, 2, 2), ppt)
+    npt = ~ppt.reshape(len(graphs), total)
+    # every NPT labeling's state in the cell basis; labelings that differ by
+    # an automorphism give bitwise-equal states, so each is solved once
     cls, lab = np.nonzero(npt)
     pos = np.argsort(assigns, axis=1)[lab]  # vertex sitting at each cell
-    values, _ = concurrences(sigmas[cls[:, None, None], pos[:, :, None], pos[:, None, :]])
+    states = sigmas[cls[:, None, None], pos[:, :, None], pos[:, None, :]]
+    distinct, inverse = np.unique(states.reshape(len(states), 16), axis=0, return_inverse=True)
+    values = concurrences(distinct.reshape(-1, 4, 4))[0][inverse.reshape(-1)]
     counts = npt.sum(axis=1).tolist()
     per_class = np.split(values, np.cumsum(counts)[:-1])
     rows = [CensusRow(
         class_id=class_id,
         edges=tuple((u + 1, v + 1) for (u, v) in g.edges),
         edge_count=g.m,
-        aut_order=len(automorphisms(g)),
+        aut_order=int(order),
         labeling_count=total,
         entangled_labelings=entangled,
         always_entangled=entangled == total,
         ever_entangled=entangled > 0,
         concurrence_values=_distinct(vals.tolist()),
-    ) for class_id, (g, entangled, vals) in enumerate(zip(graphs, counts, per_class), 1)]
+    ) for class_id, (g, order, entangled, vals)
+        in enumerate(zip(graphs, automorphism_counts(graphs), counts, per_class), 1)]
     always = sum(1 for r in rows if r.always_entangled)
     ever = sum(1 for r in rows if r.ever_entangled)
     note = (f"{len(reps)} isomorphism classes exist on 4 vertices including the "

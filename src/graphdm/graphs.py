@@ -336,15 +336,13 @@ _ISO_LIMIT = 8
 
 
 @functools.lru_cache(maxsize=_ISO_LIMIT + 1)
-def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Every permutation of 0..n-1, where each sends each vertex pair, and
-    the pairs.
+def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of 0..n-1 and where each sends each vertex pair.
 
     Row r of the first array is the r-th image tuple of
     itertools.permutations(range(n)).  Entry [r, i] of the second is the
     slot, in itertools.combinations(range(n), 2) order, that relabeling
-    vertex v as perms[r, v] sends pair slot i to.  The third is
-    np.triu_indices(n, 1), the pairs in that order.  All are read-only.
+    vertex v as perms[r, v] sends pair slot i to.  Both are read-only.
     """
     count = math.factorial(n)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
@@ -353,24 +351,41 @@ def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray
     slot = np.zeros((n, n), dtype=np.int16)
     slot[u, v] = slot[v, u] = np.arange(len(u))
     maps = slot[perms[:, u], perms[:, v]]
-    for a in (perms, maps, u, v):
+    for a in (perms, maps):
         a.setflags(write=False)
-    return perms, maps, (u, v)
+    return perms, maps
 
 
-def _relabelings_onto(g: Graph, h: Graph) -> np.ndarray:
-    """Per row of the permutation table: whether relabeling g by it gives h.
+def _relabelings_onto(gs, hs=None) -> np.ndarray:
+    """Per graph k and row r of the permutation table: whether relabeling
+    gs[k] by row r gives hs[k] (gs[k] itself when hs is None).
 
-    g and h must have the same number of edges.
+    All graphs have one vertex count, at most _ISO_LIMIT, and gs[k] and
+    hs[k] have the same number of edges.
     """
-    perms, maps, pairs = _permutation_table(g.n)
-    g_mask = adjacency_matrix(g)[pairs] != 0
-    h_mask = g_mask if h is g else adjacency_matrix(h)[pairs] != 0
-    # the relabeled g has pair maps[r, i] exactly when g has pair i; with
-    # equal edge counts it is h when every such pair is an edge of h
-    same_edges = h_mask[maps[:, g_mask]].all(axis=1)
-    same_loops = (np.array(h.loops)[perms] == np.array(g.loops)).all(axis=1)
-    return same_edges & same_loops
+    n = gs[0].n
+    perms, maps = _permutation_table(n)
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def tables(graphs):
+        return (np.array([[pair in g.edges for pair in pairs] for g in graphs], dtype=bool),
+                np.array([g.loops for g in graphs]))
+
+    g_masks, g_loops = tables(gs)
+    h_masks, h_loops = (g_masks, g_loops) if hs is None else tables(hs)
+    # with equal edge counts, the relabeled g is h when each edge slot i of
+    # g lands on an edge maps[r, i] of h; each graph's edge slots are padded
+    # to the most edges by slot 0, and a pad counts as landed
+    m = g_masks.sum(axis=1)
+    pad = np.arange(m.max()) >= m[:, None]
+    slots = np.zeros(pad.shape, dtype=np.intp)
+    slots[~pad] = np.nonzero(g_masks)[1]
+    flat_row = np.arange(len(gs))[:, None] * len(pairs)  # where hs[k]'s row of h_masks starts, flat
+    same = (h_masks.ravel()[maps[:, slots] + flat_row] | pad).all(axis=2).T
+    if g_loops.any() or h_loops.any():
+        # vertex perms[r, v] carries the loops of v
+        same &= (h_loops[:, perms] == g_loops[:, None, :]).all(axis=2)
+    return same
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -380,7 +395,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         raise GraphError(f"brute-force isomorphism is limited to n <= {_ISO_LIMIT}")
     if g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()) or sorted(g.loops) != sorted(h.loops):
         return False
-    return bool(_relabelings_onto(g, h).any())
+    return bool(_relabelings_onto([g], [h]).any())
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -388,8 +403,18 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     multiplicities, in itertools.permutations order."""
     if g.n > _ISO_LIMIT:
         raise GraphError(f"automorphism search is limited to n <= {_ISO_LIMIT}")
-    perms, _, _ = _permutation_table(g.n)
-    return [tuple(p) for p in perms[_relabelings_onto(g, g)].tolist()]
+    perms, _ = _permutation_table(g.n)
+    return [tuple(p) for p in perms[_relabelings_onto([g])[0]].tolist()]
+
+
+def automorphism_counts(graphs) -> np.ndarray:
+    """len(automorphisms(g)) for each graph of a list on one vertex count,
+    from one stacked pass over the permutation table."""
+    if any(g.n != graphs[0].n for g in graphs):
+        raise GraphError("automorphism counts need graphs on one vertex count")
+    if graphs[0].n > _ISO_LIMIT:
+        raise GraphError(f"automorphism search is limited to n <= {_ISO_LIMIT}")
+    return _relabelings_onto(graphs).sum(axis=1)
 
 
 def nonisomorphic_graphs(n: int, min_edges: int = 0) -> list[Graph]:
@@ -404,7 +429,7 @@ def nonisomorphic_graphs(n: int, min_edges: int = 0) -> list[Graph]:
         raise GraphError("enumeration is limited to 1 <= n <= 7")
     pairs = list(itertools.combinations(range(n), 2))
     npairs = len(pairs)
-    _, maps, _ = _permutation_table(n)
+    _, maps = _permutation_table(n)
     weights = np.int64(1) << np.arange(npairs)
 
     seen = np.zeros(1 << npairs, dtype=bool)

@@ -918,14 +918,15 @@ def test_census_path_runs_no_pt_eigensolve(capsys, graph_file, monkeypatch, argv
     assert digest in (None, hashlib.sha256(want[0].encode()).hexdigest()[:16])
 
 
-def test_probe_draws_match_scalar_draws():
-    n, q, budget, seed = 8, 4, 300, 17
+def scalar_probe_draws(p, q, budget, seed):
+    """The probe's pairs, entangled pairs and instances, drawn one numpy
+    call at a time by the scalar loop the replay replaced."""
+    n = p * q
     pairs = list(itertools.combinations(range(n), 2))
     cells = [divmod(v, q) for v in range(n)]
     ent = [i for i, (u, v) in enumerate(pairs)
            if cells[u][0] != cells[v][0] and cells[u][1] != cells[v][1]]
     plain = [i for i in range(len(pairs)) if i not in ent]
-    # the per-instance draws of the scalar loop the vectorized one replaced
     rng = np.random.default_rng(seed)
     per_vertex = {v: [i for i in ent if v in pairs[i]] for v in range(n)}
     want = []
@@ -941,9 +942,80 @@ def test_probe_draws_match_scalar_draws():
                 k = int(rng.integers(2, len(options) + 1))
                 pick = rng.choice(options, size=k, replace=False).tolist()
         want.append((len(pick) == 1, sorted(set(pick) | set(extras))))
+    return pairs, ent, n, want
+
+
+def probe_instances(pairs, ent, n, budget, seed):
     present, single = cli._probe_sampled(pairs, ent, n, budget, seed)
-    assert [(bool(s), np.flatnonzero(row).tolist())
-            for s, row in zip(single, present)] == want
+    assert present.shape == (budget, len(pairs)) and single.shape == (budget,)
+    return [(bool(s), np.flatnonzero(row).tolist()) for s, row in zip(single, present)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2, 4), (4, 2)]), budget=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 63))
+@example(dims=(2, 4), budget=300, seed=17)
+def test_probe_draws_match_scalar_draws(dims, budget, seed):
+    pairs, ent, n, want = scalar_probe_draws(*dims, budget, seed)
+    assert probe_instances(pairs, ent, n, budget, seed) == want
+
+
+@pytest.mark.parametrize("block", [1, 3, None], ids=["block-1", "block-3", "block-default"])
+def test_probe_replays_past_one_block(monkeypatch, block):
+    """Words left over at the end of a block start the next one."""
+    if block is not None:
+        monkeypatch.setattr(cli, "_PROBE_BLOCK", block)
+    budget = 50 if block else cli._PROBE_BLOCK + 37
+    pairs, ent, n, want = scalar_probe_draws(4, 2, budget, 2026)
+    assert probe_instances(pairs, ent, n, budget, 2026) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 63),
+       draws=st.lists(st.one_of(st.integers(1, 2 ** 32),
+                                st.integers(1, 12).flatmap(lambda size: st.tuples(
+                                    st.just(size), st.integers(1, size)))),
+                      min_size=1, max_size=30))
+def test_probe_replay_matches_the_generator(seed, draws):
+    """integer(r) is rng.integers(0, r) and sample(options, k) is
+    rng.choice(options, size=k, replace=False), with the stream left where
+    numpy leaves it."""
+    replay, rng = cli._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+    for draw in draws:
+        if isinstance(draw, int):
+            assert replay.integer(draw) == rng.integers(0, draw)
+        else:
+            size, k = draw
+            options = list(range(100, 100 + size))
+            assert replay.sample(options, k) == rng.choice(options, size=k, replace=False).tolist()
+    assert replay.integer(2 ** 32) == rng.integers(0, 2 ** 32)
+
+
+def test_probe_replay_rejects_a_biased_word():
+    # word 0 leaves low bits 0, under 2^32 mod r for r = 12 (4) and r = 3 (1)
+    word = 0x9E3779B9
+    for r in (12, 3):
+        replay = cli._Draws(None, [0, word])
+        assert replay.integer(r) == word * r >> 32 and replay.pos == 2
+    # 2^32 mod 2 is 0: a range-2 draw never rejects, and word 0 reads 0
+    replay = cli._Draws(None, [0])
+    assert replay.integer(2) == 0 and replay.pos == 1
+
+
+def test_probe_replay_range_one_reads_no_word():
+    replay = cli._Draws(None, [0xFFFFFFFF, 0])
+    assert replay.integer(1) == 0 and replay.pos == 0
+    # a two-option, two-pick sample: Floyd's first draw has range 1, its
+    # second reads 1 (word 2^32 - 1) and the Fisher-Yates draw 0 (word 0)
+    assert replay.sample([5, 6], 2) == [6, 5] and replay.pos == 2
+
+
+def test_probe_replay_floyd_collision_inserts_j():
+    # Floyd over 3 options, 2 picks: j = 1 draws 0 (word 0), j = 2 draws 0
+    # again (word 1: low bits 3, no rejection), so j = 2 is inserted; the
+    # Fisher-Yates draw at i = 1 reads 0 (word 0) and swaps the two picks
+    replay = cli._Draws(None, [0, 1, 0])
+    assert replay.sample([10, 20, 30], 2) == [30, 10] and replay.pos == 3
 
 
 def parse_outcome(capsys, parse):

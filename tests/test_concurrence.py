@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -291,3 +292,41 @@ def test_census_batches_its_eigensolves(monkeypatch):
                             lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k))
     four_vertex_census()
     assert 0 < len(calls) <= 25
+
+
+def recorded(monkeypatch, name):
+    """Outputs of each call the census makes to the concurrence module's
+    binding of name.  The package re-exports the concurrence function, so
+    the module is read from sys.modules."""
+    module = sys.modules["graphdm.concurrence"]
+    calls, call = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(call(*a, **k)) or calls[-1])
+    return calls
+
+
+def test_census_folds_its_verdicts_into_one_paired_call(monkeypatch):
+    calls = recorded(monkeypatch, "ppt_verdicts")
+    four_vertex_census()
+    assigns = list(itertools.permutations(range(4)))
+    per_class = [ppt_verdicts(g.edges, assigns, 2, 2) for g in nonisomorphic_graphs(4, min_edges=1)]
+    assert len(calls) == 1 and np.array_equal(calls[0], np.concatenate(per_class))
+
+
+def test_census_solves_each_distinct_state_once(monkeypatch):
+    stack = census_cell_states()
+    values, lams = concurrences(stack)
+    # labelings related by an automorphism give bitwise-equal states
+    distinct, inverse = np.unique(stack.reshape(len(stack), 16), axis=0, return_inverse=True)
+    assert len(distinct) == 32
+    once_values, once_lams = concurrences(distinct.reshape(-1, 4, 4))
+    inverse = inverse.reshape(-1)
+    assert once_values[inverse].tobytes() == values.tobytes()
+    assert once_lams[inverse].tobytes() == lams.tobytes()
+    # each layer of the batched kernel is solved as a lone call would be
+    for k, state in enumerate(stack):
+        lone_values, lone_lams = concurrences(state[None])
+        assert lone_values.tobytes() == values[k:k + 1].tobytes(), k
+        assert lone_lams.tobytes() == lams[k:k + 1].tobytes(), k
+    calls = recorded(monkeypatch, "concurrences")
+    four_vertex_census()
+    assert [len(out[0]) for out in calls] == [32]

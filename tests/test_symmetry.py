@@ -20,8 +20,10 @@ from graphdm import (
     automorphisms,
     build_graph,
     complete_graph,
+    nonisomorphic_graphs,
     path_graph,
 )
+from graphdm.graphs import automorphism_counts
 
 
 def same_loops(a, b):
@@ -78,6 +80,23 @@ def test_automorphisms_of_complete_and_empty_graphs(n):
     expected = math.prod(math.factorial(c) for c in Counter(loops).values())
     for edges in ([], list(itertools.combinations(range(n), 2))):
         assert len(automorphisms(build_graph(n, edges, loops))) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_automorphism_counts_match_automorphisms(n):
+    """One stacked pass counts what automorphisms lists, graph by graph:
+    every class on 3 to 5 vertices, and random graphs with loops."""
+    graphs, _ = random_graphs(n, 25)
+    if 3 <= n <= 5:
+        graphs += nonisomorphic_graphs(n)
+    assert automorphism_counts(graphs).tolist() == [len(automorphisms(g)) for g in graphs]
+
+
+def test_automorphism_counts_need_one_small_vertex_count():
+    with pytest.raises(GraphError):
+        automorphism_counts([path_graph(4), path_graph(5)])
+    with pytest.raises(GraphError):
+        automorphism_counts([path_graph(9)])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
