@@ -22,7 +22,6 @@ check_landing are the float pass that the tests hold the certificates to.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +40,8 @@ from .graphs import (
     tensor_product,
 )
 from .linalg import exact_projector
-from .separability import (SEPARABLE, BipartiteLabeling, ppt_test, ppt_verdicts,
-                           separable_decomposition)
+from .separability import (ENTANGLED_NPT, SEPARABLE, BipartiteLabeling, labeling_search,
+                           ppt_test, separable_decomposition)
 
 # largest distance at which complete_to_unitary's U @ source may miss target
 CHANNEL_TOL = 1e-10
@@ -418,7 +417,7 @@ def locc_principle_examples() -> LoccReport:
     """
     lab = BipartiteLabeling.default(2, 2)
     crossing = build_graph(4, [(0, 3), (1, 2)])
-    _, states = separable_decomposition(crossing, lab)  # raises unless verified
+    _, states = separable_decomposition(density_of_graph(crossing), lab)  # raises unless verified
 
     bell_graph = delete_edge(crossing, 1, 2)
     bell = density_of_graph(bell_graph)
@@ -429,8 +428,7 @@ def locc_principle_examples() -> LoccReport:
     diamond = delete_edge(k4, 0, 3)
     diamond_verdict = ppt_test(density_of_graph(diamond), lab)
     cycle = delete_edge(diamond, 1, 2)
-    cycle_sep = bool(ppt_verdicts(cycle.edges, list(itertools.permutations(range(4))),
-                                  2, 2).all())
+    cycle_sep = labeling_search(cycle, 2, 2).counts[ENTANGLED_NPT] == 0
 
     narrative = (
         "Deleting one edge of the separable two-edge crossing state leaves a "

@@ -254,7 +254,7 @@ def cmd_analyze(args) -> None:
     verdict = ppt_test(rho, lab)
     edges_cross = entangled_edges(g, lab)
 
-    found = separable_decomposition(g, lab) if verdict.status != ENTANGLED_NPT else None
+    found = separable_decomposition(rho, lab) if verdict.status != ENTANGLED_NPT else None
     status = verdict.status if found is None else SEPARABLE
 
     conc = None

@@ -1,7 +1,6 @@
 """Bipartite structure of graph states: partial transpose, PPT verdicts,
-entangled edges, matching canonicalization, and explicit separable
-decompositions, all built by one pass that peels the entangled edges into
-directed cycles.
+entangled edges, and explicit separable decompositions, all built by one
+pass that peels the entangled edges into directed cycles.
 
 A labeling identifies the n = p*q vertices with the product basis
 |row s>|column t>.  The default map sends vertex v (0-based) to
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import DensityMatrix, density_of_graph
-from .graphs import Graph, build_graph, complete_graph
+from .graphs import Graph, complete_graph
 from .linalg import HermitianMatrix
 
 SEPARABLE = "SEPARABLE"
@@ -273,7 +272,7 @@ def ppt_test(rho: DensityMatrix, lab: BipartiteLabeling) -> SeparabilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# entangled edges and matchings
+# entangled edges and their directed cycles
 
 
 def entangled_edges(g: Graph, lab: BipartiteLabeling) -> list[tuple[int, int]]:
@@ -286,88 +285,6 @@ def entangled_edges(g: Graph, lab: BipartiteLabeling) -> list[tuple[int, int]]:
         if s != s2 and t != t2:
             out.append((u, v))
     return out
-
-
-def classify_matching(g: Graph, lab: BipartiteLabeling) -> str:
-    """Strongest of: pe-matching > e-matching > matching > not-matching.
-
-    A matching is a set of vertex-disjoint non-loop edges; an e-matching has
-    every edge entangled; a pe-matching additionally spans every vertex.
-    """
-    if any(g.loops):
-        return "not-matching"
-    used = set()
-    for (u, v) in g.edges:
-        if u in used or v in used:
-            return "not-matching"
-        used.update((u, v))
-    if g.m == 0 or len(entangled_edges(g, lab)) < g.m:
-        return "matching"
-    if len(used) == g.n:
-        return "pe-matching"
-    return "e-matching"
-
-
-def _row_derangement(g: Graph, lab: BipartiteLabeling) -> dict[int, int]:
-    """For a p = 2 pe-matching: column map t -> t' along row 0 -> row 1."""
-    pi = {}
-    for (u, v) in g.edges:
-        (su, tu), (sv, tv) = lab.cells[u], lab.cells[v]
-        if su == sv:
-            raise SeparabilityError("matching edge joins two cells in the same row")
-        if su == 1:
-            tu, tv = tv, tu
-        pi[tu] = tv
-    return pi
-
-
-@dataclass(frozen=True)
-class TallyMark:
-    """A cyclic chain of entangled edges between two rows, recorded by the
-    ascending column set it occupies (chains of length 2 are criss-crosses)."""
-
-    columns: tuple[int, ...]
-
-
-def canonicalize_pe_matching(g: Graph, lab: BipartiteLabeling):
-    """Relabel columns so a two-row pe-matching becomes stacked tally-marks.
-
-    Columns are processed in ascending order; whenever the chain through
-    column c continues to some later column j, the transposition (j, c+1)
-    is applied to the column labels, so every chain closes on a consecutive
-    block.  Returns (column permutation as an image tuple, canonical graph,
-    tally-marks); the canonical graph uses the default labeling.
-    """
-    if lab.p != 2:
-        raise SeparabilityError("canonical form is defined for two rows")
-    if classify_matching(g, lab) != "pe-matching":
-        raise SeparabilityError("graph is not a pe-matching under this labeling")
-    q = lab.q
-    pi = _row_derangement(g, lab)
-
-    relab = list(range(q))  # cumulative column relabeling, col -> new col
-
-    def apply_transposition(a: int, b: int):
-        swap = {a: b, b: a}
-        nonlocal pi
-        pi = {swap.get(x, x): swap.get(y, y) for x, y in pi.items()}
-        for col in range(q):
-            if relab[col] == a:
-                relab[col] = b
-            elif relab[col] == b:
-                relab[col] = a
-
-    marks = []
-    start = 0
-    for c in range(q):
-        img = pi[c]
-        if img == start:
-            marks.append(TallyMark(tuple(range(start, c + 1))))
-            start = c + 1
-        elif img != c + 1:
-            apply_transposition(img, c + 1)
-    canonical = build_graph(2 * q, [(c, q + pi[c]) for c in range(q)])
-    return tuple(relab), canonical, marks
 
 
 def _tally_states(marks: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -459,7 +376,7 @@ def tally_mark_decomposition(g: Graph) -> ProductStates:
     q = g.n // 2
     if q < 2 or any(g.loops) or g.edges != tuple(sorted((c, q + (c + 1) % q) for c in range(q))):
         raise SeparabilityError("graph is not one increasing tally mark on two rows")
-    return separable_decomposition(g, BipartiteLabeling.default(2, q))[1]
+    return separable_decomposition(density_of_graph(g), BipartiteLabeling.default(2, q))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +417,14 @@ def complete_graph_decomposition(n: int, p: int, q: int) -> ProductStates:
     K_n's state unchanged, so the decomposition holds under every labeling."""
     if n < 2:
         raise SeparabilityError("complete graph needs n >= 2")
-    return separable_decomposition(complete_graph(n), BipartiteLabeling.default(p, q))[1]
+    return separable_decomposition(density_of_graph(complete_graph(n)),
+                                   BipartiteLabeling.default(p, q))[1]
 
 
-def separable_decomposition(g: Graph, lab: BipartiteLabeling):
-    """(route, verified ProductStates, each of weight 1/m) when g's state
-    splits into product states under lab by directed cycles, else None.
+def separable_decomposition(rho: DensityMatrix, lab: BipartiteLabeling):
+    """(route, verified ProductStates, each of weight 1/m) when the graph
+    state rho = L(G)/2m splits into product states under lab by directed
+    cycles, else None.
 
     Edges within a row or a column are product states.  An entangled edge
     (r, a)-(s, b), r < s, is an arc a -> b of the row pair (r, s); where
@@ -515,9 +434,14 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling):
     (Wu, Phys. Lett. A 351 (2006) 18); a p x 2 labeling is read transposed.
     The route names the family: "complete-graph", "product-edges" (no
     entangled edge), "criss-cross-matching" (two rows, the entangled edges
-    covering each vertex once) or "directed-cycles".  A mixture that
-    verify_separable_decomposition rejects raises.
+    covering each vertex once) or "directed-cycles".  For a two-row
+    pe-matching the cycles are its column map's, the paper's tally marks,
+    in any column order.  A state that is not a graph state, and a mixture
+    that verify_separable_decomposition rejects, raise.
     """
+    g = rho.origin
+    if g is None:
+        raise SeparabilityError("decompositions are built for graph states L(G)/2m only")
     if g.n != lab.n:
         raise SeparabilityError("labeling size does not match the graph")
     found = _cycle_factors(g.edges, lab.cells, lab.p, lab.q)
@@ -527,7 +451,6 @@ def separable_decomposition(g: Graph, lab: BipartiteLabeling):
     if found is None:
         return None
     left, right, entangled = found
-    rho = density_of_graph(g)  # rejects an edgeless graph
     ends = [v for edge in entangled for v in edge]
     route = ("complete-graph" if g.m == g.n * (g.n - 1) // 2
              else "product-edges" if not ends

@@ -2,8 +2,9 @@
 imports another's _private names, no module builds an object array, one
 function reads the channel landing tolerance and the CLI names neither it,
 the comparison nor the channel tolerance, one reads the reconstruction
-tolerance, one builder makes every separable decomposition and the CLI
-reaches it through analyze alone, no module brings back an inexact matrix
+tolerance, one builder makes every separable decomposition from the state
+its caller holds, no pe-matching canonical form stands beside it, and the
+CLI reaches it through analyze alone, no module brings back an inexact matrix
 mode, eigensolvers run only where a float spectrum is the result, not
 a verdict, a labeling's flat cells and a graph state's mark are each
 stored in one form, and a decomposition's product states stay one stacked
@@ -217,8 +218,10 @@ def test_cli_leaves_the_route_choice_to_separability():
 
 def test_one_decomposition_builder():
     # separable_decomposition builds every decomposition: only its pass
-    # makes tally-mark states, no code walks a canonical pe-matching, and
-    # the per-family routes and the every-labeling switch are gone
+    # makes tally-mark states, and its directed cycles are the one reading
+    # of a two-row matching's marks, so no pe-matching canonical form or
+    # classifier is left; it checks the state its caller holds, so it builds
+    # none; the per-family routes and the every-labeling switch are gone
     modules = sorted(SRC.glob("*.py"))
     assert {"separability.py", "channels.py", "cli.py"} <= {p.name for p in modules}
 
@@ -227,7 +230,13 @@ def test_one_decomposition_builder():
 
     assert all_readers("_tally_states") == ["separability.py:_cycle_factors"]
     assert all_readers("_cycle_factors") == ["separability.py:separable_decomposition"]
-    assert all_readers("canonicalize_pe_matching") == []
+    for name in ("classify_matching", "canonicalize_pe_matching", "TallyMark", "_row_derangement"):
+        assert {p.name: lines for p in modules if (lines := mentions(p, name))} == {}, name
+    # the wrappers and the labeling search build their own states, which
+    # keeps separability.density_of_graph bound
+    assert sorted(set(readers(SRC / "separability.py", "density_of_graph"))) == [
+        "separability.py:complete_graph_decomposition", "separability.py:labeling_search",
+        "separability.py:tally_mark_decomposition"]
     for p in modules:
         text = p.read_text(encoding="utf-8")
         assert "pe_matching_separability" not in text and "every_labeling" not in text, p.name

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,8 +24,6 @@ from graphdm import (
     ProductStates,
     SeparabilityError,
     build_graph,
-    canonicalize_pe_matching,
-    classify_matching,
     complete_graph,
     complete_graph_decomposition,
     coset_representatives,
@@ -200,10 +199,11 @@ def test_assign_is_the_one_flat_form(grid, seed, density):
     pairs = list(itertools.combinations(range(n), 2))
     g = build_graph(n, [e for e in pairs if rng.random() < density] or pairs[:1])
     cases = [(density_of_graph(complete_graph(n)), complete_graph_decomposition(n, p, q))]
+    rho = density_of_graph(g)
     for read in (default, lab):
-        found = separable_decomposition(g, read)
+        found = separable_decomposition(rho, read)
         if found is not None:
-            cases.append((density_of_graph(g), found[1]))
+            cases.append((rho, found[1]))
     for rho, states in cases:
         assert (verify_separable_decomposition(rho, states, default)
                 == verify_separable_decomposition(rho, states))
@@ -224,44 +224,76 @@ def test_entangled_edges():
     assert entangled_edges(build_graph(4, [(0, 1), (2, 3)]), LAB22) == []
 
 
-def test_classify_matching_labels():
-    cases = [
-        (build_graph(4, [(0, 3), (1, 2)]), "pe-matching"),
-        (build_graph(4, [(1, 2)]), "e-matching"),
-        (build_graph(4, [(0, 1)]), "matching"),
-        (path_graph(4), "not-matching"),
-        (complete_graph(4), "not-matching"),
-    ]
-    for g, want in cases:
-        assert classify_matching(g, LAB22) == want
-
-
-def test_canonicalize_crossing():
-    perm, canonical, marks = canonicalize_pe_matching(
-        build_graph(4, [(0, 3), (1, 2)]), LAB22)
-    assert canonical.edges == ((0, 3), (1, 2))
-    assert [m.columns for m in marks] == [(0, 1)]
-    assert perm == (0, 1)
-
-
-def test_canonicalize_longer_chain():
-    # a 3-column chain in scrambled column order still yields one mark
-    g = build_graph(6, [(0, 5), (1, 3), (2, 4)])
-    perm, canonical, marks = canonicalize_pe_matching(
-        g, BipartiteLabeling.default(2, 3))
-    assert sum(len(m.columns) for m in marks) == 3
-    # the canonical graph is a union of increasing chains
-    assert classify_matching(canonical, BipartiteLabeling.default(2, 3)) == "pe-matching"
-
-
 def test_pe_matching_separability_decomposes():
     crossing = build_graph(4, [(0, 3), (1, 2)])
-    route, states = separable_decomposition(crossing, LAB22)
+    rho = density_of_graph(crossing)
+    route, states = separable_decomposition(rho, LAB22)
     assert route == "criss-cross-matching" and len(states) == 2
-    assert verify_separable_decomposition(
-        density_of_graph(crossing), states, LAB22)
+    assert verify_separable_decomposition(rho, states, LAB22)
     # P4's one entangled edge is an arc no other arc balances: NPT, no route
-    assert separable_decomposition(path_graph(4), LAB22) is None
+    assert separable_decomposition(density_of_graph(path_graph(4)), LAB22) is None
+
+
+def test_builder_refuses_what_is_not_its_graph_state():
+    looped = build_graph(4, [(0, 3), (1, 2)], loops=[1, 0, 0, 0])
+    for rho in (sigma_plus(path_graph(4)), density_with_loops(looped)):
+        assert rho.origin is None
+        with pytest.raises(SeparabilityError, match="graph states"):
+            separable_decomposition(rho, LAB22)
+    with pytest.raises(SeparabilityError, match="labeling size"):
+        separable_decomposition(density_of_graph(path_graph(4)), BipartiteLabeling.default(2, 3))
+
+
+def column_cycles(pi):
+    """The cycles of the column map t -> pi[t], each as its set of columns."""
+    cycles, seen = [], set()
+    for start in range(len(pi)):
+        cycle, t = set(), start
+        while t not in seen:
+            seen.add(t)
+            cycle.add(t)
+            t = pi[t]
+        if cycle:
+            cycles.append(frozenset(cycle))
+    return cycles
+
+
+def assert_marks_are_column_cycles(pi, lab):
+    """The two-row pe-matching joining cell (0, t) to (1, pi[t]) under lab
+    decomposes by criss-crosses into q states, and the supports of their
+    right factors group them into pi's cycles, one state per column."""
+    vertex_at = {cell: v for v, cell in enumerate(lab.cells)}
+    g = build_graph(lab.n, [(vertex_at[(0, t)], vertex_at[(1, pi[t])]) for t in range(lab.q)])
+    route, states = separable_decomposition(density_of_graph(g), lab)
+    assert route == "criss-cross-matching" and len(states) == lab.q
+    supports = Counter(frozenset(np.flatnonzero(np.abs(right) > 1e-12).tolist())
+                       for right in states.right)
+    assert supports == {cycle: len(cycle) for cycle in column_cycles(pi)}
+
+
+def test_tally_marks_are_the_column_cycles_of_worked_examples():
+    # the crossing is one criss-cross; the scrambled chain 0 -> 2 -> 1 -> 0
+    # of (0,5), (1,3), (2,4) is one 3-column mark
+    assert column_cycles([1, 0]) == [{0, 1}]
+    assert column_cycles([2, 0, 1]) == [{0, 1, 2}]
+    assert_marks_are_column_cycles([1, 0], LAB22)
+    assert_marks_are_column_cycles([2, 0, 1], BipartiteLabeling.default(2, 3))
+
+
+def test_tally_marks_are_the_column_cycles_of_every_derangement():
+    # every two-row pe-matching on q = 2..5 columns, 1 + 2 + 9 + 44 graphs,
+    # under the default labeling and one random relabeling each
+    rng = np.random.default_rng(29)
+    counts = []
+    for q in range(2, 6):
+        derangements = [pi for pi in itertools.permutations(range(q))
+                        if all(pi[t] != t for t in range(q))]
+        counts.append(len(derangements))
+        for pi in derangements:
+            assert_marks_are_column_cycles(pi, BipartiteLabeling.default(2, q))
+            assert_marks_are_column_cycles(
+                pi, BipartiteLabeling.from_assignment(2, q, rng.permutation(2 * q)))
+    assert counts == [1, 2, 9, 44]
 
 
 def test_cycle_graph_separable_under_every_labeling():
@@ -292,11 +324,13 @@ def test_tally_mark_decompositions():
 
 
 def test_tally_mark_check_accepts_what_the_matching_rule_accepts():
-    # the rule the one-line check replaced: a pe-matching under the default
+    # the rule the one-line check replaced: a pe-matching (no loop, each
+    # vertex on exactly one edge, every edge entangled) under the default
     # two-row labeling whose column map is the increasing cycle
     def old_rule(g):
         lab = BipartiteLabeling.default(2, g.n // 2)
-        if classify_matching(g, lab) != "pe-matching":
+        ends = sorted(v for edge in g.edges for v in edge)
+        if any(g.loops) or ends != list(range(g.n)) or len(entangled_edges(g, lab)) < g.m:
             return False
         pi = {lab.cells[u][1]: lab.cells[v][1] for u, v in g.edges}  # u sits in row 0
         return all(pi[c] == (c + 1) % lab.q for c in range(lab.q))
@@ -398,7 +432,7 @@ def test_stacked_check_matches_the_per_state_loop(p, q, seed, labeled, kind):
         edges += [(vertex_at[(0, t)], vertex_at[(1, (t + shift) % q)]) for t in range(q)]
     g = build_graph(n, edges)
     rho = density_of_graph(g)
-    states = separable_decomposition(g, read)[1]
+    states = separable_decomposition(rho, read)[1]
     left, right, weights = states.left, states.right, states.weights
     if kind == "relabeled":
         lab = BipartiteLabeling.from_assignment(p, q, rng.permutation(n))
@@ -922,11 +956,11 @@ def test_matching_decomposition_reads_any_labeling():
     assert lab.assign == (2, 1, 0, 3)
     g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 2)])
     assert entangled_edges(g, lab) == [(0, 1), (2, 3)]
-    route, states = separable_decomposition(g, lab)
+    rho = density_of_graph(g)
+    route, states = separable_decomposition(rho, lab)
     assert route == "criss-cross-matching" and len(states) == 2 + 2
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(4, g.edges)).max() < 1e-15
     # the verification reads the labeling: under the default one the mixture misses
-    rho = density_of_graph(g)
     assert verify_separable_decomposition(rho, states, lab)
     assert not verify_separable_decomposition(rho, states)
 
@@ -947,7 +981,7 @@ def test_matching_decomposition_on_random_labelings(q, seed, density):
     separable = [(u, v) for u, v in itertools.combinations(range(n), 2)
                  if lab.cells[u][0] == lab.cells[v][0] or lab.cells[u][1] == lab.cells[v][1]]
     g = build_graph(n, matching + [e for e in separable if rng.random() < density])
-    states = separable_decomposition(g, lab)[1]
+    states = separable_decomposition(density_of_graph(g), lab)[1]
     assert np.abs(vertex_mixture(states, lab) - laplacian_state(n, g.edges)).max() < 1e-12
 
 
@@ -996,7 +1030,7 @@ def test_cycle_builder_decides_ppt_with_two_rows_or_columns(grid, seed, balanced
     p, q = grid
     g, lab = drawn_graph(np.random.default_rng(seed), p, q, balanced, density)
     ppt = ppt_verdicts(g.edges, lab.assign, p, q)[0]
-    found = separable_decomposition(g, lab)
+    found = separable_decomposition(density_of_graph(g), lab)
     if 2 in grid:
         assert (found is not None) == ppt
     else:
@@ -1015,8 +1049,9 @@ def test_two_column_decomposition_swaps_the_transposed_factors():
     lab = BipartiteLabeling.default(3, 2)
     g = build_graph(6, [(0, 3), (1, 4), (2, 5)])
     flipped = BipartiteLabeling(2, 3, tuple((t, s) for s, t in lab.cells))
-    route, states = separable_decomposition(g, lab)
-    flipped_route, flipped_states = separable_decomposition(g, flipped)
+    rho = density_of_graph(g)
+    route, states = separable_decomposition(rho, lab)
+    flipped_route, flipped_states = separable_decomposition(rho, flipped)
     assert (route, flipped_route) == ("directed-cycles", "criss-cross-matching")
     assert len(states) == len(flipped_states) == 3
     assert np.array_equal(states.left, flipped_states.right)
